@@ -4,6 +4,10 @@
 #                  differential tests under -race + race-enabled full
 #                  suite
 #   make test    — fast tier-1 check (go build + go test)
+#   make vet     — go vet, and fail if gofmt -l reports any file
+#   make bench-check — vet and short-test the benchmark module
+#                  (perfbench/, a nested module the root ./... skips),
+#                  so a program API break it depends on fails CI
 #   make lint    — determinism certification (cmd/loggpvet driver mode)
 #                  over the repo against the checked-in baseline
 #   make lint-sarif — same run, writing bin/lint.sarif (SARIF 2.1.0)
@@ -51,7 +55,7 @@ GO ?= go
 LOGGPVET := $(CURDIR)/bin/loggpvet
 FUZZTIME ?= 15s
 
-.PHONY: all build test vet lint lint-sarif race diff bench sweep bench-envelope fuzz-smoke serve-smoke cluster-smoke loadtest loadtest-smoke resize-smoke ci
+.PHONY: all build test vet bench-check lint lint-sarif race diff bench sweep bench-envelope fuzz-smoke serve-smoke cluster-smoke loadtest loadtest-smoke resize-smoke ci
 
 all: ci
 
@@ -63,6 +67,16 @@ test: build
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need formatting:"; echo "$$unformatted"; exit 1; \
+	fi
+
+# perfbench/ is a module of its own, so the root build and tests never
+# compile it; this keeps a program API change that breaks the benchmark
+# from passing CI.
+bench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short -count=1 ./...
 
 # Determinism certification: cmd/loggpvet in driver mode re-executes
 # itself under `go vet -vettool=`, aggregates the whole module's
@@ -187,4 +201,4 @@ resize-smoke:
 		-resize-script "join:2@400,drain:0@800,remove:0@1200" \
 		-min-resize-hit-rate 0.9 -out ""
 
-ci: vet lint lint-sarif test diff race fuzz-smoke serve-smoke cluster-smoke loadtest-smoke resize-smoke
+ci: vet bench-check lint lint-sarif test diff race fuzz-smoke serve-smoke cluster-smoke loadtest-smoke resize-smoke

@@ -339,7 +339,6 @@ func runCluster(o options, reference [][]byte) (*clusterReport, error) {
 		"-addr", "127.0.0.1:0",
 		"-peers", strings.Join(peerURLs, ","),
 		"-probe-interval", "100ms",
-		"-gossip-interval", "200ms",
 		"-backoff-base", "100ms",
 		"-backoff-max", "1s",
 	})
@@ -485,7 +484,6 @@ func runResize(o options, reference [][]byte) (*resizeReport, error) {
 		"-addr", "127.0.0.1:0",
 		"-peers", strings.Join(peerURLs[:o.resizePeers], ","),
 		"-probe-interval", "100ms",
-		"-gossip-interval", "200ms",
 		"-backoff-base", "100ms",
 		"-backoff-max", "1s",
 		"-admin-token", resizeToken,

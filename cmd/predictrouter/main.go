@@ -7,11 +7,11 @@
 //
 //	predictrouter -peers http://h1:8080,http://h2:8080,... [-addr :8080]
 //	              [-replicas 128] [-salt ""] [-probe-interval 500ms]
-//	              [-probe-timeout 2s] [-gossip-interval 1s]
-//	              [-fail-threshold 2] [-backoff-base 250ms]
-//	              [-backoff-max 5s] [-max-attempts 3] [-shed-load 0.9]
-//	              [-hedge-off] [-forward-timeout 75s] [-admin-token ""]
-//	              [-join-timeout 10s] [-handoff-timeout 30s]
+//	              [-probe-timeout 2s] [-fail-threshold 2]
+//	              [-backoff-base 250ms] [-backoff-max 5s]
+//	              [-max-attempts 3] [-forward-timeout 75s]
+//	              [-admin-token ""] [-join-timeout 10s]
+//	              [-handoff-timeout 30s]
 //
 // Endpoints:
 //
@@ -32,10 +32,10 @@
 // X-Admin-Token header must match (from any source address).
 //
 // Peers that die are probed on a capped, deterministically staggered
-// backoff and failed over to their ring successors; slow legs are
-// hedged; saturated peers (by gossiped /statsz load) are rerouted
-// around before they shed. On SIGINT/SIGTERM the router stops its
-// probe loops, finishes in-flight relays, and exits 0.
+// backoff and failed over to their ring successors, one leg at a time;
+// a leg that outlives -forward-timeout fails over too. On SIGINT/SIGTERM
+// the router stops its probe loops, finishes in-flight relays, and
+// exits 0.
 package main
 
 import (
@@ -61,13 +61,10 @@ func main() {
 	salt := flag.String("salt", "", "ring placement salt (must match across router instances)")
 	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "health probe spacing per peer")
 	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "per-probe timeout")
-	gossipInterval := flag.Duration("gossip-interval", time.Second, "load gossip (/statsz poll) spacing")
 	failThreshold := flag.Int("fail-threshold", 2, "consecutive transport failures before a peer is down")
 	backoffBase := flag.Duration("backoff-base", 250*time.Millisecond, "reprobe backoff base for down peers")
 	backoffMax := flag.Duration("backoff-max", 5*time.Second, "reprobe backoff cap")
 	maxAttempts := flag.Int("max-attempts", 3, "ring owners tried per request (clamped to the peer count)")
-	shedLoad := flag.Float64("shed-load", 0.9, "gossiped load fraction at which a peer is rerouted around")
-	hedgeOff := flag.Bool("hedge-off", false, "disable hedged second requests")
 	forwardTimeout := flag.Duration("forward-timeout", 75*time.Second, "per-leg forward timeout")
 	adminToken := flag.String("admin-token", "", "shared secret for /admin/* (empty = loopback callers only)")
 	joinTimeout := flag.Duration("join-timeout", 10*time.Second, "how long /admin/join waits for the new peer to probe ready")
@@ -89,13 +86,10 @@ func main() {
 		Salt:           *salt,
 		ProbeInterval:  *probeInterval,
 		ProbeTimeout:   *probeTimeout,
-		GossipInterval: *gossipInterval,
 		FailThreshold:  *failThreshold,
 		BackoffBase:    *backoffBase,
 		BackoffMax:     *backoffMax,
 		MaxAttempts:    *maxAttempts,
-		ShedLoad:       *shedLoad,
-		HedgeOff:       *hedgeOff,
 		ForwardTimeout: *forwardTimeout,
 		AdminToken:     *adminToken,
 		JoinTimeout:    *joinTimeout,

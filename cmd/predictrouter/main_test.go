@@ -224,7 +224,6 @@ func TestPredictrouterClusterChaos(t *testing.T) {
 	router, err := startProc(t, routerBin, "127.0.0.1:0",
 		"-peers", strings.Join(urls, ","),
 		"-probe-interval", "50ms",
-		"-gossip-interval", "100ms",
 		"-backoff-base", "50ms",
 		"-backoff-max", "500ms",
 	)
@@ -299,7 +298,9 @@ func TestPredictrouterClusterChaos(t *testing.T) {
 }
 
 // TestPredictrouterRejectsBadFlags keeps startup failures honest: a
-// missing -peers must exit non-zero with a diagnostic, not hang.
+// missing -peers must exit non-zero with a diagnostic, not hang, and
+// the removed hedging and load-gossip flags must be refused rather
+// than silently accepted.
 func TestPredictrouterRejectsBadFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binary")
@@ -311,5 +312,12 @@ func TestPredictrouterRejectsBadFlags(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "predictrouter:") {
 		t.Fatalf("no diagnostic on stderr:\n%s", out)
+	}
+	for _, flag := range [][]string{{"-gossip-interval", "1s"}, {"-shed-load", "0.9"}, {"-hedge-off"}} {
+		args := append([]string{"-addr", "127.0.0.1:0", "-peers", "http://127.0.0.1:1"}, flag...)
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "flag provided but not defined") {
+			t.Fatalf("%s accepted (err %v):\n%s", flag[0], err, out)
+		}
 	}
 }

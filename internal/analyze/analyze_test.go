@@ -47,11 +47,11 @@ func TestCheckCleanPattern(t *testing.T) {
 
 func TestCheckAccumulatesAllViolations(t *testing.T) {
 	pt := trace.New(4)
-	pt.Add(-1, 2, 64)  // src-range
-	pt.Add(0, 9, 64)   // dst-range
-	pt.Add(1, 2, 0)    // bytes
-	pt.Add(3, 3, 8)    // self-send without AllowLocal
-	pt.Add(0, 1, 32)   // fine
+	pt.Add(-1, 2, 64) // src-range
+	pt.Add(0, 9, 64)  // dst-range
+	pt.Add(1, 2, 0)   // bytes
+	pt.Add(3, 3, 8)   // self-send without AllowLocal
+	pt.Add(0, 1, 32)  // fine
 	r := analyze.Check(pt, testParams)
 	want := []string{"bytes", "dst-range", "self-send", "src-range"}
 	if got := codes(r.Issues.Errs()); !slices.Equal(got, want) {
@@ -111,8 +111,8 @@ func TestCheckProgram(t *testing.T) {
 	s1 := pr.AddStep() // empty-step warning
 	_ = s1
 	s2 := pr.AddStep()
-	s2.AddOp(1, blockops.Op(99), 24) // op-range
-	s2.AddOp(2, blockops.Op2, 0)     // block-size
+	s2.AddOp(1, blockops.Op(99), 24)    // op-range
+	s2.AddOp(2, blockops.Op2, 0)        // block-size
 	s2.Comm.Add(0, 1, 64).Add(1, 0, 64) // cycle warning
 
 	r := analyze.CheckProgram(pr, testParams, cost.DefaultAnalytic())

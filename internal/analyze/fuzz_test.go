@@ -44,9 +44,9 @@ func fuzzPattern(data []byte) (*trace.Pattern, loggp.Params, int64, bool) {
 }
 
 func FuzzDeadlockVerdict(f *testing.F) {
-	f.Add([]byte{8, 9, 2, 16, 1, 1, 0, 1, 0, 112, 1, 2, 0, 112}) // acyclic chain
-	f.Add([]byte{2, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 0, 1})      // two-cycle
-	f.Add([]byte{15, 49, 19, 39, 9, 255, 0, 0, 0, 255})          // self message
+	f.Add([]byte{8, 9, 2, 16, 1, 1, 0, 1, 0, 112, 1, 2, 0, 112})         // acyclic chain
+	f.Add([]byte{2, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 0, 1})              // two-cycle
+	f.Add([]byte{15, 49, 19, 39, 9, 255, 0, 0, 0, 255})                  // self message
 	f.Add([]byte{3, 9, 2, 16, 1, 7, 0, 1, 0, 8, 1, 2, 0, 8, 2, 0, 0, 8}) // three-cycle
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pt, params, seed, ok := fuzzPattern(data)

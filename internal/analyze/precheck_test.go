@@ -64,7 +64,7 @@ func TestProgramPrecheckHook(t *testing.T) {
 
 	badPr := program.New(2)
 	bs := badPr.AddStep()
-	bs.AddOp(0, 99, 24) // op-range
+	bs.AddOp(0, 99, 24)  // op-range
 	bs.Comm.Add(1, 1, 8) // self-send
 	_, err := predictor.Predict(badPr, cfg)
 	if err == nil {

@@ -5,8 +5,8 @@
 // The protocol is epoch-versioned ring swaps over coordinated cache
 // handoff:
 //
-//   - Join: the new peer is tracked (probed, gossiped) as *joining*,
-//     polled until it reports ready, then *warming*: every current
+//   - Join: the new peer is tracked (probed) as *joining*, polled
+//     until it reports ready, then *warming*: every current
 //     member streams out the cache entries whose ownership the grown
 //     ring reassigns, and the new peer imports them — verify-by-key, so
 //     a bad line is dropped, never stored. Only then does the router

@@ -67,12 +67,10 @@ func replay(t *testing.T, rt *Router, n int) (bodies [][]byte, caches, peers []s
 func TestAdminJoinDrainRemove(t *testing.T) {
 	p1, p2, p3 := newServePeer(t), newServePeer(t), newServePeer(t)
 	cfg := Config{
-		Peers:          []string{p1.URL, p2.URL},
-		HedgeOff:       true,
-		ProbeInterval:  20 * time.Millisecond,
-		GossipInterval: 20 * time.Millisecond,
-		BackoffBase:    10 * time.Millisecond,
-		BackoffMax:     50 * time.Millisecond,
+		Peers:         []string{p1.URL, p2.URL},
+		ProbeInterval: 20 * time.Millisecond,
+		BackoffBase:   10 * time.Millisecond,
+		BackoffMax:    50 * time.Millisecond,
 	}
 	rt, err := NewRouter(cfg)
 	if err != nil {
@@ -176,7 +174,7 @@ func TestAdminJoinDrainRemove(t *testing.T) {
 // passes, loopback or not.
 func TestAdminGate(t *testing.T) {
 	a, b := newFakePeer(t), newFakePeer(t)
-	rt := newTestRouter(t, Config{HedgeOff: true}, a, b)
+	rt := newTestRouter(t, Config{}, a, b)
 
 	// No token configured: loopback only.
 	req := httptest.NewRequest(http.MethodPost, "/admin/drain", strings.NewReader(`{"peer":"x"}`))
@@ -192,7 +190,7 @@ func TestAdminGate(t *testing.T) {
 
 	// Token configured: the header decides, not the source address.
 	c, d := newFakePeer(t), newFakePeer(t)
-	rtTok := newTestRouter(t, Config{HedgeOff: true, AdminToken: "s3cret"}, c, d)
+	rtTok := newTestRouter(t, Config{AdminToken: "s3cret"}, c, d)
 	send := func(token string) int {
 		req := httptest.NewRequest(http.MethodPost, "/admin/remove", strings.NewReader(`{"peer":"http://203.0.113.1:1"}`))
 		req.RemoteAddr = "127.0.0.1:9999"
@@ -219,7 +217,7 @@ func TestAdminGate(t *testing.T) {
 // twice are all refused with the cluster intact.
 func TestAdminLifecycleRefusals(t *testing.T) {
 	a, b := newFakePeer(t), newFakePeer(t)
-	rt := newTestRouter(t, Config{HedgeOff: true}, a, b)
+	rt := newTestRouter(t, Config{}, a, b)
 	an, bn := normalizePeer(a.url()), normalizePeer(b.url())
 
 	if w := adminPost(rt, "/admin/remove", a.url()); w.Code != http.StatusConflict {
@@ -253,7 +251,7 @@ func TestAdminLifecycleRefusals(t *testing.T) {
 // operator can retry.
 func TestJoinOfUnreachablePeerFailsCleanly(t *testing.T) {
 	a, b := newFakePeer(t), newFakePeer(t)
-	rt := newTestRouter(t, Config{HedgeOff: true, JoinTimeout: 200 * time.Millisecond}, a, b)
+	rt := newTestRouter(t, Config{JoinTimeout: 200 * time.Millisecond}, a, b)
 
 	w := adminPost(rt, "/admin/join", "http://127.0.0.1:1") // nothing listens there
 	if w.Code != http.StatusBadGateway {
@@ -280,7 +278,7 @@ func TestClientCancelIsNotAPeerFailure(t *testing.T) {
 	a.handler.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		<-r.Context().Done() // serve nothing until the client hangs up
 	}))
-	rt := newTestRouter(t, Config{HedgeOff: true, FailThreshold: 1}, a)
+	rt := newTestRouter(t, Config{FailThreshold: 1}, a)
 	an := normalizePeer(a.url())
 	waitState(t, rt, an, StateHealthy)
 
@@ -320,7 +318,7 @@ func TestClientCancelIsNotAPeerFailure(t *testing.T) {
 // operators compare to assert membership agreement.
 func TestStatszReportsMembership(t *testing.T) {
 	a, b := newFakePeer(t), newFakePeer(t)
-	rt := newTestRouter(t, Config{HedgeOff: true}, a, b)
+	rt := newTestRouter(t, Config{}, a, b)
 	st := rt.Stats()
 	if st.Epoch != 1 {
 		t.Fatalf("epoch %d, want 1", st.Epoch)

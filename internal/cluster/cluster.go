@@ -19,23 +19,15 @@
 //     a capped exponential backoff whose stagger is hash-derived
 //     (ring.Stagger) — deterministic spacing, no math/rand jitter.
 //
-//   - Failover. A request tries the key's owners in order, healthy
-//     peers first; a transport error or retryable status (429, 5xx
-//     sheds) moves to the next candidate. Client errors never retry —
-//     a 400 from one peer is a 400 from all of them.
+//   - Failover. A request tries the key's owners one at a time, healthy
+//     peers first; a transport error, a ForwardTimeout expiry, or a
+//     retryable status (429, 5xx sheds) moves to the next candidate.
+//     Client errors never retry — a 400 from one peer is a 400 from
+//     all of them.
 //
-//   - Hedging. If the first leg has not answered within the per-mode
-//     hedge threshold, a second leg starts at the next candidate and
-//     the first completed answer wins; the race context cancels every
-//     losing leg. Racing two independent legs buys the min-of-N
-//     latency distribution — the same Las Vegas min-race the paper's
-//     tradition prices analytically — at the cost of bounded duplicate
-//     work, which the peers' request coalescing absorbs.
-//
-//   - Load-aware rerouting. Peers gossip their /statsz snapshots
-//     (queue occupancy over capacity) to the router; when fresh gossip
-//     says a key's first choice is saturated and the next is not, the
-//     two swap, moving traffic *before* the primary starts shedding.
+// There is no second leg in flight: a peer's answer is a pure function
+// of the request, and a warmed owner answers from cache in near-constant
+// time, so racing a duplicate leg has no latency spread to win.
 package cluster
 
 import (
@@ -72,8 +64,6 @@ type Config struct {
 	// selects 500ms. ProbeTimeout bounds one probe; ≤ 0 selects 2s.
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
-	// GossipInterval spaces /statsz load polls; ≤ 0 selects 1s.
-	GossipInterval time.Duration
 	// FailThreshold is how many consecutive transport failures demote a
 	// peer to Down; ≤ 0 selects 2.
 	FailThreshold int
@@ -83,24 +73,16 @@ type Config struct {
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 
-	// HedgeAfter maps a request mode to the latency after which a
-	// second leg starts. Modes absent from the map use the built-in
-	// thresholds (hedgeDefaults); an explicit ≤ 0 entry disables
-	// hedging for that mode.
-	HedgeAfter map[string]time.Duration
-	// HedgeOff disables hedging entirely (chaos tests and baselines).
-	HedgeOff bool
 	// MaxAttempts bounds the candidate list per request (clamped to the
 	// peer count); ≤ 0 selects 3.
 	MaxAttempts int
-	// ShedLoad is the gossip load fraction at or above which a peer is
-	// considered saturated and rerouted around; ≤ 0 selects 0.9.
-	ShedLoad float64
-	// ForwardTimeout bounds one forwarded leg; ≤ 0 selects 75s (above
-	// serve's 60s deadline clamp, so the peer's own deadline machinery
-	// answers first).
+	// ForwardTimeout bounds one forwarded leg — the only bound on a
+	// stalled peer, whose expiry fails over and counts against it; ≤ 0
+	// selects 75s (above serve's 60s deadline clamp, so the peer's own
+	// deadline machinery answers first).
 	ForwardTimeout time.Duration
-	// MaxResponseBytes caps a buffered peer response; ≤ 0 selects 8 MiB.
+	// MaxResponseBytes caps a buffered peer response; a longer answer is
+	// a 502, never a truncated relay. ≤ 0 selects 8 MiB.
 	MaxResponseBytes int64
 	// Transport overrides the forwarding round tripper (tests).
 	Transport http.RoundTripper
@@ -126,9 +108,6 @@ func (c Config) withDefaults() Config {
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 2 * time.Second
 	}
-	if c.GossipInterval <= 0 {
-		c.GossipInterval = time.Second
-	}
 	if c.FailThreshold <= 0 {
 		c.FailThreshold = 2
 	}
@@ -140,9 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
-	}
-	if c.ShedLoad <= 0 {
-		c.ShedLoad = 0.9
 	}
 	if c.ForwardTimeout <= 0 {
 		c.ForwardTimeout = 75 * time.Second
@@ -160,41 +136,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// hedgeDefaults holds the built-in per-mode hedge thresholds as an
-// ordered slice (a map literal would invite iteration, which the
-// determinism lint bans here). Analyze answers in microseconds, so its
-// hedge fires almost immediately; envelope runs Monte-Carlo sweeps and
-// gets room before a duplicate starts.
-var hedgeDefaults = []struct {
-	mode  string
-	after time.Duration
-}{
-	{serve.ModeAnalyze, 50 * time.Millisecond},
-	{serve.ModeSimulate, 300 * time.Millisecond},
-	{serve.ModeWorstCase, 300 * time.Millisecond},
-	{serve.ModeEnvelope, 1500 * time.Millisecond},
-}
-
-// hedgeFor resolves the hedge threshold for a mode: 0 means never
-// hedge.
-func (c Config) hedgeFor(mode string) time.Duration {
-	if c.HedgeOff {
-		return 0
-	}
-	if d, ok := c.HedgeAfter[mode]; ok {
-		if d < 0 {
-			return 0
-		}
-		return d
-	}
-	for _, hd := range hedgeDefaults {
-		if hd.mode == mode {
-			return hd.after
-		}
-	}
-	return 0
-}
-
 // membership is one immutable (epoch, ring) pair. The router swaps the
 // whole pair atomically on every reconfiguration, and handlePredict
 // loads it exactly once per request — so a request is routed under one
@@ -206,7 +147,7 @@ type membership struct {
 }
 
 // Router is the cluster front. Construct with NewRouter, call Start to
-// launch the probe and gossip loops, mount Handler, Close on shutdown.
+// launch the probe loops, mount Handler, Close on shutdown.
 // Membership changes run through the /admin API (admin.go).
 type Router struct {
 	cfg    Config
@@ -220,8 +161,8 @@ type Router struct {
 	admin sync.Mutex
 
 	// peersMu guards the tracked peer set — which can now outgrow and
-	// outlive the ring: a joining peer is tracked (probed, gossiped)
-	// before it owns keys, a draining one after it stopped owning them.
+	// outlive the ring: a joining peer is tracked (probed) before it
+	// owns keys, a draining one after it stopped owning them.
 	peersMu sync.RWMutex
 	peers   []*peer          // name-sorted at boot; joins append
 	byName  map[string]*peer // lookup only, never iterated
@@ -233,8 +174,6 @@ type Router struct {
 
 	requests, rejected, shed, completed atomic.Int64
 	forwards, ownerHits, failovers      atomic.Int64
-	hedges, hedgesWon, hedgesLost       atomic.Int64
-	loadReroutes                        atomic.Int64
 	joins, drains, removes              atomic.Int64
 	handoffMoved, handoffFailed         atomic.Int64
 }
@@ -306,10 +245,9 @@ func normalizePeer(u string) string {
 	return u
 }
 
-// Start launches the per-peer probe loops and the gossip poller.
-// Routing works before Start — every peer begins Unknown and the first
-// forwards feel the cluster out — but failover quality depends on the
-// probes running.
+// Start launches the per-peer probe loops. Routing works before Start —
+// every peer begins Unknown and the first forwards feel the cluster out
+// — but failover quality depends on the probes running.
 func (rt *Router) Start() {
 	rt.peersMu.Lock()
 	rt.started = true
@@ -319,12 +257,10 @@ func (rt *Router) Start() {
 		rt.wg.Add(1)
 		go rt.probeLoop(p)
 	}
-	rt.wg.Add(1)
-	go rt.gossipLoop()
 }
 
-// Close stops the probe and gossip loops and waits them out.
-// Idempotent; in-flight forwarded requests are not interrupted.
+// Close stops the probe loops and waits them out. Idempotent; in-flight
+// forwarded requests are not interrupted.
 func (rt *Router) Close() {
 	rt.stopOne.Do(func() { close(rt.stop) })
 	rt.wg.Wait()
@@ -389,8 +325,8 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 
 // handlePredict owns admission — method, size cap, strict decode,
 // validation — then routes the canonical key's candidates through the
-// failover/hedge race. Rejections here never cost a forward, and the
-// body is buffered once so every leg replays identical bytes.
+// failover loop. Rejections here never cost a forward, and the body is
+// buffered once so every leg replays identical bytes.
 func (rt *Router) handlePredict(w http.ResponseWriter, hr *http.Request) {
 	if hr.Method != http.MethodPost {
 		rt.failReject(w, http.StatusMethodNotAllowed, "POST only")
@@ -424,10 +360,6 @@ func (rt *Router) handlePredict(w http.ResponseWriter, hr *http.Request) {
 		return
 	}
 	rt.requests.Add(1)
-	mode := r.Mode
-	if mode == "" {
-		mode = serve.ModeSimulate
-	}
 	// One membership load per request: owner lookup, candidate
 	// ordering, and every failover leg run under this epoch's ring even
 	// if an admin swap lands mid-request.
@@ -438,15 +370,12 @@ func (rt *Router) handlePredict(w http.ResponseWriter, hr *http.Request) {
 		rt.shedResponse(w, "")
 		return
 	}
-	rt.race(w, hr, body, mode, cands, owners[0])
+	rt.failover(w, hr, body, cands, owners[0])
 }
 
 // candidates orders a key's ring owners by routability: healthy peers
 // first (ring order within each class), then suspect and unknown ones;
-// draining and down peers are skipped entirely. If fresh gossip says
-// the first choice is saturated while the second is not, the two swap
-// — the load-aware reroute that moves traffic before the primary
-// starts bouncing 429s.
+// draining and down peers are skipped entirely.
 func (rt *Router) candidates(owners []string) []*peer {
 	var healthy, rest []*peer
 	rt.peersMu.RLock()
@@ -465,147 +394,79 @@ func (rt *Router) candidates(owners []string) []*peer {
 		}
 	}
 	rt.peersMu.RUnlock()
-	cands := append(healthy, rest...)
-	if len(cands) > 1 && rt.saturated(cands[0]) && !rt.saturated(cands[1]) {
-		rt.loadReroutes.Add(1)
-		cands[0], cands[1] = cands[1], cands[0]
-	}
-	return cands
-}
-
-// legResult is one forwarding attempt's outcome. Exactly one of resp
-// and err is set.
-type legResult struct {
-	peer   *peer
-	resp   *peerResponse
-	err    error
-	hedged bool // launched by the hedge timer, not by a failure
+	return append(healthy, rest...)
 }
 
 // peerResponse is a fully buffered peer answer, decoupled from the
-// network so the race can relay a winner after losing legs are gone.
+// network so the failover loop can relay the last retryable answer
+// after later legs have come and gone.
 type peerResponse struct {
 	status int
 	header http.Header
 	body   []byte
 }
 
-// race runs the failover/hedge loop over the candidate list: one leg
-// starts immediately, a second starts if the hedge threshold passes
-// first, and a failed leg (transport error or retryable status)
-// advances to the next candidate. The first definitive completion wins
-// and the shared context cancels every other leg. If every candidate
-// fails at the transport level the request is shed; if the list is
-// exhausted on retryable statuses the last such response is relayed —
-// the client sees the peer's own 429/503 with its Retry-After intact.
-func (rt *Router) race(w http.ResponseWriter, hr *http.Request, body []byte, mode string, cands []*peer, primary string) {
-	ctx, cancel := context.WithCancel(hr.Context())
-	defer cancel()
+// errResponseTooLarge marks a peer answer longer than MaxResponseBytes.
+var errResponseTooLarge = errors.New("peer response too large")
 
-	results := make(chan legResult, len(cands))
-	next, inflight := 0, 0
-	hedgeStarted := false
-	launch := func(hedged bool) {
-		p := cands[next]
-		next++
-		inflight++
+// failover tries the candidates (never empty) in order, one leg at a
+// time, on the handler goroutine. A transport error or a retryable
+// status moves to the next candidate; the first definitive answer is
+// relayed. If the list runs out and some leg answered with a retryable
+// status, the last such response is relayed — the client sees the
+// peer's own 429/503 with its Retry-After intact; if every leg failed
+// at the transport level, the request is shed.
+func (rt *Router) failover(w http.ResponseWriter, hr *http.Request, body []byte, cands []*peer, primary string) {
+	ctx := hr.Context()
+	var (
+		lastPeer *peer
+		lastResp *peerResponse
+		lastErr  error
+	)
+	for i, p := range cands {
+		if i > 0 {
+			rt.failovers.Add(1)
+		}
 		rt.forwards.Add(1)
 		p.addForward()
-		if hedged {
-			hedgeStarted = true
-			rt.hedges.Add(1)
-		}
-		go func() {
-			resp, err := rt.forward(ctx, p, body)
-			select {
-			case results <- legResult{peer: p, resp: resp, err: err, hedged: hedged}:
-			case <-ctx.Done():
-			}
-		}()
-	}
-	launch(false)
-
-	var hedgeC <-chan time.Time
-	if after := rt.cfg.hedgeFor(mode); after > 0 && next < len(cands) {
-		ht := time.NewTimer(after)
-		defer ht.Stop()
-		hedgeC = ht.C
-	}
-
-	win := func(res legResult) {
-		if hedgeStarted {
-			if res.hedged {
-				rt.hedgesWon.Add(1)
-			} else {
-				rt.hedgesLost.Add(1)
-			}
-		}
-		rt.writeLeg(w, res, primary)
-	}
-
-	var last legResult
-	for inflight > 0 {
-		select {
-		case <-hr.Context().Done():
-			// The client went away; nothing left to write. The deferred
-			// cancel reaps every leg.
+		resp, err := rt.forward(ctx, p, body)
+		switch {
+		case errors.Is(err, errResponseTooLarge):
+			// The peer answered, so it is not demoted; every peer computes
+			// the same bytes for a valid request, so none is tried next.
+			p.noteAlive()
+			rt.failReject(w, http.StatusBadGateway, "peer response exceeds %d bytes", rt.cfg.MaxResponseBytes)
 			return
-		case <-hedgeC:
-			hedgeC = nil
-			if next < len(cands) {
-				launch(true)
-			}
-		case res := <-results:
-			inflight--
-			if res.err != nil {
-				if ctx.Err() != nil && (errors.Is(res.err, context.Canceled) || errors.Is(res.err, context.DeadlineExceeded)) {
-					// The race context itself is dead — the client hung
-					// up or its deadline expired — and this leg died of
-					// that cancellation, not of the peer. Demoting the
-					// peer here would let an impatient client (or a
-					// hedge's own cancel) drive a healthy peer to
-					// suspect. ForwardTimeout expiries are unaffected:
-					// they surface as DeadlineExceeded while ctx is
-					// still live, and still count against the peer.
-					continue
-				}
-				last = res
-				res.peer.noteForwardErr(rt.cfg.FailThreshold)
-				if next < len(cands) {
-					rt.failovers.Add(1)
-					launch(false)
-				}
-				continue
-			}
-			res.peer.noteAlive()
-			if res.resp.status == http.StatusServiceUnavailable {
-				// serve answers 503 only while draining; remember it so
-				// the next request skips this peer before the probes do.
-				res.peer.noteDraining()
-			}
-			if retryable(res.resp.status) {
-				last = res
-				if next < len(cands) {
-					rt.failovers.Add(1)
-					launch(false)
-				}
-				// Even exhausted, an in-flight hedge may still answer
-				// definitively; keep waiting.
-				continue
-			}
-			win(res)
+		case err != nil && ctx.Err() != nil:
+			// The client hung up or its deadline expired, and this leg
+			// died of that, not of the peer: demoting the peer here would
+			// let an impatient client drive a healthy peer to suspect.
+			// ForwardTimeout expiries surface while ctx is still live and
+			// still count against the peer. Nothing is left to write.
 			return
+		case err != nil:
+			p.noteForwardErr(rt.cfg.FailThreshold)
+			lastErr = err
+			continue
 		}
-	}
-	if last.resp != nil {
-		win(last)
+		p.noteAlive()
+		if resp.status == http.StatusServiceUnavailable {
+			// serve answers 503 only while draining; remember it so the
+			// next request skips this peer before the probes do.
+			p.noteDraining()
+		}
+		if retryable(resp.status) {
+			lastPeer, lastResp = p, resp
+			continue
+		}
+		rt.writeLeg(w, p, resp, primary)
 		return
 	}
-	detail := ""
-	if last.err != nil {
-		detail = last.err.Error()
+	if lastResp != nil {
+		rt.writeLeg(w, lastPeer, lastResp, primary)
+		return
 	}
-	rt.shedResponse(w, detail)
+	rt.shedResponse(w, lastErr.Error())
 }
 
 // retryable reports whether a status is worth trying another peer:
@@ -625,8 +486,9 @@ func retryable(status int) bool {
 }
 
 // forward sends the buffered request to one peer and buffers the whole
-// answer. ctx is the race's: when another leg wins, the shared cancel
-// kills this one mid-flight.
+// answer, bounded by ForwardTimeout. It reads one byte past
+// MaxResponseBytes so that an oversized answer is reported as
+// errResponseTooLarge instead of being relayed cut short.
 func (rt *Router) forward(ctx context.Context, p *peer, body []byte) (*peerResponse, error) {
 	ctx, cancel := context.WithTimeout(ctx, rt.cfg.ForwardTimeout)
 	defer cancel()
@@ -640,29 +502,32 @@ func (rt *Router) forward(ctx context.Context, p *peer, body []byte) (*peerRespo
 		return nil, err
 	}
 	defer func() { _ = resp.Body.Close() }()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxResponseBytes))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxResponseBytes+1))
 	if err != nil {
 		return nil, err
+	}
+	if int64(len(b)) > rt.cfg.MaxResponseBytes {
+		return nil, errResponseTooLarge
 	}
 	return &peerResponse{status: resp.StatusCode, header: resp.Header, body: b}, nil
 }
 
-// writeLeg relays the winning peer's buffered response verbatim —
-// byte-identical payloads are the cluster's correctness bar — plus the
-// routing diagnostics: X-Peer names the serving peer; X-Cache and
-// Retry-After pass through from the peer untouched.
-func (rt *Router) writeLeg(w http.ResponseWriter, res legResult, primary string) {
-	res.peer.addWin()
-	if res.peer.name == primary {
+// writeLeg relays one peer's buffered response verbatim — byte-identical
+// payloads are the cluster's correctness bar — plus the routing
+// diagnostics: X-Peer names the serving peer; X-Cache and Retry-After
+// pass through from the peer untouched.
+func (rt *Router) writeLeg(w http.ResponseWriter, p *peer, resp *peerResponse, primary string) {
+	p.addWin()
+	if p.name == primary {
 		rt.ownerHits.Add(1)
 	}
 	h := w.Header()
-	copyHeader(h, res.resp.header, "Content-Type")
-	copyHeader(h, res.resp.header, "X-Cache")
-	copyHeader(h, res.resp.header, "Retry-After")
-	h.Set("X-Peer", res.peer.name)
-	w.WriteHeader(res.resp.status)
-	_, _ = w.Write(res.resp.body)
+	copyHeader(h, resp.header, "Content-Type")
+	copyHeader(h, resp.header, "X-Cache")
+	copyHeader(h, resp.header, "Retry-After")
+	h.Set("X-Peer", p.name)
+	w.WriteHeader(resp.status)
+	_, _ = w.Write(resp.body)
 	rt.completed.Add(1)
 }
 

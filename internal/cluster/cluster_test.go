@@ -23,7 +23,6 @@ type fakePeer struct {
 	addr    string
 	handler atomic.Value // http.HandlerFunc for /predict
 	ready   atomic.Bool
-	stats   atomic.Pointer[serve.Stats]
 	hits    atomic.Int64
 
 	srv atomic.Pointer[http.Server]
@@ -37,7 +36,6 @@ func newFakePeer(t *testing.T) *fakePeer {
 	}
 	fp := &fakePeer{t: t, addr: ln.Addr().String()}
 	fp.ready.Store(true)
-	fp.stats.Store(&serve.Stats{Workers: 4, SlotsTotal: 12})
 	fp.handler.Store(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"mode":"simulate","served_by":%q}`, fp.addr)
@@ -64,12 +62,6 @@ func (fp *fakePeer) start(ln net.Listener) {
 			return
 		}
 		fmt.Fprintln(w, "ready")
-	})
-	mux.HandleFunc("/statsz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(fp.stats.Load()); err != nil {
-			fp.t.Error(err)
-		}
 	})
 	srv := &http.Server{Handler: mux}
 	fp.srv.Store(srv)
@@ -100,17 +92,25 @@ func (fp *fakePeer) restart() {
 }
 
 // newTestRouter builds and starts a router over the fakes with
-// test-speed probe/gossip timings (overridable via cfg).
+// test-speed probe timings (overridable via cfg).
 func newTestRouter(t *testing.T, cfg Config, peers ...*fakePeer) *Router {
+	t.Helper()
+	rt := newIdleRouter(t, cfg, peers...)
+	rt.Start()
+	t.Cleanup(rt.Close)
+	return rt
+}
+
+// newIdleRouter builds a router over the fakes without starting its
+// probe loops: every peer stays Unknown, routing follows ring order,
+// and only forwards move a peer's health state.
+func newIdleRouter(t *testing.T, cfg Config, peers ...*fakePeer) *Router {
 	t.Helper()
 	for _, fp := range peers {
 		cfg.Peers = append(cfg.Peers, fp.url())
 	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 20 * time.Millisecond
-	}
-	if cfg.GossipInterval == 0 {
-		cfg.GossipInterval = 20 * time.Millisecond
 	}
 	if cfg.BackoffBase == 0 {
 		cfg.BackoffBase = 10 * time.Millisecond
@@ -122,8 +122,6 @@ func newTestRouter(t *testing.T, cfg Config, peers ...*fakePeer) *Router {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.Start()
-	t.Cleanup(rt.Close)
 	return rt
 }
 
@@ -189,8 +187,12 @@ func TestNewRouterRejectsEmptyPeerSet(t *testing.T) {
 
 func TestRoutingAgreesWithRing(t *testing.T) {
 	a, b, c := newFakePeer(t), newFakePeer(t), newFakePeer(t)
-	rt := newTestRouter(t, Config{HedgeOff: true}, a, b, c)
-	waitState(t, rt, normalizePeer(a.url()), StateHealthy)
+	rt := newTestRouter(t, Config{}, a, b, c)
+	// Healthy peers route ahead of unknown ones, so every peer must have
+	// probed healthy before ring order alone decides.
+	for _, fp := range []*fakePeer{a, b, c} {
+		waitState(t, rt, normalizePeer(fp.url()), StateHealthy)
+	}
 
 	const n = 30
 	for round := 0; round < 2; round++ {
@@ -214,15 +216,15 @@ func TestRoutingAgreesWithRing(t *testing.T) {
 		t.Errorf("owner hits %d, want %d — every request should land on its owner", st.OwnerHits, 2*n)
 	}
 	if st.Forwards != 2*n {
-		t.Errorf("forwards %d, want %d — no failovers or hedges expected", st.Forwards, 2*n)
+		t.Errorf("forwards %d, want %d — no failovers expected", st.Forwards, 2*n)
 	}
 }
 
 func TestFailoverOnDeadPeer(t *testing.T) {
 	a, b, c := newFakePeer(t), newFakePeer(t), newFakePeer(t)
-	// A probe interval far beyond the test keeps every peer Unknown, so
-	// the dead peer is discovered by the forward itself, not a probe.
-	rt := newTestRouter(t, Config{HedgeOff: true, ProbeInterval: time.Hour, FailThreshold: 1}, a, b, c)
+	// An idle router keeps every peer Unknown, so the dead peer is
+	// discovered by the forward itself, not a probe.
+	rt := newIdleRouter(t, Config{FailThreshold: 1}, a, b, c)
 
 	dead := normalizePeer(a.url())
 	body := bodyOwnedBy(t, rt, dead)
@@ -256,7 +258,7 @@ func TestFailoverOnDeadPeer(t *testing.T) {
 
 func TestRetryableStatusFailsOver(t *testing.T) {
 	a, b, c := newFakePeer(t), newFakePeer(t), newFakePeer(t)
-	rt := newTestRouter(t, Config{HedgeOff: true}, a, b, c)
+	rt := newIdleRouter(t, Config{}, a, b, c) // ring order: the owner goes first
 
 	owner := normalizePeer(a.url())
 	body := bodyOwnedBy(t, rt, owner)
@@ -279,7 +281,7 @@ func TestRetryableStatusFailsOver(t *testing.T) {
 
 func TestExhaustedRetryablesRelayTheLastResponse(t *testing.T) {
 	a, b := newFakePeer(t), newFakePeer(t)
-	rt := newTestRouter(t, Config{HedgeOff: true}, a, b)
+	rt := newTestRouter(t, Config{}, a, b)
 	shed := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "server at capacity", http.StatusTooManyRequests)
@@ -298,7 +300,7 @@ func TestExhaustedRetryablesRelayTheLastResponse(t *testing.T) {
 
 func TestClientErrorNeverRetries(t *testing.T) {
 	a, b, c := newFakePeer(t), newFakePeer(t), newFakePeer(t)
-	rt := newTestRouter(t, Config{HedgeOff: true}, a, b, c)
+	rt := newIdleRouter(t, Config{}, a, b, c) // ring order: the owner goes first
 
 	owner := normalizePeer(a.url())
 	body := bodyOwnedBy(t, rt, owner)
@@ -325,7 +327,7 @@ func TestClientErrorNeverRetries(t *testing.T) {
 
 func TestRouterOwnsAdmission(t *testing.T) {
 	a := newFakePeer(t)
-	rt := newTestRouter(t, Config{HedgeOff: true}, a)
+	rt := newTestRouter(t, Config{}, a)
 
 	get := httptest.NewRequest(http.MethodGet, "/predict", nil)
 	w := httptest.NewRecorder()
@@ -350,47 +352,41 @@ func TestRouterOwnsAdmission(t *testing.T) {
 	}
 }
 
-func TestHedgeWinsAgainstSlowOwner(t *testing.T) {
+// With no second leg in flight, ForwardTimeout is the only bound on a
+// stalled owner: its expiry must fail over to the successor and count
+// against the owner — unlike a client cancellation, which never does
+// (TestClientCancelIsNotAPeerFailure).
+func TestStalledOwnerFailsOverAfterForwardTimeout(t *testing.T) {
 	a, b, c := newFakePeer(t), newFakePeer(t), newFakePeer(t)
-	rt := newTestRouter(t, Config{
-		HedgeAfter: map[string]time.Duration{serve.ModeSimulate: 20 * time.Millisecond},
-	}, a, b, c)
+	rt := newIdleRouter(t, Config{ForwardTimeout: 50 * time.Millisecond}, a, b, c)
 
 	owner := normalizePeer(a.url())
 	body := bodyOwnedBy(t, rt, owner)
-	release := make(chan struct{})
-	a.handler.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-release:
-		case <-r.Context().Done():
-			return
-		}
-		fmt.Fprint(w, `{"mode":"simulate"}`)
+	a.handler.Store(http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done() // stall until the router gives up on the leg
 	}))
-	defer close(release)
 
-	done := make(chan *httptest.ResponseRecorder, 1)
-	go func() { done <- post(rt, body) }()
-	select {
-	case w := <-done:
-		if w.Code != http.StatusOK {
-			t.Fatalf("status %d: %s", w.Code, w.Body.String())
-		}
-		if got := w.Header().Get("X-Peer"); got == owner {
-			t.Fatalf("served by the stalled owner %s — the hedge should have won", got)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("request stuck behind the stalled owner; hedge never fired")
+	w := post(rt, body)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d, want 200 from a successor: %s", w.Code, w.Body.String())
+	}
+	if got := w.Header().Get("X-Peer"); got == owner {
+		t.Fatalf("served by the stalled owner %s", got)
 	}
 	st := rt.Stats()
-	if st.Hedges < 1 || st.HedgesWon < 1 {
-		t.Errorf("hedges %d won %d, want ≥ 1 each", st.Hedges, st.HedgesWon)
+	if st.Failovers != 1 {
+		t.Errorf("failovers %d, want 1", st.Failovers)
+	}
+	for _, ps := range st.Peers {
+		if ps.Name == owner && ps.ForwardErrs != 1 {
+			t.Errorf("stalled owner forward errors %d, want 1", ps.ForwardErrs)
+		}
 	}
 }
 
 func TestDrainingPeerIsSkipped(t *testing.T) {
 	a, b, c := newFakePeer(t), newFakePeer(t), newFakePeer(t)
-	rt := newTestRouter(t, Config{HedgeOff: true}, a, b, c)
+	rt := newTestRouter(t, Config{}, a, b, c)
 
 	owner := normalizePeer(a.url())
 	a.ready.Store(false)
@@ -417,7 +413,7 @@ func TestDrainingPeerIsSkipped(t *testing.T) {
 
 func TestDownPeerRecoversAfterRestart(t *testing.T) {
 	a, b := newFakePeer(t), newFakePeer(t)
-	rt := newTestRouter(t, Config{HedgeOff: true}, a, b)
+	rt := newTestRouter(t, Config{}, a, b)
 	name := normalizePeer(a.url())
 	waitState(t, rt, name, StateHealthy)
 
@@ -433,48 +429,10 @@ func TestDownPeerRecoversAfterRestart(t *testing.T) {
 	}
 }
 
-func TestGossipSaturationReroutes(t *testing.T) {
-	a, b, c := newFakePeer(t), newFakePeer(t), newFakePeer(t)
-	rt := newTestRouter(t, Config{HedgeOff: true}, a, b, c)
-	owner := normalizePeer(a.url())
-	waitState(t, rt, owner, StateHealthy)
-
-	a.stats.Store(&serve.Stats{Workers: 4, SlotsTotal: 12, InFlight: 12, Load: 1.0})
-	// Wait for a gossip sweep to pick the hot snapshot up.
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) && !rt.saturated(rt.byName[owner]) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !rt.saturated(rt.byName[owner]) {
-		t.Fatal("gossip never delivered the saturated snapshot")
-	}
-
-	body := bodyOwnedBy(t, rt, owner)
-	w := post(rt, body)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", w.Code, w.Body.String())
-	}
-	if got := w.Header().Get("X-Peer"); got == owner {
-		t.Fatalf("request sent to the saturated owner %s", got)
-	}
-	if st := rt.Stats(); st.LoadReroutes < 1 {
-		t.Errorf("load reroutes %d, want ≥ 1", st.LoadReroutes)
-	}
-
-	// Cool the peer back down: traffic returns to the owner.
-	a.stats.Store(&serve.Stats{Workers: 4, SlotsTotal: 12})
-	for time.Now().Before(deadline) && rt.saturated(rt.byName[owner]) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := post(rt, body).Header().Get("X-Peer"); got != owner {
-		t.Fatalf("after cooldown, served by %s, want the owner %s", got, owner)
-	}
-}
-
 func TestReadyzRequiresAHealthyPeer(t *testing.T) {
 	a := newFakePeer(t)
 	a.ready.Store(false)
-	rt := newTestRouter(t, Config{HedgeOff: true}, a)
+	rt := newTestRouter(t, Config{}, a)
 
 	get := func() int {
 		req := httptest.NewRequest(http.MethodGet, "/readyz", nil)
@@ -494,8 +452,9 @@ func TestReadyzRequiresAHealthyPeer(t *testing.T) {
 
 func TestStatszSnapshot(t *testing.T) {
 	a, b := newFakePeer(t), newFakePeer(t)
-	rt := newTestRouter(t, Config{HedgeOff: true}, a, b)
+	rt := newTestRouter(t, Config{}, a, b)
 	waitState(t, rt, normalizePeer(a.url()), StateHealthy)
+	waitState(t, rt, normalizePeer(b.url()), StateHealthy)
 	if w := post(rt, marshalReq(t, simRequest(1))); w.Code != http.StatusOK {
 		t.Fatalf("status %d", w.Code)
 	}
@@ -565,7 +524,7 @@ func TestRelayIsByteIdentical(t *testing.T) {
 			t.Error(err)
 		}
 	}))
-	rt := newTestRouter(t, Config{HedgeOff: true}, a)
+	rt := newTestRouter(t, Config{}, a)
 
 	w := post(rt, marshalReq(t, simRequest(7)))
 	if w.Body.String() != payload {
@@ -573,5 +532,56 @@ func TestRelayIsByteIdentical(t *testing.T) {
 	}
 	if got := w.Header().Get("X-Cache"); got != "hit" {
 		t.Errorf("X-Cache %q not passed through", got)
+	}
+}
+
+// A peer answer longer than MaxResponseBytes must not be relayed cut
+// short as a success: the router answers 502 naming the cap. It does
+// not fail over — every peer computes the same bytes for a valid
+// request — and does not demote the peer, which did answer. An answer
+// of exactly the cap is relayed whole.
+func TestOversizedPeerResponseIsABadGateway(t *testing.T) {
+	a, b := newFakePeer(t), newFakePeer(t)
+	const limit = 64
+	rt := newIdleRouter(t, Config{MaxResponseBytes: limit}, a, b)
+	owner := normalizePeer(a.url())
+	body := bodyOwnedBy(t, rt, owner)
+	var payload atomic.Value
+	payload.Store(strings.Repeat("x", limit))
+	answer := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if _, err := io.WriteString(w, payload.Load().(string)); err != nil {
+			t.Error(err)
+		}
+	})
+	a.handler.Store(answer)
+	b.handler.Store(answer)
+
+	if w := post(rt, body); w.Code != http.StatusOK || w.Body.Len() != limit {
+		t.Fatalf("answer of exactly the cap: status %d body %q", w.Code, w.Body.String())
+	}
+
+	payload.Store(strings.Repeat("x", 228))
+	w := post(rt, body)
+	if w.Code != http.StatusBadGateway {
+		t.Fatalf("status %d, want 502 for an oversized answer: %q", w.Code, w.Body.String())
+	}
+	if !strings.Contains(w.Body.String(), "64 bytes") {
+		t.Errorf("502 body does not name the cap: %s", w.Body.String())
+	}
+	if b.hits.Load() != 0 {
+		t.Errorf("successor reached %d times; an oversized answer must not fail over", b.hits.Load())
+	}
+	st := rt.Stats()
+	if st.Failovers != 0 {
+		t.Errorf("failovers %d, want 0", st.Failovers)
+	}
+	for _, ps := range st.Peers {
+		if ps.ForwardErrs != 0 {
+			t.Errorf("peer %s charged %d forward errors for answering", ps.Name, ps.ForwardErrs)
+		}
+	}
+	if got := rt.byName[owner].currentState(); got != StateHealthy {
+		t.Errorf("owner state %v after an oversized answer, want healthy", got)
 	}
 }

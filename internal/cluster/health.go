@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"loggpsim/internal/ring"
-	"loggpsim/internal/serve"
 )
 
 // State is a peer's position in the health state machine.
@@ -98,7 +97,7 @@ func (l lifecycle) String() string {
 // sits behind one mutex, so every snapshot — and every transition — is
 // internally consistent.
 type peer struct {
-	name string // normalized base URL; the ring member identity
+	name string        // normalized base URL; the ring member identity
 	done chan struct{} // closed on remove; stops this peer's probe loop
 
 	mu      sync.Mutex
@@ -112,10 +111,6 @@ type peer struct {
 	forwards    int64
 	forwardErrs int64
 	wins        int64
-
-	gossip   serve.Stats
-	gossipAt time.Time // zero until the first snapshot lands
-	gossipOK bool
 }
 
 func newPeer(name string, life lifecycle) *peer {

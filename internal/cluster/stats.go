@@ -1,33 +1,31 @@
 package cluster
 
-import "time"
-
 // Stats is a snapshot of the router's counters plus each peer's health
 // view (see /statsz). Router-level counters are individually atomic;
 // each PeerStats block is read under that peer's lock, so a peer's
-// state, streak, and gossip never tear against each other.
+// state and streak never tear against each other.
 type Stats struct {
-	// Requests counts bodies that passed admission; Rejected the 4xx
-	// the router answered itself; Shed the 503s for want of any peer;
-	// Completed every response relayed from a peer (any status).
+	// Requests counts bodies that passed admission; Rejected the errors
+	// the router answered itself (4xx admission failures, and the 502
+	// for a peer answer over MaxResponseBytes); Shed the 503s for want
+	// of any peer; Completed every response relayed from a peer (any
+	// status).
 	Requests  int64 `json:"requests"`
 	Rejected  int64 `json:"rejected"`
 	Shed      int64 `json:"shed"`
 	Completed int64 `json:"completed"`
-	// Forwards counts legs sent to peers (≥ Requests under failover and
-	// hedging); OwnerHits the requests won by their key's primary ring
-	// owner; Failovers the legs launched because a prior leg failed;
-	// LoadReroutes the candidate swaps made on gossip saturation.
-	Forwards     int64 `json:"forwards"`
-	OwnerHits    int64 `json:"owner_hits"`
-	Failovers    int64 `json:"failovers"`
+	// Forwards counts legs sent to peers (≥ Requests under failover);
+	// OwnerHits the requests answered by their key's primary ring owner;
+	// Failovers the legs launched because a prior leg failed.
+	Forwards  int64 `json:"forwards"`
+	OwnerHits int64 `json:"owner_hits"`
+	Failovers int64 `json:"failovers"`
+	// Hedges and LoadReroutes are always 0: the router no longer hedges
+	// or reroutes on gossiped load. They stay because the benchmark
+	// (perfbench) reads them for its cluster.hedges and
+	// cluster.load_reroutes metrics.
+	Hedges       int64 `json:"hedges"`
 	LoadReroutes int64 `json:"load_reroutes"`
-	// Hedges counts second legs launched by the latency timer;
-	// HedgesWon the races the hedged leg won; HedgesLost the races
-	// where hedging spent a duplicate forward for nothing.
-	Hedges     int64 `json:"hedges"`
-	HedgesWon  int64 `json:"hedges_won"`
-	HedgesLost int64 `json:"hedges_lost"`
 
 	// Epoch is the current membership epoch (1 at boot, +1 per ring
 	// swap); RingFingerprint the ring's deterministic geometry checksum
@@ -61,35 +59,27 @@ type PeerStats struct {
 	Fails      int   `json:"consecutive_fails"`
 	Probes     int64 `json:"probes"`
 	ProbeFails int64 `json:"probe_fails"`
-	// Forwards/ForwardErrs/Wins count legs sent to, failed at, and won
-	// by this peer.
+	// Forwards/ForwardErrs/Wins count legs sent to, failed at, and
+	// relayed from this peer.
 	Forwards    int64 `json:"forwards"`
 	ForwardErrs int64 `json:"forward_errors"`
 	Wins        int64 `json:"wins"`
-	// Load is the peer's latest gossiped saturation fraction and
-	// GossipAgeMS that snapshot's age; -1 when no snapshot has landed.
-	Load        float64 `json:"load"`
-	GossipAgeMS float64 `json:"gossip_age_ms"`
 }
 
 // Stats returns the snapshot.
 func (rt *Router) Stats() Stats {
 	st := Stats{
-		Requests:     rt.requests.Load(),
-		Rejected:     rt.rejected.Load(),
-		Shed:         rt.shed.Load(),
-		Completed:    rt.completed.Load(),
-		Forwards:     rt.forwards.Load(),
-		OwnerHits:    rt.ownerHits.Load(),
-		Failovers:    rt.failovers.Load(),
-		LoadReroutes: rt.loadReroutes.Load(),
-		Hedges:       rt.hedges.Load(),
-		HedgesWon:    rt.hedgesWon.Load(),
-		HedgesLost:   rt.hedgesLost.Load(),
-		Joins:        rt.joins.Load(),
-		Drains:       rt.drains.Load(),
-		Removes:      rt.removes.Load(),
-		HandoffMoved: rt.handoffMoved.Load(),
+		Requests:      rt.requests.Load(),
+		Rejected:      rt.rejected.Load(),
+		Shed:          rt.shed.Load(),
+		Completed:     rt.completed.Load(),
+		Forwards:      rt.forwards.Load(),
+		OwnerHits:     rt.ownerHits.Load(),
+		Failovers:     rt.failovers.Load(),
+		Joins:         rt.joins.Load(),
+		Drains:        rt.drains.Load(),
+		Removes:       rt.removes.Load(),
+		HandoffMoved:  rt.handoffMoved.Load(),
 		HandoffFailed: rt.handoffFailed.Load(),
 	}
 	m := rt.member.Load()
@@ -100,7 +90,7 @@ func (rt *Router) Stats() Stats {
 	st.Peers = make([]PeerStats, 0, len(peers))
 	for _, p := range peers {
 		p.mu.Lock()
-		ps := PeerStats{
+		st.Peers = append(st.Peers, PeerStats{
 			Name:        p.name,
 			State:       p.state.String(),
 			Lifecycle:   p.life.String(),
@@ -110,14 +100,8 @@ func (rt *Router) Stats() Stats {
 			Forwards:    p.forwards,
 			ForwardErrs: p.forwardErrs,
 			Wins:        p.wins,
-			Load:        p.gossip.Load,
-			GossipAgeMS: -1,
-		}
-		if p.gossipOK {
-			ps.GossipAgeMS = float64(time.Since(p.gossipAt)) / float64(time.Millisecond)
-		}
+		})
 		p.mu.Unlock()
-		st.Peers = append(st.Peers, ps)
 	}
 	return st
 }

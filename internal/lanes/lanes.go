@@ -173,7 +173,7 @@ type Engine struct {
 	rHead, rFill   []int32
 	rKey           []float64 // cached head arrival per run (valid while non-empty)
 	rSeq           []int32   // cached head sequence per run
-	head           []int32 // next unsent send slot per sender
+	head           []int32   // next unsent send slot per sender
 	toRecv, forced []int32
 	candKey        []float64
 	candKind       []uint8

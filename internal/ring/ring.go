@@ -23,8 +23,8 @@
 //
 //   - Ordered failover. Owners(key, n) returns n *distinct* members in
 //     clockwise order: the owner first, then the natural successors.
-//     The router fails over (and hedges) along exactly this list, so a
-//     key's fallback peer is as stable as its owner.
+//     The router fails over along exactly this list, so a key's
+//     fallback peer is as stable as its owner.
 //
 // The Salt exists for tests and for operators running several disjoint
 // rings over one peer set: it perturbs every placement deterministically

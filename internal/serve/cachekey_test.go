@@ -95,9 +95,9 @@ func TestCanonicalKeyDropsIgnoredFields(t *testing.T) {
 func TestCanonicalKeyFaultSpecSpellings(t *testing.T) {
 	specs := []string{
 		"drop=0.1,rto=40,seed=3",
-		" rto=40, drop=0.1 ,seed=3 ",      // whitespace and order
-		"drop=1e-1,rto=4e1,seed=3",        // float spelling
-		"drop=0.1,rto=40,seed=3,factor=2", // factor unread without stragglers
+		" rto=40, drop=0.1 ,seed=3 ",                 // whitespace and order
+		"drop=1e-1,rto=4e1,seed=3",                   // float spelling
+		"drop=0.1,rto=40,seed=3,factor=2",            // factor unread without stragglers
 		"drop=0.1,rto=40,seed=3,backoff=2,retries=8", // explicit defaults
 	}
 	var want resultcache.Key

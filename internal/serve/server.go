@@ -164,16 +164,6 @@ type Stats struct {
 	InFlight int64 `json:"in_flight"`
 	Running  int64 `json:"running"`
 	Queued   int64 `json:"queued"`
-	// Workers and SlotsTotal are the configured capacity (running and
-	// running+queued respectively); Load is InFlight/SlotsTotal, the
-	// saturation fraction. They exist for the cluster router: peers
-	// gossip /statsz snapshots, and the router reroutes a key's
-	// requests to the next ring owner before its primary saturates —
-	// a decision that needs capacity, not just occupancy, and needs it
-	// from the same tear-free snapshot.
-	Workers    int     `json:"workers"`
-	SlotsTotal int64   `json:"slots_total"`
-	Load       float64 `json:"load"`
 	// BreakerOpen reports the Monte-Carlo breaker state.
 	BreakerOpen bool `json:"breaker_open"`
 	// Draining reports that shutdown has begun.
@@ -318,13 +308,8 @@ func (s *Server) Stats() Stats {
 		InFlight:    held,
 		Running:     running,
 		Queued:      held - running,
-		Workers:     s.cfg.Workers,
-		SlotsTotal:  int64(s.cfg.Workers + s.cfg.QueueDepth),
 		BreakerOpen: s.breaker.isOpen(),
 		Draining:    s.draining.Load(),
-	}
-	if st.SlotsTotal > 0 {
-		st.Load = float64(held) / float64(st.SlotsTotal)
 	}
 	if s.cache != nil {
 		cs := s.cache.Stats()

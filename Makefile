@@ -21,8 +21,9 @@
 #   make bench-envelope — Figure-7 envelope throughput, scalar vs
 #                  lockstep lane engine, at samples 16/64/256; writes
 #                  BENCH_envelope.json
-#   make fuzz-smoke — short fuzz of the fault injector and the
-#                  checkpoint/resume journal (part of ci)
+#   make fuzz-smoke — short fuzz of the fault injector, the
+#                  checkpoint/resume journal, predictd's canonical cache
+#                  key and its cache-import verifier (part of ci)
 #   make serve-smoke — boot the real predictd binary on an ephemeral
 #                  port and drive the robustness contract end to end:
 #                  healthy requests, 400/413 rejection, deadline
@@ -139,14 +140,20 @@ bench-envelope:
 		-bench 'BenchmarkEnvelope(Scalar|Lockstep)' ./internal/robust \
 		> BENCH_envelope.json
 
-# Short fuzz runs of the two robustness-critical state machines: the
-# fault injector's retry/backoff accounting (clock monotonicity, no lost
-# messages below MaxRetries) and the checkpoint journal's resume path
-# (any interrupted prefix resumes byte-identically). `go test -fuzz`
-# accepts one package per invocation, hence two lines.
+# Short fuzz runs of the robustness-critical state machines and
+# verifiers: the fault injector's retry/backoff accounting (clock
+# monotonicity, no lost messages below MaxRetries), the checkpoint
+# journal's resume path (any interrupted prefix resumes
+# byte-identically), predictd's canonical cache key (equivalent
+# spellings share a key), and its cache-import verifier (a hostile
+# handoff line is dropped without touching the cache; an accepted one
+# is stored byte-exact). `go test -fuzz` takes one fuzz target per
+# invocation, hence one line each.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzSendOutcome -fuzztime $(FUZZTIME) ./internal/faults
 	$(GO) test -run NONE -fuzz FuzzJournalResume -fuzztime $(FUZZTIME) ./internal/sweep
+	$(GO) test -run NONE -fuzz FuzzCanonicalKey -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run NONE -fuzz FuzzCacheImport -fuzztime $(FUZZTIME) ./internal/serve
 
 # End-to-end smoke of the hardened prediction service: builds the real
 # cmd/predictd binary, boots it on a random port, and asserts the

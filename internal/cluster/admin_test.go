@@ -6,19 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"loggpsim/internal/serve"
 )
-
-var elapsedRE = regexp.MustCompile(`"elapsed_ms":[0-9.e+-]+`)
-
-func stripElapsed(b []byte) []byte {
-	return elapsedRE.ReplaceAll(b, []byte(`"elapsed_ms":0`))
-}
 
 // newServePeer boots a real serve.Server — cache, coalescing, handoff
 // endpoints and all — behind an httptest listener. The admin flows are
@@ -41,8 +34,8 @@ func adminPost(rt *Router, path, peerURL string) *httptest.ResponseRecorder {
 }
 
 // replay posts seeds [0,n) through the router, asserting every response
-// is a 200 and recording its (elapsed-stripped) body and X-Cache/X-Peer
-// headers by seed.
+// is a 200 and recording its raw body and X-Cache/X-Peer headers by
+// seed.
 func replay(t *testing.T, rt *Router, n int) (bodies [][]byte, caches, peers []string) {
 	t.Helper()
 	for seed := 0; seed < n; seed++ {
@@ -50,7 +43,7 @@ func replay(t *testing.T, rt *Router, n int) (bodies [][]byte, caches, peers []s
 		if w.Code != http.StatusOK {
 			t.Fatalf("seed %d: status %d: %s", seed, w.Code, w.Body.String())
 		}
-		bodies = append(bodies, stripElapsed(w.Body.Bytes()))
+		bodies = append(bodies, w.Body.Bytes())
 		caches = append(caches, w.Header().Get("X-Cache"))
 		peers = append(peers, w.Header().Get("X-Peer"))
 	}

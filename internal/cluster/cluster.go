@@ -328,6 +328,7 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 // failover loop. Rejections here never cost a forward, and the body is
 // buffered once so every leg replays identical bytes.
 func (rt *Router) handlePredict(w http.ResponseWriter, hr *http.Request) {
+	start := time.Now()
 	if hr.Method != http.MethodPost {
 		rt.failReject(w, http.StatusMethodNotAllowed, "POST only")
 		return
@@ -370,7 +371,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, hr *http.Request) {
 		rt.shedResponse(w, "")
 		return
 	}
-	rt.failover(w, hr, body, cands, owners[0])
+	rt.failover(w, hr, body, cands, owners[0], start)
 }
 
 // candidates orders a key's ring owners by routability: healthy peers
@@ -415,8 +416,9 @@ var errResponseTooLarge = errors.New("peer response too large")
 // relayed. If the list runs out and some leg answered with a retryable
 // status, the last such response is relayed — the client sees the
 // peer's own 429/503 with its Retry-After intact; if every leg failed
-// at the transport level, the request is shed.
-func (rt *Router) failover(w http.ResponseWriter, hr *http.Request, body []byte, cands []*peer, primary string) {
+// at the transport level, the request is shed. start is when the
+// handler began, for the relayed answer's Server-Timing.
+func (rt *Router) failover(w http.ResponseWriter, hr *http.Request, body []byte, cands []*peer, primary string, start time.Time) {
 	ctx := hr.Context()
 	var (
 		lastPeer *peer
@@ -459,11 +461,11 @@ func (rt *Router) failover(w http.ResponseWriter, hr *http.Request, body []byte,
 			lastPeer, lastResp = p, resp
 			continue
 		}
-		rt.writeLeg(w, p, resp, primary)
+		rt.writeLeg(w, p, resp, primary, start)
 		return
 	}
 	if lastResp != nil {
-		rt.writeLeg(w, lastPeer, lastResp, primary)
+		rt.writeLeg(w, lastPeer, lastResp, primary, start)
 		return
 	}
 	rt.shedResponse(w, lastErr.Error())
@@ -515,8 +517,10 @@ func (rt *Router) forward(ctx context.Context, p *peer, body []byte) (*peerRespo
 // writeLeg relays one peer's buffered response verbatim — byte-identical
 // payloads are the cluster's correctness bar — plus the routing
 // diagnostics: X-Peer names the serving peer; X-Cache and Retry-After
-// pass through from the peer untouched.
-func (rt *Router) writeLeg(w http.ResponseWriter, p *peer, resp *peerResponse, primary string) {
+// pass through from the peer untouched; Server-Timing carries the
+// peer's entries followed by the router's own, router;dur= the time
+// from handler entry (start) to this relay.
+func (rt *Router) writeLeg(w http.ResponseWriter, p *peer, resp *peerResponse, primary string, start time.Time) {
 	p.addWin()
 	if p.name == primary {
 		rt.ownerHits.Add(1)
@@ -526,6 +530,11 @@ func (rt *Router) writeLeg(w http.ResponseWriter, p *peer, resp *peerResponse, p
 	copyHeader(h, resp.header, "X-Cache")
 	copyHeader(h, resp.header, "Retry-After")
 	h.Set("X-Peer", p.name)
+	timing := serve.TimingMetric("router", start)
+	if v := strings.Join(resp.header.Values("Server-Timing"), ", "); v != "" {
+		timing = v + ", " + timing
+	}
+	h.Set("Server-Timing", timing)
 	w.WriteHeader(resp.status)
 	_, _ = w.Write(resp.body)
 	rt.completed.Add(1)

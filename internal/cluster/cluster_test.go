@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -532,6 +533,37 @@ func TestRelayIsByteIdentical(t *testing.T) {
 	}
 	if got := w.Header().Get("X-Cache"); got != "hit" {
 		t.Errorf("X-Cache %q not passed through", got)
+	}
+}
+
+// The router relays the peer's Server-Timing and appends its own
+// router;dur= entry, leaving the body byte-equal to the peer's.
+func TestRelayAppendsRouterTiming(t *testing.T) {
+	a := newFakePeer(t)
+	const payload = `{"mode":"simulate","prediction":{"total_us":123.456}}` + "\n"
+	a.handler.Store(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Server-Timing", "total;dur=0.125")
+		if _, err := io.WriteString(w, payload); err != nil {
+			t.Error(err)
+		}
+	}))
+	rt := newTestRouter(t, Config{}, a)
+
+	w := post(rt, marshalReq(t, simRequest(7)))
+	if w.Code != http.StatusOK || w.Body.String() != payload {
+		t.Fatalf("relay: status %d body %q, want 200 %q", w.Code, w.Body.String(), payload)
+	}
+	entries := strings.Split(w.Header().Get("Server-Timing"), ", ")
+	if len(entries) != 2 || entries[0] != "total;dur=0.125" {
+		t.Fatalf("Server-Timing %q, want the peer's total;dur=0.125 then the router's entry", w.Header().Get("Server-Timing"))
+	}
+	dur, ok := strings.CutPrefix(entries[1], "router;dur=")
+	if !ok {
+		t.Fatalf("router entry %q, want router;dur=<ms>", entries[1])
+	}
+	if ms, err := strconv.ParseFloat(dur, 64); err != nil || ms < 0 {
+		t.Fatalf("router entry %q: duration not a non-negative number (%v)", entries[1], err)
 	}
 }
 

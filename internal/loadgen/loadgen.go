@@ -14,6 +14,7 @@
 package loadgen
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -106,8 +107,8 @@ type Result struct {
 	Sheds   int `json:"sheds"`
 	Retries int `json:"retries"`
 	// Mismatches counts full responses that differed byte-for-byte
-	// (elapsed_ms excluded) from the first full serving of the same
-	// request — any nonzero value is a correctness failure.
+	// from the first full serving of the same request — any nonzero
+	// value is a correctness failure.
 	Mismatches int `json:"mismatches"`
 	// Hits/Misses/Coalesced are X-Cache header counts; Unlabeled are
 	// responses without the header (every response on a cache-off
@@ -125,18 +126,22 @@ type Result struct {
 	P50MS      float64 `json:"p50_ms"`
 	P99MS      float64 `json:"p99_ms"`
 	// Reference is the byte-identity tableau this leg ended with: the
-	// first full serving of each universe index, elapsed_ms-normalized
-	// (entries nil where the index was never served in full). Feed it
-	// into another leg's Config.Reference to demand cross-leg identity.
+	// raw body of the first full serving of each universe index (nil
+	// where the index was never served in full). Feed it into another
+	// leg's Config.Reference to demand cross-leg identity.
 	// Never serialized — it is an input to further legs, not a metric.
 	Reference [][]byte `json:"-"`
 }
 
-// elapsedRE blanks the one legitimately nondeterministic field before
-// responses are compared.
+// elapsedRE matches the wall-clock field predictd bodies used to carry.
 var elapsedRE = regexp.MustCompile(`"elapsed_ms":[0-9.e+-]+`)
 
-// StripElapsed normalizes a response body for byte comparison.
+// StripElapsed blanks an "elapsed_ms" field in a response body. predictd
+// bodies no longer carry one — wall time is in the Server-Timing header
+// — so Run compares raw bytes. The function stays, regex and cost
+// included, because the benchmark program (perfbench) calls it on every
+// reply: deleting or cheapening it would move CPU on the benchmark's
+// side of the measurement. It can go with the next benchmark change.
 func StripElapsed(b []byte) []byte {
 	return elapsedRE.ReplaceAll(b, []byte(`"elapsed_ms":0`))
 }
@@ -265,10 +270,9 @@ func Run(cfg Config) (Result, error) {
 				case strings.Contains(string(raw), `"degraded":true`):
 					res.Degraded++
 				default:
-					norm := StripElapsed(raw)
 					if reference[u] == nil {
-						reference[u] = norm
-					} else if string(reference[u]) != string(norm) {
+						reference[u] = raw
+					} else if !bytes.Equal(reference[u], raw) {
 						res.Mismatches++
 					}
 				}

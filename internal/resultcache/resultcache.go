@@ -88,7 +88,8 @@ func (c Config) withDefaults() Config {
 // Meta describes one computed value to the cache.
 type Meta struct {
 	// Size is the bytes the entry charges against the byte budget
-	// (typically the marshaled response length).
+	// (the serve layer charges the encoded response body plus the
+	// request bytes it keeps).
 	Size int
 	// Cost is the recomputation cost in analyze.Work units; eviction
 	// under pressure prefers evicting low-cost entries.
@@ -358,35 +359,44 @@ type Entry[V any] struct {
 }
 
 // Export snapshots up to limit live entries (limit <= 0 means all),
-// hottest first within each shard: shards are visited in index order and
-// each shard's LRU is walked front to back, so the result is a
-// deterministic function of the cache state and recency order. Expired
-// entries are skipped without being counted against limit. Export does
-// not touch recency or the hit/miss counters — it is an observation,
-// used by the cluster handoff pass to stream a draining peer's hot set
-// to its successors, and truncation by limit therefore drops the
-// coldest entries of the *later* shards first (acceptable: the hot set
-// is spread uniformly across shards by the content hash).
+// interleaved across shards by recency rank: every shard's most recent
+// live entry in shard index order, then every shard's second, and so
+// on. A limit therefore keeps the hottest entries of every shard, and
+// the result is a deterministic function of the cache state and
+// recency order. Expired entries are skipped and take no rank. Export
+// does not touch recency or the hit/miss counters — it is an
+// observation, used by the cluster handoff pass to stream a draining
+// peer's hot set to its successors.
 func (c *Cache[V]) Export(limit int) []Entry[V] {
 	if limit <= 0 {
 		limit = int(^uint(0) >> 1)
 	}
 	now := c.now().UnixNano()
-	var out []Entry[V]
+	// No shard can contribute more than limit entries, so each shard's
+	// walk stops there; its lock is held only for its own walk.
+	ranked := make([][]Entry[V], len(c.shards))
+	total := 0
 	for i := range c.shards {
-		if len(out) >= limit {
-			break
-		}
 		s := &c.shards[i]
 		s.mu.Lock()
-		for el := s.lru.Front(); el != nil && len(out) < limit; el = el.Next() {
+		for el := s.lru.Front(); el != nil && len(ranked[i]) < limit; el = el.Next() {
 			e := el.Value.(*entry[V])
 			if e.expires != 0 && now >= e.expires {
 				continue
 			}
-			out = append(out, Entry[V]{Key: e.key, Val: e.val, Size: e.size, Cost: e.cost})
+			ranked[i] = append(ranked[i], Entry[V]{Key: e.key, Val: e.val, Size: e.size, Cost: e.cost})
 		}
 		s.mu.Unlock()
+		total += len(ranked[i])
+	}
+	want := min(total, limit)
+	out := make([]Entry[V], 0, want)
+	for rank := 0; len(out) < want; rank++ {
+		for i := 0; i < len(ranked) && len(out) < want; i++ {
+			if rank < len(ranked[i]) {
+				out = append(out, ranked[i][rank])
+			}
+		}
 	}
 	return out
 }

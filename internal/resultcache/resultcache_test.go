@@ -302,6 +302,47 @@ func TestExportSnapshotsLiveEntriesHottestFirst(t *testing.T) {
 	}
 }
 
+// TestExportInterleavesShardsByRecency pins the limit contract: a
+// limit of one entry per shard returns every non-empty shard's most
+// recent entry, in shard order, instead of filling up from shard 0's
+// whole LRU list.
+func TestExportInterleavesShardsByRecency(t *testing.T) {
+	const shards = 4
+	c := New[int](Config{Shards: shards, MaxBytes: -1, MaxEntries: -1})
+	shardOf := func(k Key) int {
+		s := c.shardFor(k)
+		for i := range c.shards {
+			if &c.shards[i] == s {
+				return i
+			}
+		}
+		t.Fatalf("key %s maps to no shard", k)
+		return -1
+	}
+	var newest [shards]*Key
+	for i := 0; i < 16*shards; i++ {
+		k := keyOf(fmt.Sprint("interleave-", i))
+		c.Put(k, i, Meta{Size: 1, Cost: 1, Store: true})
+		newest[shardOf(k)] = &k
+	}
+	var want []Key
+	for _, k := range newest {
+		if k != nil {
+			want = append(want, *k)
+		}
+	}
+	got := c.Export(shards)
+	if len(got) != len(want) {
+		t.Fatalf("Export(%d) returned %d entries, want %d (one per non-empty shard)", shards, len(got), len(want))
+	}
+	for i, e := range got {
+		if e.Key != want[i] {
+			t.Errorf("Export(%d)[%d] = %s (shard %d), want %s (shard %d)",
+				shards, i, e.Key, shardOf(e.Key), want[i], shardOf(want[i]))
+		}
+	}
+}
+
 func TestExportSkipsExpiredEntries(t *testing.T) {
 	c := New[string](Config{Shards: 1, TTL: time.Minute})
 	now := time.Unix(0, 0)

@@ -5,24 +5,19 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"loggpsim/internal/loadgen"
 )
-
-// stripElapsed blanks the elapsed_ms field, the only legitimately
-// nondeterministic byte in a response: it reports wall clock, which no
-// two servings share.
-var elapsedRE = regexp.MustCompile(`"elapsed_ms":[0-9.e+-]+`)
-
-func stripElapsed(b []byte) []byte {
-	return elapsedRE.ReplaceAll(b, []byte(`"elapsed_ms":0`))
-}
 
 func TestCacheHitIsByteIdenticalToMiss(t *testing.T) {
 	s := NewServer(Config{Workers: 1})
@@ -36,8 +31,16 @@ func TestCacheHitIsByteIdenticalToMiss(t *testing.T) {
 	if got := w2.Header().Get("X-Cache"); got != "hit" {
 		t.Fatalf("second request X-Cache = %q, want hit", got)
 	}
-	if !bytes.Equal(stripElapsed(w1.Body.Bytes()), stripElapsed(w2.Body.Bytes())) {
+	if !bytes.Equal(w1.Body.Bytes(), w2.Body.Bytes()) {
 		t.Fatalf("hit drifted from miss:\n%s\n%s", w1.Body.String(), w2.Body.String())
+	}
+	for _, w := range []*httptest.ResponseRecorder{w1, w2} {
+		if got, want := w.Header().Get("Content-Length"), strconv.Itoa(w.Body.Len()); got != want {
+			t.Errorf("X-Cache %s: Content-Length %q, want %s", w.Header().Get("X-Cache"), got, want)
+		}
+		if got := w.Header().Get("Server-Timing"); !strings.HasPrefix(got, "total;dur=") {
+			t.Errorf("X-Cache %s: Server-Timing %q, want a total;dur= entry", w.Header().Get("X-Cache"), got)
+		}
 	}
 	st := s.Stats()
 	if st.Cache == nil || st.Cache.Hits != 1 || st.Cache.Stores != 1 {
@@ -71,7 +74,7 @@ func TestCacheHitAcrossSpellings(t *testing.T) {
 		if got := w.Header().Get("X-Cache"); got != "hit" {
 			t.Errorf("variant %d: X-Cache = %q, want hit (body %s)", i+1, got, v)
 		}
-		if !bytes.Equal(stripElapsed(first.Body.Bytes()), stripElapsed(w.Body.Bytes())) {
+		if !bytes.Equal(first.Body.Bytes(), w.Body.Bytes()) {
 			t.Errorf("variant %d: body drifted:\n%s\n%s", i+1, first.Body.String(), w.Body.String())
 		}
 	}
@@ -109,7 +112,7 @@ func TestCoalescingEvaluatesOnce(t *testing.T) {
 			w := post(t, s.Handler(), body, nil)
 			codes <- w.Code
 			sources <- w.Header().Get("X-Cache")
-			bodies <- stripElapsed(w.Body.Bytes())
+			bodies <- w.Body.Bytes()
 		}()
 	}
 	wg.Wait()
@@ -189,7 +192,7 @@ func TestDrainServesHitsRefusesMisses(t *testing.T) {
 
 // TestCacheDifferentialAgainstCacheOff replays a corpus spanning every
 // mode twice against a caching server and once against a cache-off
-// server: all three responses must be byte-identical modulo elapsed_ms.
+// server: all three responses must be byte-identical.
 // This is the end-to-end proof that the cache changes performance, not
 // answers.
 func TestCacheDifferentialAgainstCacheOff(t *testing.T) {
@@ -222,7 +225,7 @@ func TestCacheDifferentialAgainstCacheOff(t *testing.T) {
 		if got := off.Header().Get("X-Cache"); got != "" {
 			t.Errorf("%s: cache-off server sent X-Cache %q", body, got)
 		}
-		m, h, o := stripElapsed(miss.Body.Bytes()), stripElapsed(hit.Body.Bytes()), stripElapsed(off.Body.Bytes())
+		m, h, o := miss.Body.Bytes(), hit.Body.Bytes(), off.Body.Bytes()
 		if !bytes.Equal(m, h) {
 			t.Errorf("%s: hit differs from miss:\n%s\n%s", body, m, h)
 		}
@@ -277,19 +280,30 @@ func TestStatszSnapshotConsistent(t *testing.T) {
 }
 
 // TestCacheOffMatchesLegacyFlow sanity-checks the baseline config: no
-// caching, no coalescing, every request evaluates.
+// caching, no coalescing, every request evaluates — and two evaluations
+// of one request answer the same bytes, because the body is a pure
+// function of the request (wall time is in Server-Timing).
 func TestCacheOffMatchesLegacyFlow(t *testing.T) {
 	s := NewServer(Config{Workers: 1, CacheOff: true})
 	body := fmt.Sprintf(smallGE, "simulate")
 	var evals atomic.Int32
 	s.testHook = func(ctx context.Context) { evals.Add(1) }
-	for i := 0; i < 2; i++ {
-		if w := post(t, s.Handler(), body, nil); w.Code != http.StatusOK {
+	var bodies [2][]byte
+	for i := range bodies {
+		w := post(t, s.Handler(), body, nil)
+		if w.Code != http.StatusOK {
 			t.Fatalf("request %d: status %d", i, w.Code)
 		}
+		if got := w.Header().Get("Server-Timing"); !strings.HasPrefix(got, "total;dur=") {
+			t.Fatalf("request %d: Server-Timing %q, want a total;dur= entry", i, got)
+		}
+		bodies[i] = w.Body.Bytes()
 	}
 	if got := evals.Load(); got != 2 {
 		t.Fatalf("cache-off server evaluated %d times for 2 requests", got)
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("two evaluations of one request differ:\n%s\n%s", bodies[0], bodies[1])
 	}
 	if st := s.Stats(); st.Cache != nil {
 		t.Fatalf("cache-off server reports cache stats: %+v", st.Cache)
@@ -345,8 +359,8 @@ func TestDrainOrderingReadyzFlipsBeforeCacheStops(t *testing.T) {
 
 // TestCacheExportImportRoundTrip is the handoff byte-identity proof at
 // the serve layer: entries exported from one server and imported into a
-// fresh one are served as hits, byte-identical (modulo elapsed_ms) to
-// the original servings.
+// fresh one are served as hits, byte-identical to the original
+// servings.
 func TestCacheExportImportRoundTrip(t *testing.T) {
 	corpus := []string{
 		fmt.Sprintf(smallGE, "simulate"),
@@ -362,7 +376,7 @@ func TestCacheExportImportRoundTrip(t *testing.T) {
 		if w.Code != http.StatusOK {
 			t.Fatalf("%s: prime status %d", body, w.Code)
 		}
-		originals[body] = stripElapsed(w.Body.Bytes())
+		originals[body] = w.Body.Bytes()
 	}
 
 	ex := httptest.NewRecorder()
@@ -393,7 +407,7 @@ func TestCacheExportImportRoundTrip(t *testing.T) {
 		if w.Code != http.StatusOK || w.Header().Get("X-Cache") != "hit" {
 			t.Fatalf("%s: post-import status %d X-Cache %q, want a hit", body, w.Code, w.Header().Get("X-Cache"))
 		}
-		if !bytes.Equal(originals[body], stripElapsed(w.Body.Bytes())) {
+		if !bytes.Equal(originals[body], w.Body.Bytes()) {
 			t.Errorf("%s: imported serving drifted:\n%s\n%s", body, originals[body], w.Body.Bytes())
 		}
 	}
@@ -410,7 +424,8 @@ func TestCacheExportImportRoundTrip(t *testing.T) {
 
 // TestCacheImportRefusesCorruptLines drives every rejection path: a
 // tampered response, a mis-addressed key, a degraded response, an
-// unknown request field, and an over-limit request are all dropped
+// unknown request field, an older version's elapsed_ms body, and an
+// over-limit request are all dropped
 // without touching the cache; well-formed lines in the same stream
 // still land.
 func TestCacheImportRefusesCorruptLines(t *testing.T) {
@@ -446,6 +461,11 @@ func TestCacheImportRefusesCorruptLines(t *testing.T) {
 		// Unknown request field: strict decode refuses.
 		mutate(func(l *handoffLine) {
 			l.Request = json.RawMessage(bytes.Replace(l.Request, []byte(`"mode"`), []byte(`"sneaky":1,"mode"`), 1))
+		}),
+		// An older peer's body, which still carried elapsed_ms: strict
+		// decode refuses, so a mixed-version handoff only loses hits.
+		mutate(func(l *handoffLine) {
+			l.Response = json.RawMessage(bytes.Replace(l.Response, []byte(`"degraded":false`), []byte(`"degraded":false,"elapsed_ms":0.5`), 1))
 		}),
 	}
 	stream := bytes.NewBufferString(strings.Join(bad, "\n") + "\n")
@@ -489,5 +509,234 @@ func TestCacheEndpointsDisabledWithoutCache(t *testing.T) {
 	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/cache/import", strings.NewReader("")))
 	if w.Code != http.StatusNotFound {
 		t.Fatalf("import on cache-off server: status %d, want 404", w.Code)
+	}
+}
+
+// TestCacheBytesAreExact pins the byte accounting: after misses and an
+// import, the cache's byte total is exactly the bodies it serves plus
+// the wire-form requests it keeps for handoff.
+func TestCacheBytesAreExact(t *testing.T) {
+	corpus := []string{
+		fmt.Sprintf(smallGE, "simulate"),
+		fmt.Sprintf(smallGE, "analyze"),
+		`{"mode":"envelope","workload":{"kind":"ge","procs":4,"n":96,"block":8},"samples":4,"seed":7,"perturb":{"l":0.1,"g":0.2}}`,
+	}
+	var want int64
+	charge := func(reqBody string, served []byte) {
+		t.Helper()
+		r, err := decodeStrict[Request]([]byte(reqBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Validate(DefaultLimits()); err != nil {
+			t.Fatal(err)
+		}
+		wire, err := json.Marshal(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += int64(len(served) + len(wire))
+	}
+
+	s := NewServer(Config{Workers: 2})
+	for _, body := range corpus[:2] {
+		w := post(t, s.Handler(), body, nil)
+		if w.Code != http.StatusOK || w.Header().Get("X-Cache") != "miss" {
+			t.Fatalf("%s: status %d X-Cache %q, want a miss", body, w.Code, w.Header().Get("X-Cache"))
+		}
+		charge(body, w.Body.Bytes())
+	}
+
+	// The third entry arrives by import from a peer that evaluated it.
+	src := NewServer(Config{Workers: 1})
+	post(t, src.Handler(), corpus[2], nil)
+	ex := httptest.NewRecorder()
+	src.Handler().ServeHTTP(ex, httptest.NewRequest(http.MethodGet, "/cache/export", nil))
+	im := httptest.NewRecorder()
+	s.Handler().ServeHTTP(im, httptest.NewRequest(http.MethodPost, "/cache/import", bytes.NewReader(ex.Body.Bytes())))
+	if im.Code != http.StatusOK || !strings.Contains(im.Body.String(), `"imported":1`) {
+		t.Fatalf("import: status %d body %s", im.Code, im.Body.String())
+	}
+	w := post(t, s.Handler(), corpus[2], nil)
+	if w.Header().Get("X-Cache") != "hit" {
+		t.Fatalf("imported entry served X-Cache %q, want hit", w.Header().Get("X-Cache"))
+	}
+	charge(corpus[2], w.Body.Bytes())
+
+	if got := s.Stats().Cache.Bytes; got != want {
+		t.Fatalf("cache charges %d bytes, want exactly %d (bodies + requests)", got, want)
+	}
+}
+
+// decodeStrict decodes b the way the server decodes untrusted JSON:
+// unknown fields are errors.
+func decodeStrict[T any](b []byte) (T, error) {
+	var v T
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&v)
+	return v, err
+}
+
+// FuzzCacheImport feeds arbitrary bytes to /cache/import. Whatever the
+// input, the import does not panic; if it stores nothing, the cache's
+// stats do not move; and every stored entry's request re-derives the
+// entry's key, its body re-marshals to exactly the stored bytes, and
+// the byte charge is exact. The seeds are one valid export line and
+// its truncated, mis-keyed, degraded, extra-field, older-version and
+// tampered variants; for those, each accepted entry must then be served
+// as a hit byte-identical to a fresh evaluation.
+func FuzzCacheImport(f *testing.F) {
+	src := NewServer(Config{Workers: 1})
+	post(f, src.Handler(), fmt.Sprintf(smallGE, "simulate"), nil)
+	ex := httptest.NewRecorder()
+	src.Handler().ServeHTTP(ex, httptest.NewRequest(http.MethodGet, "/cache/export", nil))
+	good, err := decodeStrict[handoffLine](ex.Body.Bytes())
+	if err != nil {
+		f.Fatalf("export line %q: %v", ex.Body.String(), err)
+	}
+	mutate := func(fn func(l *handoffLine)) []byte {
+		l := good
+		l.Request = append(json.RawMessage(nil), good.Request...)
+		l.Response = append(json.RawMessage(nil), good.Response...)
+		fn(&l)
+		b, err := json.Marshal(&l)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	valid := mutate(func(*handoffLine) {})
+	seeds := [][]byte{
+		valid,
+		valid[:len(valid)/2],
+		mutate(func(l *handoffLine) { l.Key = "00" + l.Key[2:] }),
+		mutate(func(l *handoffLine) {
+			l.Response = bytes.Replace(l.Response, []byte(`"degraded":false`), []byte(`"degraded":true`), 1)
+		}),
+		mutate(func(l *handoffLine) {
+			l.Request = bytes.Replace(l.Request, []byte(`"mode"`), []byte(`"sneaky":1,"mode"`), 1)
+		}),
+		// An older exporter's body, which still carried elapsed_ms.
+		mutate(func(l *handoffLine) {
+			l.Response = append(l.Response[:len(l.Response)-1], []byte(`,"elapsed_ms":0.5}`)...)
+		}),
+		// A body that decodes but does not re-marshal to itself.
+		mutate(func(l *handoffLine) {
+			l.Response = bytes.Replace(l.Response, []byte(`"degraded":false`), []byte(`"degraded":false,"work_units":1`), 1)
+		}),
+	}
+	isSeed := make(map[string]bool, len(seeds))
+	for _, sd := range seeds {
+		f.Add(sd)
+		isSeed[string(sd)] = true
+	}
+	fresh := NewServer(Config{Workers: 1, CacheOff: true})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := NewServer(Config{Workers: 1})
+		before := s.cache.Stats()
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/cache/import", bytes.NewReader(data)))
+		var res importResult
+		if w.Code == http.StatusOK {
+			if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil {
+				t.Fatalf("import answer %q: %v", w.Body.String(), err)
+			}
+		}
+		// A stream that fails to decode midway answers 400 but keeps the
+		// verified lines before the failure, so acceptance shows in the
+		// cache, not only in the answer.
+		entries := s.cache.Export(0)
+		if res.Imported == 0 && len(entries) == 0 {
+			if after := s.cache.Stats(); !reflect.DeepEqual(before, after) {
+				t.Fatalf("nothing imported, yet the cache stats moved: %+v -> %+v", before, after)
+			}
+			return
+		}
+		var charged int64
+		for _, e := range entries {
+			req, err := decodeStrict[Request](e.Val.req)
+			if err != nil {
+				t.Fatalf("stored request %s: %v", e.Val.req, err)
+			}
+			if key, err := CanonicalKey(&req); err != nil || key != e.Key {
+				t.Fatalf("stored request %s re-derives key %s (%v), stored under %s", e.Val.req, key, err, e.Key)
+			}
+			resp, err := decodeStrict[Response](e.Val.body)
+			if err != nil {
+				t.Fatalf("stored body %s: %v", e.Val.body, err)
+			}
+			remarshal, err := json.Marshal(&resp)
+			if err != nil || !bytes.Equal(append(remarshal, '\n'), e.Val.body) {
+				t.Fatalf("stored body does not re-marshal to itself (%v):\n%s\n%s", err, e.Val.body, remarshal)
+			}
+			charged += int64(len(e.Val.body) + len(e.Val.req))
+			if !isSeed[string(data)] {
+				continue
+			}
+			hit := post(t, s.Handler(), string(e.Val.req), nil)
+			if hit.Header().Get("X-Cache") != "hit" {
+				t.Fatalf("imported entry served X-Cache %q, want hit", hit.Header().Get("X-Cache"))
+			}
+			if off := post(t, fresh.Handler(), string(e.Val.req), nil); !bytes.Equal(hit.Body.Bytes(), off.Body.Bytes()) {
+				t.Fatalf("imported hit differs from a fresh evaluation:\n%s\n%s", hit.Body.Bytes(), off.Body.Bytes())
+			}
+		}
+		if got := s.cache.Stats().Bytes; got != charged {
+			t.Fatalf("cache charges %d bytes for entries of %d", got, charged)
+		}
+	})
+}
+
+// discardWriter is a ResponseWriter that keeps headers and status and
+// counts body bytes, so a benchmark measures the handler and not a
+// recorder's buffer growth.
+type discardWriter struct {
+	h      http.Header
+	status int
+	n      int
+}
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) WriteHeader(status int)      { d.status = status }
+func (d *discardWriter) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
+
+// BenchmarkHandlePredictHit times the handler on a cache hit — strict
+// decode, Validate, canonical key, cache Get, write — for two entries
+// of the loadtest corpus (loadgen.Corpus(64, 1)): its hottest request,
+// a small simulate answer, and its second hottest, an analyze report
+// of about 58 KB.
+func BenchmarkHandlePredictHit(b *testing.B) {
+	corpus := loadgen.Corpus(64, 1)
+	for _, bc := range []struct {
+		name string
+		body string
+	}{
+		{"simulate-hottest", corpus[0]},
+		{"analyze-58KB", corpus[1]},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := NewServer(Config{Workers: 1})
+			if w := post(b, s.Handler(), bc.body, nil); w.Code != http.StatusOK {
+				b.Fatalf("priming: status %d: %s", w.Code, w.Body.String())
+			}
+			body := []byte(bc.body)
+			rd := bytes.NewReader(body)
+			hr := httptest.NewRequest(http.MethodPost, "/predict", nil)
+			w := &discardWriter{h: make(http.Header)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(body)
+				hr.Body = io.NopCloser(rd)
+				clear(w.h)
+				s.handlePredict(w, hr)
+			}
+			b.StopTimer()
+			if w.status != http.StatusOK || w.h.Get("X-Cache") != "hit" {
+				b.Fatalf("status %d X-Cache %q, want a 200 hit", w.status, w.h.Get("X-Cache"))
+			}
+		})
 	}
 }

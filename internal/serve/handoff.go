@@ -3,14 +3,18 @@
 // changes (join prewarm, coordinated drain — see internal/cluster).
 //
 // Safety rests on content addressing. An exported line carries the
-// wire-form request, the response, and the canonical key the entry was
-// stored under; the importer re-validates the request against its own
-// limits, re-derives the canonical key, and refuses any line whose key
-// does not match — so a corrupt, truncated, or maliciously altered line
-// can only be dropped, never poison the receiving cache. The response
-// is additionally round-tripped through this process's own JSON
+// wire-form request, the response body exactly as the exporter serves
+// it, and the canonical key the entry was stored under; the importer
+// re-validates the request against its own limits, re-derives the
+// canonical key, and refuses any line whose key does not match — so a
+// corrupt, truncated, or maliciously altered line can only be dropped,
+// never poison the receiving cache. The response is additionally
+// strictly decoded, round-tripped through this process's own JSON
 // encoding and byte-compared, so an import can never introduce a
-// serving that differs byte-for-byte from what the exporter served.
+// serving that differs byte-for-byte from what the exporter served. A
+// line from a version whose Response has a field this one lacks fails
+// the strict decode: a mixed-version handoff loses hit rate, never
+// correctness.
 //
 // Both endpoints stay up during drain: export is exactly what a
 // draining peer must keep answering while its entries stream out, and
@@ -28,13 +32,14 @@ import (
 	"loggpsim/internal/resultcache"
 )
 
-// cached is one result-cache value: the response plus the wire-form
-// request bytes it answers. The request is captured before evaluation
-// (which mutates it) so handoff export can hand the receiving peer
-// everything it needs to re-derive — and therefore re-verify — the
-// canonical key.
+// cached is one result-cache value: the encoded 200 body plus the
+// wire-form request bytes it answers. A hit writes body verbatim. The
+// request is captured before evaluation (which mutates it) so handoff
+// export can hand the receiving peer everything it needs to re-derive —
+// and therefore re-verify — the canonical key. The entry is charged
+// len(body)+len(req) bytes.
 type cached struct {
-	resp *Response
+	body []byte // the response as served: JSON plus a trailing newline
 	req  []byte // compact wire-form request JSON
 }
 
@@ -44,7 +49,8 @@ type handoffLine struct {
 	// exporter and re-derived by the importer.
 	Key string `json:"key"`
 	// Request is the wire-form request; Response the non-degraded 200
-	// payload it produced (ElapsedMS zero — it is stamped per serving).
+	// body it produced, as served (JSON encoding drops the trailing
+	// newline inside the line).
 	Request  json.RawMessage `json:"request"`
 	Response json.RawMessage `json:"response"`
 	// Cost is the recomputation cost the entry was priced at, preserved
@@ -64,9 +70,10 @@ type importResult struct {
 // server buffer unboundedly.
 const maxImportBytes = 64 << 20
 
-// handleCacheExport streams the cache's live entries as NDJSON,
-// hottest-first per shard (resultcache.Export order), optionally capped
-// by ?limit=N. Deliberately served during drain.
+// handleCacheExport streams the cache's live entries as NDJSON in
+// resultcache.Export order (every shard's hottest first), optionally
+// capped by ?limit=N. Each line's response is the stored body; nothing
+// is re-encoded. Deliberately served during drain.
 func (s *Server) handleCacheExport(w http.ResponseWriter, hr *http.Request) {
 	if hr.Method != http.MethodGet {
 		s.fail(w, http.StatusMethodNotAllowed, "GET only")
@@ -88,14 +95,10 @@ func (s *Server) handleCacheExport(w http.ResponseWriter, hr *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	for _, e := range s.cache.Export(limit) {
-		respJSON, err := json.Marshal(e.Val.resp)
-		if err != nil {
-			continue // cannot happen for a stored response; skip, never truncate others
-		}
 		line := handoffLine{
 			Key:      e.Key.String(),
-			Request:  json.RawMessage(e.Val.req),
-			Response: respJSON,
+			Request:  e.Val.req,
+			Response: e.Val.body,
 			Cost:     e.Cost,
 		}
 		if err := enc.Encode(&line); err != nil {
@@ -166,8 +169,8 @@ func (s *Server) importLine(line *handoffLine) bool {
 	}
 	// The response must decode strictly, must not be a degraded outcome
 	// (those are never cached, so never imported), and must survive a
-	// re-marshal byte-identically — the same stability this process
-	// relies on when it serves the entry.
+	// re-marshal byte-identically. The re-marshaled bytes, which the
+	// check proved equal to the line's, are what gets stored and served.
 	var resp Response
 	pd := json.NewDecoder(bytes.NewReader(line.Response))
 	pd.DisallowUnknownFields()
@@ -192,8 +195,9 @@ func (s *Server) importLine(line *handoffLine) bool {
 	if err := json.Compact(&reqCompact, line.Request); err != nil {
 		return false
 	}
-	s.cache.Put(key, cached{resp: &resp, req: reqCompact.Bytes()}, resultcache.Meta{
-		Size:  len(remarshal) + reqCompact.Len(),
+	body := append(remarshal, '\n')
+	s.cache.Put(key, cached{body: body, req: reqCompact.Bytes()}, resultcache.Meta{
+		Size:  len(body) + reqCompact.Len(),
 		Cost:  line.Cost,
 		Store: true,
 	})

@@ -112,7 +112,9 @@ type Machine struct {
 	G      float64 `json:"g,omitempty"`
 }
 
-// Response is the service's answer to one request.
+// Response is the service's answer to one request. It is a pure
+// function of the request's canonical form, so it carries no wall
+// clock: the handler's time travels in the Server-Timing header.
 type Response struct {
 	// Mode echoes the request mode.
 	Mode string `json:"mode"`
@@ -142,8 +144,6 @@ type Response struct {
 	// WorkUnits is the request's structural work pre-estimate
 	// (analyze.Work units) — what admission control priced it at.
 	WorkUnits float64 `json:"work_units"`
-	// ElapsedMS is the server-side handling time in milliseconds.
-	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
 // PredictionResult is the simulation outcome, in the simulators' native

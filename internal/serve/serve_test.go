@@ -17,7 +17,7 @@ import (
 // out (which may be nil). It returns the recorder for header checks.
 // Errors are reported with Errorf, not Fatalf — post runs from helper
 // goroutines in the overload and soak tests.
-func post(t *testing.T, h http.Handler, body string, out any) *httptest.ResponseRecorder {
+func post(t testing.TB, h http.Handler, body string, out any) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(body))
 	w := httptest.NewRecorder()
@@ -529,12 +529,19 @@ func TestPatternWorkload(t *testing.T) {
 
 func TestResponseJSONShape(t *testing.T) {
 	// The wire shape is the public contract; pin the key field names.
+	// Wall time is not in the body: it travels as Server-Timing.
 	s := NewServer(Config{Workers: 1})
 	w := post(t, s.Handler(), fmt.Sprintf(smallGE, "simulate"), nil)
-	for _, key := range []string{`"mode"`, `"degraded"`, `"prediction"`, `"total_us"`, `"work_units"`, `"elapsed_ms"`} {
+	for _, key := range []string{`"mode"`, `"degraded"`, `"prediction"`, `"total_us"`, `"work_units"`} {
 		if !bytes.Contains(w.Body.Bytes(), []byte(key)) {
 			t.Fatalf("response missing %s: %s", key, w.Body.String())
 		}
+	}
+	if bytes.Contains(w.Body.Bytes(), []byte(`"elapsed_ms"`)) {
+		t.Fatalf("response body carries elapsed_ms: %s", w.Body.String())
+	}
+	if st := w.Header().Get("Server-Timing"); !strings.HasPrefix(st, "total;dur=") {
+		t.Fatalf("Server-Timing %q, want a total;dur= entry", st)
 	}
 }
 

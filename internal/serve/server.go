@@ -7,11 +7,14 @@
 //
 //   - Result caching. Every layer under the service is deterministic,
 //     so a non-degraded response is a pure function of the request's
-//     canonical form (cachekey.go). Responses are stored in a sharded
-//     LRU+TTL cache (internal/resultcache) keyed by content hash; a hit
-//     is served before admission control even looks at the request —
-//     no queue slot, no deadline, no budget check — and even while the
-//     server drains. Degraded and error responses are never cached.
+//     canonical form (cachekey.go). Each evaluation encodes its 200 body
+//     once; the bytes are stored in a sharded LRU+TTL cache
+//     (internal/resultcache) keyed by content hash, and a hit writes
+//     them back verbatim. Wall time travels in the Server-Timing
+//     header, never in the body. A hit is served before admission
+//     control even looks at the request — no queue slot, no deadline,
+//     no budget check — and even while the server drains. Degraded and
+//     error responses are never cached.
 //
 //   - Request coalescing. Concurrent identical misses collapse onto
 //     one evaluation (internal/flight): the first request becomes the
@@ -60,6 +63,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -194,18 +198,28 @@ type flightKey struct {
 
 // outcome is one evaluated (or cached) answer, decoupled from the
 // ResponseWriter so it can be computed once and delivered to many
-// coalesced requests. Exactly one of resp (status 200) or errMsg is
-// set.
+// coalesced requests. A 200 carries its encoded body, which every
+// writer and the cache share read-only; any other status carries
+// errMsg.
 type outcome struct {
 	status     int
-	resp       *Response // 200 payload; ElapsedMS is stamped per write
+	body       []byte  // encoded 200 payload, written verbatim
+	degraded   bool    // the 200 answers a downgraded computation
+	cost       float64 // the request's work units, the cache entry's cost
 	errMsg     string
 	retryAfter bool
 	reject     bool // count this write in Stats.Rejected
 }
 
+// okOutcome encodes resp: the one JSON encode an evaluation does. The
+// bytes are what json.Encoder writes — json.Marshal's output plus a
+// newline.
 func okOutcome(resp *Response) *outcome {
-	return &outcome{status: http.StatusOK, resp: resp}
+	b, err := json.Marshal(resp)
+	if err != nil {
+		return rejectOutcome(http.StatusInternalServerError, "encoding response: %v", err)
+	}
+	return &outcome{status: http.StatusOK, body: append(b, '\n'), degraded: resp.Degraded, cost: resp.WorkUnits}
 }
 
 func rejectOutcome(status int, format string, args ...any) *outcome {
@@ -222,7 +236,7 @@ func rejectOutcome(status int, format string, args ...any) *outcome {
 // (deadline pressure, drain, budget, breaker) — caching one would
 // replay a transient forever.
 func (o *outcome) storable() bool {
-	return o.status == http.StatusOK && !o.resp.Degraded
+	return o.status == http.StatusOK && !o.degraded
 }
 
 // Server is the prediction service. Construct with NewServer, mount
@@ -386,8 +400,13 @@ func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...
 // the evaluation implements.
 func (s *Server) handlePredict(w http.ResponseWriter, hr *http.Request) {
 	start := time.Now()
+	// refuse answers a request turned away before evaluation, with the
+	// Server-Timing every /predict answer carries.
+	refuse := func(status int, format string, args ...any) {
+		s.writeOutcome(w, rejectOutcome(status, format, args...), "", start)
+	}
 	if hr.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "POST only")
+		refuse(http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 
@@ -401,21 +420,21 @@ func (s *Server) handlePredict(w http.ResponseWriter, hr *http.Request) {
 	if err := dec.Decode(&r); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			s.fail(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
+			refuse(http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
 			return
 		}
-		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+		refuse(http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if err := r.Validate(s.cfg.Limits); err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
+		refuse(http.StatusBadRequest, "%v", err)
 		return
 	}
 
 	if s.cache == nil {
 		// Cache and coalescing off: every request evaluates.
 		if s.draining.Load() {
-			s.fail(w, http.StatusServiceUnavailable, "draining")
+			refuse(http.StatusServiceUnavailable, "draining")
 			return
 		}
 		s.inflight.Add(1)
@@ -428,7 +447,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, hr *http.Request) {
 	// evaluation path mutates it (hypercube proc rounding).
 	ck, err := canonicalize(&r)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
+		refuse(http.StatusBadRequest, "%v", err)
 		return
 	}
 	key := ck.key()
@@ -437,11 +456,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, hr *http.Request) {
 	// deadline, no budget, and no drain refusal. A draining server
 	// keeps serving hits until the process exits.
 	if ce, ok := s.cache.Get(key); ok {
-		s.writeOutcome(w, okOutcome(ce.resp), "hit", start)
+		s.writeOutcome(w, &outcome{status: http.StatusOK, body: ce.body}, "hit", start)
 		return
 	}
 	if s.draining.Load() {
-		s.fail(w, http.StatusServiceUnavailable, "draining")
+		refuse(http.StatusServiceUnavailable, "draining")
 		return
 	}
 	s.inflight.Add(1)
@@ -458,13 +477,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, hr *http.Request) {
 		reqJSON, reqErr := json.Marshal(&r)
 		o := s.evaluate(&r)
 		if o.storable() && reqErr == nil {
-			if b, merr := json.Marshal(o.resp); merr == nil {
-				s.cache.Put(key, cached{resp: o.resp, req: reqJSON}, resultcache.Meta{
-					Size:  len(b) + len(reqJSON),
-					Cost:  o.resp.WorkUnits,
-					Store: true,
-				})
-			}
+			s.cache.Put(key, cached{body: o.body, req: reqJSON}, resultcache.Meta{
+				Size:  len(o.body) + len(reqJSON),
+				Cost:  o.cost,
+				Store: true,
+			})
 		}
 		return o, nil
 	})
@@ -476,7 +493,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, hr *http.Request) {
 	res := <-ch
 	if res.Err != nil {
 		// Only a panic that escaped evaluate's guard lands here.
-		s.fail(w, http.StatusInternalServerError, "internal error (evaluation panicked)")
+		refuse(http.StatusInternalServerError, "internal error (evaluation panicked)")
 		return
 	}
 	s.writeOutcome(w, res.Val, src, start)
@@ -486,14 +503,18 @@ func (s *Server) handlePredict(w http.ResponseWriter, hr *http.Request) {
 // Work-level counters (accepted, shed, panics) were already bumped by
 // whoever evaluated; the per-response counters (completed, degraded,
 // rejected) belong to each request served. src, when non-empty, is
-// surfaced as the X-Cache header (hit, miss, coalesced).
+// surfaced as the X-Cache header (hit, miss, coalesced). Every answer
+// carries the handler's wall time since start as Server-Timing; a 200
+// writes the outcome's encoded body as is, with no JSON encoder.
 func (s *Server) writeOutcome(w http.ResponseWriter, o *outcome, src string, start time.Time) {
+	h := w.Header()
 	if src != "" {
-		w.Header().Set("X-Cache", src)
+		h.Set("X-Cache", src)
 	}
 	if o.retryAfter {
-		w.Header().Set("Retry-After", "1")
+		h.Set("Retry-After", "1")
 	}
+	h.Set("Server-Timing", TimingMetric("total", start))
 	if o.status != http.StatusOK {
 		if o.reject {
 			s.rejected.Add(1)
@@ -501,16 +522,24 @@ func (s *Server) writeOutcome(w http.ResponseWriter, o *outcome, src string, sta
 		writeJSON(w, o.status, errorResponse{Error: o.errMsg})
 		return
 	}
-	// Shallow-copy before stamping the wall clock: the Response itself
-	// may live in the cache, shared by concurrent writers. The nested
-	// pointers are read-only after evaluation.
-	resp := *o.resp
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	if resp.Degraded {
+	if o.degraded {
 		s.degraded.Add(1)
 	}
 	s.completed.Add(1)
-	writeJSON(w, http.StatusOK, &resp)
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(o.body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(o.body)
+}
+
+// TimingMetric formats one Server-Timing metric: name;dur= the
+// milliseconds elapsed since start, to the microsecond. It is built in
+// one allocation because every /predict answer pays for it.
+func TimingMetric(name string, start time.Time) string {
+	ms := float64(time.Since(start)) / float64(time.Millisecond)
+	b := append(make([]byte, 0, 32), name...)
+	b = append(b, ";dur="...)
+	return string(strconv.AppendFloat(b, ms, 'f', 3, 64))
 }
 
 // evaluate is the single evaluation path — the admission-control,

@@ -12,15 +12,15 @@
 #                  over the repo against the checked-in baseline
 #   make lint-sarif — same run, writing bin/lint.sarif (SARIF 2.1.0)
 #   make race    — full test suite under the race detector
-#   make diff    — scheduler differential tests (indexed vs reference
-#                  cores) under the race detector
+#   make diff    — scheduler differential tests (indexed cores vs the
+#                  reference_test.go oracles) under the race detector
 #   make bench   — figure + large-P scheduler benchmarks; writes the
 #                  scheduler results to BENCH_scheduler.json and the
 #                  fault-hook overhead results to BENCH_faults.json
 #   make sweep   — serial-vs-parallel sweep benchmark pair only
-#   make bench-envelope — Figure-7 envelope throughput, scalar vs
-#                  lockstep lane engine, at samples 16/64/256; writes
-#                  BENCH_envelope.json
+#   make bench-envelope — Figure-7 envelope throughput, scalar test
+#                  oracle vs lockstep lane engine, at samples
+#                  16/64/256; writes BENCH_envelope.json
 #   make fuzz-smoke — short fuzz of the fault injector, the
 #                  checkpoint/resume journal, predictd's canonical cache
 #                  key and its cache-import verifier (part of ci)
@@ -102,11 +102,13 @@ race:
 	$(GO) test -race ./...
 
 # The indexed scheduler cores must stay bit-identical to the reference
-# scans (DESIGN.md §perf); run the differential suites under -race so a
-# data race in the session-reuse machinery cannot hide behind identical
-# output. The lockstep lane engine and the certificate shape pricer make
-# the same claim against scalar replays (DESIGN.md §5h), so their
-# differential suites run here too.
+# scans, which live in each package's reference_test.go (DESIGN.md
+# §perf); run the differential suites under -race so a data race in the
+# session-reuse machinery cannot hide behind identical output. The
+# lockstep lane engine and the certificate shape pricer make the same
+# claim against scalar replays (the robust oracle is runScalar in
+# internal/robust/scalar_test.go; DESIGN.md §5h), so their differential
+# suites run here too.
 diff:
 	$(GO) test -race -run 'Reference|Reset|Reconfigure|Fuzz' \
 		./internal/sim ./internal/worstcase
@@ -131,7 +133,8 @@ sweep:
 	$(GO) test -run NONE -bench 'BenchmarkSweep(Serial|Parallel)|BenchmarkQuietModeSimulation' -benchmem .
 
 # Envelope-throughput benchmark: the Figure-7 sweep at samples 16/64/256
-# through the scalar per-sample path and the lockstep lane engine, both
+# through the scalar per-sample test oracle (runScalar in
+# internal/robust/scalar_test.go) and the lockstep lane engine, both
 # recorded as test2json output in BENCH_envelope.json so the batched
 # path's speedup is tracked in-repo. The scalar s256 leg alone runs for
 # minutes; the long -timeout is deliberate.

@@ -12,14 +12,11 @@
 //	       [-samples 64] [-seed 1] [-workers 0] [-csv]
 //	       [-perturb l=0.1,o=0.1,gap=0.1,g=0.1]
 //	       [-faults drop=0.01,rto=50,jitter=0.1,stragglers=1,degrade=0:500:2:1.5]
-//	       [-resume sweep.journal] [-scalar]
+//	       [-resume sweep.journal]
 //	       [-cpuprofile cpu.out] [-memprofile mem.out]
 //
-// Envelopes run through the lockstep lane engine (internal/lanes) by
-// default; -scalar replays every sample through its own scalar
-// predictor session instead — the two paths are bit-identical, so the
-// flag exists to benchmark one against the other, profiled via
-// -cpuprofile/-memprofile.
+// Envelopes run through the lockstep lane engine (internal/lanes);
+// -cpuprofile/-memprofile profile it.
 //
 // The sweep is byte-identical at any worker count. SIGINT/SIGTERM
 // cancel it gracefully; with -resume, finished block sizes are flushed
@@ -60,7 +57,6 @@ func main() {
 	perturbSpec := flag.String("perturb", "", "LogGP perturbation spread, e.g. l=0.1,o=0.1,gap=0.1,g=0.1")
 	faultSpec := flag.String("faults", "", "fault plan template, e.g. drop=0.01,jitter=0.1,stragglers=1")
 	resume := flag.String("resume", "", "checkpoint journal `file`: flush finished block sizes and resume from them on relaunch")
-	scalar := flag.Bool("scalar", false, "evaluate samples one by one instead of through the lockstep lane engine (results are identical; for benchmarking)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
 	memprofile := flag.String("memprofile", "", "write a heap profile to `file` on exit")
 	flag.Parse()
@@ -117,7 +113,7 @@ func main() {
 		N: *n, P: *procs, Sizes: sizes,
 		Params: loggp.MeikoCS2(*procs), Model: cost.DefaultAnalytic(), Layout: mk,
 		Samples: *samples, Seed: *seed,
-		Perturb: perturb, Faults: plan, Scalar: *scalar,
+		Perturb: perturb, Faults: plan,
 		Workers: *workers, Journal: journal,
 		Scope:   "robust/" + *layoutName,
 		Options: []sweep.Option{sweep.Context(ctx)},

@@ -4,13 +4,15 @@ package main
 // cmd/experiments: build the real binary, SIGINT it mid-sweep, and
 // check (a) it exits 130 after flushing finished block sizes to the
 // checkpoint journal, and (b) a relaunch with the same -resume flag
-// produces byte-identical output to an uninterrupted run.
+// produces byte-identical output to an uninterrupted run. A second test
+// checks that the removed -scalar flag is refused.
 
 import (
 	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -94,5 +96,19 @@ func TestSigintFlushesJournalAndResumeIsByteIdentical(t *testing.T) {
 	if !bytes.Equal(resumed, clean) {
 		t.Fatalf("resumed output differs from uninterrupted run:\n--- resumed ---\n%s\n--- clean ---\n%s",
 			resumed, clean)
+	}
+}
+
+// TestRejectsScalarFlag pins the removal of the per-sample envelope
+// path from the CLI: -scalar must fail as an undefined flag, not be
+// silently accepted.
+func TestRejectsScalarFlag(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildBinary(t, t.TempDir())
+	out, err := exec.Command(bin, "-n", "96", "-blocks", "8", "-samples", "1", "-scalar").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "flag provided but not defined: -scalar") {
+		t.Fatalf("-scalar accepted (err %v):\n%s", err, out)
 	}
 }

@@ -216,7 +216,7 @@ func Check(pt *trace.Pattern, params loggp.Params) *PatternReport {
 	}
 	if len(r.Issues.Errs()) == 0 && pt.P <= params.P {
 		if err := params.Validate(); err == nil {
-			b := boundPattern(pt, params, nil)
+			b := boundPattern(pt, params)
 			r.Bounds = &b
 		}
 	}

@@ -99,7 +99,7 @@ type StepBounds struct {
 // Every run of the standard algorithm — any seed, either priority rule,
 // either commit loop — finishes at or after it.
 func LowerBound(pt *trace.Pattern, params loggp.Params) (float64, error) {
-	b, err := patternBounds(pt, params)
+	b, err := PatternBounds(pt, params)
 	if err != nil {
 		return 0, err
 	}
@@ -111,7 +111,7 @@ func LowerBound(pt *trace.Pattern, params loggp.Params) (float64, error) {
 // Every run of both the standard and the worst-case algorithm — any
 // seed, forced deadlock releases included — finishes at or before it.
 func UpperBound(pt *trace.Pattern, params loggp.Params) (float64, error) {
-	b, err := patternBounds(pt, params)
+	b, err := PatternBounds(pt, params)
 	if err != nil {
 		return 0, err
 	}
@@ -121,10 +121,6 @@ func UpperBound(pt *trace.Pattern, params loggp.Params) (float64, error) {
 // PatternBounds returns the full certificate for one communication step
 // with all processors ready at time zero.
 func PatternBounds(pt *trace.Pattern, params loggp.Params) (Bounds, error) {
-	return patternBounds(pt, params)
-}
-
-func patternBounds(pt *trace.Pattern, params loggp.Params) (Bounds, error) {
 	if err := pt.Validate(); err != nil {
 		return Bounds{}, err
 	}
@@ -134,17 +130,13 @@ func patternBounds(pt *trace.Pattern, params loggp.Params) (Bounds, error) {
 	if pt.P > params.P {
 		return Bounds{}, fmt.Errorf("analyze: pattern uses %d processors but machine has P=%d", pt.P, params.P)
 	}
-	return boundPattern(pt, params, nil), nil
+	return boundPattern(pt, params), nil
 }
 
-// boundPattern computes the certificate of one step over optional ready
-// clocks (nil means all zero). Inputs are assumed validated.
-func boundPattern(pt *trace.Pattern, params loggp.Params, ready []float64) Bounds {
+// boundPattern computes the certificate of one step with all processors
+// ready at time zero. Inputs are assumed validated.
+func boundPattern(pt *trace.Pattern, params loggp.Params) Bounds {
 	st := newBoundState(pt.P)
-	if ready != nil {
-		copy(st.lo, ready)
-		copy(st.hi, ready)
-	}
 	lo, hi := st.communicate(pt, params)
 	return Bounds{Lower: lo, Upper: hi}
 }

@@ -30,10 +30,11 @@
 // broadcast-shaped steps), so the per-lane cost approaches the bare
 // per-message float arithmetic. Lane results
 // are bit-identical to per-sample predictor.Evaluator replays: the
-// cores replicate the schedulers' reference loops
-// (sim.runPaperReference, worstcase.runReference — the oracles the
-// session cores are differentially tested against) decision for
-// decision, including when tie-break randomness is consumed.
+// cores replicate the schedulers' reference loops (runPaperReference
+// and runReference in the reference_test.go files of sim and
+// worstcase — the oracles the session cores are differentially tested
+// against) decision for decision, including when tie-break randomness
+// is consumed.
 //
 // Divergence between lanes is handled two ways:
 //
@@ -517,13 +518,14 @@ func (e *Engine) prepare(p int, ls []Lane) {
 }
 
 // runStd replays one communication step of one lane under the standard
-// algorithm, replicating sim.runPaperReference: the minimum-clock
-// sender (random tie-break, randomness consumed only on genuine ties)
-// chooses between its next send and its earliest pending receive,
-// receive winning start-time ties; then every processor drains its
-// remaining receives in index order. Selection runs on the tournament
-// tree — one leaf update and a root read per commit — whose tie counts
-// and leaf order reproduce the reference scan's tie list exactly.
+// algorithm, replicating runPaperReference (sim/reference_test.go): the
+// minimum-clock sender (random tie-break, randomness consumed only on
+// genuine ties) chooses between its next send and its earliest pending
+// receive, receive winning start-time ties; then every processor drains
+// its remaining receives in index order. Selection runs on the
+// tournament tree — one leaf update and a root read per commit — whose
+// tie counts and leaf order reproduce the reference scan's tie list
+// exactly.
 func (e *Engine) runStd(sp *stepPlan, si, l int) {
 	p := e.p
 	lp := l * p
@@ -762,12 +764,13 @@ func (e *Engine) rebuildHead(sp *stepPlan, q int) {
 }
 
 // runWC replays one communication step of one lane under the
-// worst-case strategy, replicating worstcase.runReference through the
-// same incremental candidate cache the session's tournament core uses:
-// after a commit only the committed processor's candidates — and, for a
-// send, the destination's receive candidate — can change, so only those
-// are recomputed; the scan takes the leftmost strictly smallest cached
-// start (receive winning ties within a processor). A processor stays in
+// worst-case strategy, replicating runReference
+// (worstcase/reference_test.go) through the same incremental candidate
+// cache the session's tournament core uses: after a commit only the
+// committed processor's candidates — and, for a send, the destination's
+// receive candidate — can change, so only those are recomputed; the
+// scan takes the leftmost strictly smallest cached start (receive
+// winning ties within a processor). A processor stays in
 // a commit burst while its refreshed key is strictly below every other
 // key (other keys never rise in between: a push can only lower the
 // destination's). Deadlocks are broken by releasing a random blocked

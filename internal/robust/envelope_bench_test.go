@@ -1,12 +1,13 @@
 package robust
 
 // Envelope-throughput benchmarks on the paper's Figure-7 sweep (960×960
-// matrix, 8 processors, the reconstructed 14 block sizes), scalar vs
-// lockstep, at the sample counts the ISSUE tracks. `make bench-envelope`
-// records both series to BENCH_envelope.json so the batched path's
-// speedup — and any regression of it — is visible in-repo. Workers is
-// pinned to 1: the paths share the block-size fan-out, and the contest
-// is per-envelope work, not goroutine count.
+// matrix, 8 processors, the reconstructed 14 block sizes), the scalar
+// oracle of scalar_test.go vs the lockstep path of Run, at the sample
+// counts the envelope work tracks. `make bench-envelope` records both
+// series to BENCH_envelope.json so the batched path's speedup — and any
+// regression of it — is visible in-repo. Workers is pinned to 1, so Run
+// evaluates one block size at a time like the oracle: the contest is
+// per-envelope work, not goroutine count.
 
 import (
 	"fmt"
@@ -33,10 +34,13 @@ func figure7Config(samples int) Config {
 
 func benchEnvelope(b *testing.B, samples int, scalar bool) {
 	cfg := figure7Config(samples)
-	cfg.Scalar = scalar
+	run := Run
+	if scalar {
+		run = runScalar
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		envs, err := Run(cfg)
+		envs, err := run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -62,16 +62,13 @@ func lockstepCases() map[string]Config {
 
 // TestLockstepMatchesScalar is the differential suite the lockstep
 // engine answers to: for every corpus case and at every worker count,
-// the batched path must reproduce the scalar reference envelopes
-// byte-for-byte — every quantile, Samples, and Lost.
+// the batched path must reproduce the scalar reference envelopes of
+// runScalar byte-for-byte — every quantile, Samples, and Lost.
 func TestLockstepMatchesScalar(t *testing.T) {
 	sawLost := false
 	for name, cfg := range lockstepCases() {
 		t.Run(name, func(t *testing.T) {
-			scfg := cfg
-			scfg.Scalar = true
-			scfg.Workers = 1
-			want, err := Run(scfg)
+			want, err := runScalar(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

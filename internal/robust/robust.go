@@ -60,7 +60,7 @@ func (u Perturb) Enabled() bool {
 func (u Perturb) validate() error {
 	var errs []error
 	check := func(name string, v float64) {
-		if v < 0 || v >= 1 {
+		if !(v >= 0 && v < 1) { // NaN fails both comparisons
 			errs = append(errs, fmt.Errorf("robust: perturbation %s=%g outside [0,1)", name, v))
 		}
 	}
@@ -146,16 +146,6 @@ type Config struct {
 	// Ctx is also installed as a sweep.Context option on the block-size
 	// fan-out.
 	Ctx context.Context
-	// Scalar forces the per-sample reference path: one full
-	// predictor replay and one from-scratch certificate per sample.
-	// The default (false) advances all of a block size's samples in
-	// lockstep through internal/lanes and re-prices one structural
-	// certificate summary per sample, which is several times faster
-	// and bit-identical (the differential suite in
-	// lockstep_diff_test.go holds the two paths equal). The scalar
-	// path remains as the oracle for that suite and for baseline
-	// benchmarks.
-	Scalar bool
 }
 
 // Quantiles summarizes one prediction series across samples, in
@@ -240,13 +230,15 @@ func summarize(xs []float64) Quantiles {
 }
 
 // Run executes the Monte-Carlo sweep and returns one envelope per
-// usable block size, in input order. Each sample's prediction is
-// checked against the static certificate computed from that sample's
-// own perturbed parameters: below the lower bound is always an error;
-// above the upper bound is an error when faults are disabled (fault
-// delays void the certificate's flat-network premise, retrying sends
-// can exceed the serialization bound). A sample that loses a message
-// is counted in Envelope.Lost and excluded from the quantiles.
+// usable block size, in input order. A block size's samples advance in
+// lockstep through internal/lanes (see lockstepEnvelope). Each
+// sample's prediction is checked against the static certificate
+// computed from that sample's own perturbed parameters: below the
+// lower bound is always an error; above the upper bound is an error
+// when faults are disabled (fault delays void the certificate's
+// flat-network premise, retrying sends can exceed the serialization
+// bound). A sample that loses a message is counted in Envelope.Lost
+// and excluded from the quantiles.
 func Run(cfg Config) ([]Envelope, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("robust: no cost model")
@@ -289,84 +281,18 @@ func Run(cfg Config) ([]Envelope, error) {
 		if err != nil {
 			return Envelope{}, err
 		}
-		e := predictor.NewEvaluator()
 		var pred predictor.Prediction
 		base := predictor.Config{Params: cfg.Params, Cost: cfg.Model, Seed: cfg.Seed, Ctx: cfg.Ctx}
-		if err := e.PredictInto(&pred, pr, base); err != nil {
+		if err := predictor.NewEvaluator().PredictInto(&pred, pr, base); err != nil {
 			return Envelope{}, err
 		}
-		if !cfg.Scalar {
-			return lockstepEnvelope(cfg, pr, pred.Total, i, b, samples)
-		}
-		nominalBounds, err := analyze.BoundProgram(pr, cfg.Params, cfg.Model)
-		if err != nil {
-			return Envelope{}, err
-		}
-		env := Envelope{
-			B:         b,
-			Nominal:   pred.Total * secPerMicro,
-			CertLower: nominalBounds.Lower * secPerMicro,
-			CertUpper: nominalBounds.Upper * secPerMicro,
-		}
-		totals := make([]float64, 0, samples)
-		worsts := make([]float64, 0, samples)
-		for s := 0; s < samples; s++ {
-			if cfg.Ctx != nil {
-				// Early abort between samples: a deadline that expires
-				// mid-envelope must not pay for the remaining samples.
-				if err := cfg.Ctx.Err(); err != nil {
-					return Envelope{}, fmt.Errorf("robust: b=%d after %d of %d samples: %w", b, s, samples, err)
-				}
-			}
-			seed := sweep.Seed(cfg.Seed, i*samples+s)
-			scfg := base
-			scfg.Params = sampleParams(cfg.Params, cfg.Perturb, seed)
-			scfg.Seed = seed
-			if cfg.Faults.Enabled() {
-				scfg.Faults = cfg.Faults
-				scfg.Faults.Seed = sweep.Seed(seed, 4)
-			}
-			if err := e.PredictInto(&pred, pr, scfg); err != nil {
-				var le *faults.LossError
-				if errors.As(err, &le) {
-					env.Lost++
-					continue
-				}
-				return Envelope{}, fmt.Errorf("robust: b=%d sample %d: %w", b, s, err)
-			}
-			// Certificate sandwich: each sample against the bounds of its
-			// own parameter vector.
-			bounds, err := analyze.BoundProgram(pr, scfg.Params, cfg.Model)
-			if err != nil {
-				return Envelope{}, fmt.Errorf("robust: b=%d sample %d: %w", b, s, err)
-			}
-			const tol = 1e-9
-			if pred.Total < bounds.Lower*(1-tol)-tol {
-				return Envelope{}, fmt.Errorf(
-					"robust: b=%d sample %d: prediction %g below its certificate lower bound %g",
-					b, s, pred.Total, bounds.Lower)
-			}
-			if !cfg.Faults.Enabled() && pred.TotalWorst > bounds.Upper*(1+tol)+tol {
-				return Envelope{}, fmt.Errorf(
-					"robust: b=%d sample %d: worst-case prediction %g above its certificate upper bound %g",
-					b, s, pred.TotalWorst, bounds.Upper)
-			}
-			env.Samples++
-			totals = append(totals, pred.Total*secPerMicro)
-			worsts = append(worsts, pred.TotalWorst*secPerMicro)
-		}
-		if env.Samples == 0 {
-			return Envelope{}, fmt.Errorf("robust: b=%d: all %d samples lost a message; lower the drop rate or raise the retry budget", b, samples)
-		}
-		env.Total = summarize(totals)
-		env.Worst = summarize(worsts)
-		return env, nil
+		return lockstepEnvelope(cfg, pr, pred.Total, i, b, samples)
 	}, opts...)
 }
 
 // laneSpecs derives the per-sample lane configurations for block-size
 // index i, with exactly the seed and parameter derivations of the
-// scalar loop.
+// per-sample oracle in scalar_test.go.
 func laneSpecs(cfg Config, i, samples int) []lanes.Lane {
 	ls := make([]lanes.Lane, samples)
 	for s := range ls {
@@ -384,7 +310,9 @@ func laneSpecs(cfg Config, i, samples int) []lanes.Lane {
 // the lane engine: all samples advance together through one decode of
 // the program, and the certificate's structure is summarized once and
 // only re-priced per perturbed parameter vector. Quantiles, Samples and
-// Lost are bit-identical to the scalar loop's.
+// Lost are bit-identical to those of the per-sample oracle in
+// scalar_test.go, which replays each sample through its own predictor
+// session and certificate.
 func lockstepEnvelope(cfg Config, pr *program.Program, nominalTotal float64, i, b, samples int) (Envelope, error) {
 	shape, err := analyze.NewProgramShape(pr, cfg.Model)
 	if err != nil {
@@ -419,8 +347,9 @@ func lockstepEnvelope(cfg Config, pr *program.Program, nominalTotal float64, i, 
 			}
 			return Envelope{}, fmt.Errorf("robust: b=%d sample %d: %w", b, s, res.Err)
 		}
-		// Certificate sandwich, as in the scalar loop; the pricer's bounds
-		// are bit-identical to analyze.BoundProgram's.
+		// Certificate sandwich: each sample against the bounds of its own
+		// parameter vector; the pricer's bounds are bit-identical to
+		// analyze.BoundProgram's.
 		bounds, err := pricer.Bound(ls[s].Params)
 		if err != nil {
 			return Envelope{}, fmt.Errorf("robust: b=%d sample %d: %w", b, s, err)

@@ -173,7 +173,7 @@ func TestParsePerturb(t *testing.T) {
 	if u, err := Parse(""); err != nil || u.Enabled() {
 		t.Fatalf("empty spec: (%+v, %v)", u, err)
 	}
-	for _, spec := range []string{"l", "l=x", "q=0.1", "l=1.5", "o=-0.1"} {
+	for _, spec := range []string{"l", "l=x", "q=0.1", "l=1.5", "o=-0.1", "l=NaN"} {
 		if _, err := Parse(spec); err == nil {
 			t.Fatalf("spec %q parsed", spec)
 		}

@@ -102,9 +102,7 @@ func FuzzSimulationAlgorithms(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s indexed: %v", mode.name, err)
 			}
-			refCfg := cfg
-			refCfg.referenceScheduler = true
-			reference, err := Run(pt, refCfg)
+			reference, err := simulateReference(pt, cfg)
 			if err != nil {
 				t.Fatalf("%s reference: %v", mode.name, err)
 			}

@@ -4,7 +4,8 @@ package sim
 // Figure-2 loop and the tournament-served global-order loop must produce
 // results bit-identical — timelines, finish times, per-processor clocks
 // and RNG-driven tie-breaks included — to the reference linear scans they
-// replaced (runPaperReference, runGlobalOrderReference).
+// replaced (runPaperReference, runGlobalOrderReference in
+// reference_test.go).
 
 import (
 	"fmt"
@@ -58,9 +59,7 @@ func runBoth(t *testing.T, pt *trace.Pattern, cfg Config) (indexed, reference *R
 	if err != nil {
 		t.Fatalf("indexed: %v", err)
 	}
-	refCfg := cfg
-	refCfg.referenceScheduler = true
-	reference, err = Run(pt, refCfg)
+	reference, err = simulateReference(pt, cfg)
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
@@ -169,17 +168,21 @@ func TestIndexedSchedulerMatchesReferenceMultiStep(t *testing.T) {
 
 	run := func(reference bool) []*Result {
 		t.Helper()
-		sess, err := NewSession(10, Config{Params: params, Seed: 42, referenceScheduler: reference})
+		sess, err := NewSession(10, Config{Params: params, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
+		}
+		communicate := sess.CommunicateInto
+		if reference {
+			communicate = sess.communicateReference
 		}
 		var out []*Result
 		for _, pt := range steps {
 			if err := sess.Compute(durs); err != nil {
 				t.Fatal(err)
 			}
-			r, err := sess.Communicate(pt)
-			if err != nil {
+			r := &Result{}
+			if err := communicate(r, pt); err != nil {
 				t.Fatal(err)
 			}
 			out = append(out, r)

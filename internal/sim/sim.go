@@ -117,13 +117,6 @@ type Config struct {
 	// computed identically, so Finish and the session clocks are exactly
 	// the values a recording run produces.
 	NoTimeline bool
-
-	// referenceScheduler selects the pre-indexed scheduler cores — the
-	// linear min-clock scan of Figure 2 and the full-rescan global-order
-	// loop. The reference paths exist so the differential tests can
-	// prove the indexed cores bit-identical; they are not reachable from
-	// outside the package.
-	referenceScheduler bool
 }
 
 // Result is the outcome of simulating one communication step.
@@ -381,6 +374,21 @@ func (s *Session) Communicate(pt *trace.Pattern) (*Result, error) {
 // call allocates nothing, so sweep drivers that reuse one Result per
 // worker evaluate candidates allocation-free.
 func (s *Session) CommunicateInto(r *Result, pt *trace.Pattern) error {
+	if err := s.startStep(r, pt); err != nil {
+		return err
+	}
+	if s.cfg.GlobalOrder {
+		s.runGlobalOrder(pt, r)
+	} else {
+		s.runPaper(pt, r)
+	}
+	return s.finishStep(r)
+}
+
+// startStep checks pt against the session, resets r and builds the
+// step's send and receive queues: everything a communication step does
+// before its scheduler core runs.
+func (s *Session) startStep(r *Result, pt *trace.Pattern) error {
 	if s.cfg.Precheck != nil {
 		if err := s.cfg.Precheck(pt); err != nil {
 			return err
@@ -435,17 +443,13 @@ func (s *Session) CommunicateInto(r *Result, pt *trace.Pattern) error {
 		prev = outCnt[i]
 		s.st[i].recvQ.Reserve(inCnt[i])
 	}
+	return nil
+}
 
-	switch {
-	case s.cfg.GlobalOrder && s.cfg.referenceScheduler:
-		s.runGlobalOrderReference(pt, r)
-	case s.cfg.GlobalOrder:
-		s.runGlobalOrder(pt, r)
-	case s.cfg.referenceScheduler:
-		s.runPaperReference(pt, r)
-	default:
-		s.runPaper(pt, r)
-	}
+// finishStep closes a communication step after its scheduler core ran:
+// it advances the step counter, resets the per-step queues, reports a
+// hook failure, and fills r's finish times.
+func (s *Session) finishStep(r *Result) error {
 	// Reset the per-step queues; clocks and gap state persist. The step
 	// counter advances even on a hook failure: the fault identity space
 	// is per-attempted-step.
@@ -594,49 +598,6 @@ func (s *Session) runPaper(pt *trace.Pattern, r *Result) {
 	s.drainReceives(pt, r)
 }
 
-// runPaperReference is the pre-indexed Figure-2 loop: a linear scan over
-// all processors per committed operation. Kept verbatim as the oracle
-// for the differential tests.
-func (s *Session) runPaperReference(pt *trace.Pattern, r *Result) {
-	var minSet []int // scratch for the random tie-break
-	for s.hookErr == nil {
-		// min_proc: minimum ctime among processors that want to send.
-		minSet = minSet[:0]
-		minTime := math.Inf(1)
-		for i := range s.st {
-			st := &s.st[i]
-			if !st.wantsSend() {
-				continue
-			}
-			switch {
-			case st.ctime < minTime:
-				minTime = st.ctime
-				minSet = append(minSet[:0], i)
-			case st.ctime == minTime:
-				minSet = append(minSet, i)
-			}
-		}
-		if len(minSet) == 0 {
-			break
-		}
-		proc := minSet[0]
-		if len(minSet) > 1 {
-			proc = minSet[s.rng.Intn(len(minSet))]
-		}
-		startSend, startRecv := s.candidateStarts(&s.st[proc])
-		sendWins := startSend < startRecv
-		if s.cfg.SendPriority {
-			sendWins = startSend <= startRecv
-		}
-		if sendWins {
-			s.commitSend(pt, r.Timeline, proc, startSend)
-		} else {
-			s.commitRecv(pt, r.Timeline, proc, startRecv)
-		}
-	}
-	s.drainReceives(pt, r)
-}
-
 // drainReceives is the post-main-loop phase: every processor performs
 // its remaining receives.
 func (s *Session) drainReceives(pt *trace.Pattern, r *Result) {
@@ -707,40 +668,6 @@ func (s *Session) refreshCandidate(i int) {
 	}
 	s.ttKind[i] = kind
 	s.tt.Update(i, key)
-}
-
-// runGlobalOrderReference is the pre-indexed global-order loop — both
-// candidate starts of all P processors recomputed every iteration — kept
-// as the oracle for the differential tests.
-func (s *Session) runGlobalOrderReference(pt *trace.Pattern, r *Result) {
-	for s.hookErr == nil {
-		best := -1
-		bestStart := math.Inf(1)
-		bestKind := loggp.Send
-		for i := range s.st {
-			startSend, startRecv := s.candidateStarts(&s.st[i])
-			first, second := startRecv, startSend
-			firstKind, secondKind := loggp.Recv, loggp.Send
-			if s.cfg.SendPriority {
-				first, second = startSend, startRecv
-				firstKind, secondKind = loggp.Send, loggp.Recv
-			}
-			if first < bestStart {
-				best, bestStart, bestKind = i, first, firstKind
-			}
-			if second < bestStart {
-				best, bestStart, bestKind = i, second, secondKind
-			}
-		}
-		if best < 0 {
-			return
-		}
-		if bestKind == loggp.Send {
-			s.commitSend(pt, r.Timeline, best, bestStart)
-		} else {
-			s.commitRecv(pt, r.Timeline, best, bestStart)
-		}
-	}
 }
 
 // Run simulates a single communication step with fresh state; see

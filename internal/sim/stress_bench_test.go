@@ -33,8 +33,9 @@ func stressPatterns(p, dims int) map[string]*trace.Pattern {
 
 // benchCommunicate measures repeated quiet-mode simulation of pt on a
 // reused session: Reset + CommunicateInto per iteration, the sweep
-// engine's steady state.
-func benchCommunicate(b *testing.B, pt *trace.Pattern, cfg Config) {
+// engine's steady state. reference swaps in the reference cores of
+// reference_test.go.
+func benchCommunicate(b *testing.B, pt *trace.Pattern, cfg Config, reference bool) {
 	b.Helper()
 	sess, err := NewSession(pt.P, cfg)
 	if err != nil {
@@ -48,7 +49,12 @@ func benchCommunicate(b *testing.B, pt *trace.Pattern, cfg Config) {
 		if err := sess.Reset(nil); err != nil {
 			b.Fatal(err)
 		}
-		if err := sess.CommunicateInto(&r, pt); err != nil {
+		if reference {
+			err = sess.communicateReference(&r, pt)
+		} else {
+			err = sess.CommunicateInto(&r, pt)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -66,12 +72,8 @@ func BenchmarkScheduler(b *testing.B) {
 				reference bool
 			}{{"indexed", false}, {"reference", true}} {
 				b.Run(fmt.Sprintf("%s/P%d/%s", name, size.p, core.name), func(b *testing.B) {
-					cfg := Config{
-						Params:             stressParams(pt.P),
-						NoTimeline:         true,
-						referenceScheduler: core.reference,
-					}
-					benchCommunicate(b, pt, cfg)
+					cfg := Config{Params: stressParams(pt.P), NoTimeline: true}
+					benchCommunicate(b, pt, cfg, core.reference)
 				})
 			}
 		}
@@ -87,13 +89,8 @@ func BenchmarkSchedulerGlobalOrder(b *testing.B) {
 		reference bool
 	}{{"indexed", false}, {"reference", true}} {
 		b.Run(core.name, func(b *testing.B) {
-			cfg := Config{
-				Params:             stressParams(64),
-				GlobalOrder:        true,
-				NoTimeline:         true,
-				referenceScheduler: core.reference,
-			}
-			benchCommunicate(b, pt, cfg)
+			cfg := Config{Params: stressParams(64), GlobalOrder: true, NoTimeline: true}
+			benchCommunicate(b, pt, cfg, core.reference)
 		})
 	}
 }
@@ -127,7 +124,7 @@ func BenchmarkFaultHook(b *testing.B) {
 			{"injector", in.SendOutcome},
 		} {
 			b.Run(fmt.Sprintf("%s/P%d/%s", name, pt.P, mode.name), func(b *testing.B) {
-				benchCommunicate(b, pt, Config{Params: params, NoTimeline: true, Fault: mode.hook})
+				benchCommunicate(b, pt, Config{Params: params, NoTimeline: true, Fault: mode.hook}, false)
 			})
 		}
 	}
@@ -139,7 +136,7 @@ func BenchmarkFaultHook(b *testing.B) {
 func BenchmarkSessionReuse(b *testing.B) {
 	pt := trace.Butterfly(6, 512)
 	cfg := Config{Params: stressParams(64), NoTimeline: true}
-	benchCommunicate(b, pt, cfg)
+	benchCommunicate(b, pt, cfg, false)
 }
 
 // BenchmarkSessionFresh is the old cost for contrast: a new session per

@@ -2,7 +2,7 @@ package worstcase
 
 // Differential tests for the worst-case scheduler core: the tournament-
 // served commit loop must be bit-identical to the reference full-rescan
-// loop — including the RNG-driven choice of which blocked processor
+// loop of reference_test.go — including the RNG-driven choice of which blocked processor
 // releases a forced send when a cyclic pattern deadlocks.
 
 import (
@@ -48,9 +48,7 @@ func runBoth(t *testing.T, pt *trace.Pattern, cfg Config) (indexed, reference *R
 	if err != nil {
 		t.Fatalf("indexed: %v", err)
 	}
-	refCfg := cfg
-	refCfg.referenceScheduler = true
-	reference, err = Run(pt, refCfg)
+	reference, err = simulateReference(pt, cfg)
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
@@ -122,17 +120,21 @@ func TestIndexedWorstcaseMatchesReferenceMultiStep(t *testing.T) {
 
 	run := func(reference bool) []*Result {
 		t.Helper()
-		sess, err := NewSession(10, Config{Params: params, Seed: 42, referenceScheduler: reference})
+		sess, err := NewSession(10, Config{Params: params, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
+		}
+		communicate := sess.CommunicateInto
+		if reference {
+			communicate = sess.communicateReference
 		}
 		var out []*Result
 		for _, pt := range steps {
 			if err := sess.Compute(durs); err != nil {
 				t.Fatal(err)
 			}
-			r, err := sess.Communicate(pt)
-			if err != nil {
+			r := &Result{}
+			if err := communicate(r, pt); err != nil {
 				t.Fatal(err)
 			}
 			out = append(out, r)

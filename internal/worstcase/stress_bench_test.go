@@ -77,11 +77,7 @@ func BenchmarkWorstcaseScheduler(b *testing.B) {
 				reference bool
 			}{{"indexed", false}, {"reference", true}} {
 				b.Run(fmt.Sprintf("%s/P%d/%s", name, size.p, core.name), func(b *testing.B) {
-					cfg := Config{
-						Params:             loggp.Params{L: 9, O: 2, Gap: 16, G: 0.07, P: pt.P},
-						NoTimeline:         true,
-						referenceScheduler: core.reference,
-					}
+					cfg := Config{Params: loggp.Params{L: 9, O: 2, Gap: 16, G: 0.07, P: pt.P}, NoTimeline: true}
 					sess, err := NewSession(pt.P, cfg)
 					if err != nil {
 						b.Fatal(err)
@@ -94,7 +90,12 @@ func BenchmarkWorstcaseScheduler(b *testing.B) {
 						if err := sess.Reset(nil); err != nil {
 							b.Fatal(err)
 						}
-						if err := sess.CommunicateInto(&r, pt); err != nil {
+						if core.reference {
+							err = sess.communicateReference(&r, pt)
+						} else {
+							err = sess.CommunicateInto(&r, pt)
+						}
+						if err != nil {
 							b.Fatal(err)
 						}
 					}

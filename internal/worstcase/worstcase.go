@@ -15,8 +15,9 @@
 // maintained tournament tree over the per-processor candidate starts
 // (after a commit only one or two processors' candidates can change),
 // replacing a full 2P-candidate rescan per committed operation; the
-// rescan loop is kept as a reference path for the differential tests,
-// which prove the two bit-identical. See DESIGN.md §perf.
+// rescan loop lives in reference_test.go as the oracle of the
+// differential tests and the fuzzer, which prove the two bit-identical.
+// See DESIGN.md §perf.
 //
 // Like sim, the package offers a Session for chaining the alternating
 // computation and communication steps of a program, carrying clocks and
@@ -65,11 +66,6 @@ type Config struct {
 	// and the worst-case prediction coherently. Fault delays break the
 	// static bound certificates' upper bound (internal/analyze).
 	Fault func(step, msgIndex, src, dst, bytes int, start float64) (busy, delay float64, err error)
-
-	// referenceScheduler selects the pre-indexed commit loop (full
-	// candidate rescan per operation), kept for the differential tests;
-	// not reachable from outside the package.
-	referenceScheduler bool
 }
 
 // Result is the outcome of one worst-case communication step.
@@ -314,6 +310,17 @@ func (s *Session) Communicate(pt *trace.Pattern) (*Result, error) {
 // which is reset first; in quiet mode a steady-state call allocates
 // nothing (see sim.Session.CommunicateInto).
 func (s *Session) CommunicateInto(r *Result, pt *trace.Pattern) error {
+	if err := s.startStep(r, pt); err != nil {
+		return err
+	}
+	s.run(pt, r)
+	return s.finishStep(r)
+}
+
+// startStep checks pt against the session, resets r, builds the step's
+// send and receive queues and sets the messages-to-receive counters:
+// everything a communication step does before its commit loop runs.
+func (s *Session) startStep(r *Result, pt *trace.Pattern) error {
 	if s.cfg.Precheck != nil {
 		if err := s.cfg.Precheck(pt); err != nil {
 			return err
@@ -370,13 +377,13 @@ func (s *Session) CommunicateInto(r *Result, pt *trace.Pattern) error {
 		st.recvQ.Reserve(inCnt[i])
 		st.toRecv = inCnt[i]
 	}
+	return nil
+}
 
-	if s.cfg.referenceScheduler {
-		s.runReference(pt, r)
-	} else {
-		s.run(pt, r)
-	}
-
+// finishStep closes a communication step after its commit loop ran: it
+// advances the step counter, resets the per-step queues and counters,
+// reports a hook failure, and fills r's finish times.
+func (s *Session) finishStep(r *Result) error {
 	// Reset the per-step queues; clocks and gap state persist. The step
 	// counter advances even on a hook failure: the fault identity space
 	// is per-attempted-step (see sim.Session).
@@ -541,50 +548,6 @@ func (s *Session) run(pt *trace.Pattern, r *Result) {
 		release := s.blocked[s.rng.Intn(len(s.blocked))]
 		s.st[release].forced++
 		s.refreshCandidate(release)
-		r.DeadlocksBroken++
-	}
-}
-
-// runReference is the pre-indexed commit loop — both candidate starts of
-// all P processors recomputed every iteration — kept verbatim as the
-// oracle for the differential tests.
-func (s *Session) runReference(pt *trace.Pattern, r *Result) {
-	p := s.cfg.Params
-	for s.hookErr == nil {
-		best, bestStart := -1, math.Inf(1)
-		bestKind := loggp.Send
-		for i := range s.st {
-			st := &s.st[i]
-			if !st.recvQ.Empty() {
-				arrival, _ := st.recvQ.Peek()
-				if start := max(st.earliest(p, loggp.Recv), arrival); start < bestStart {
-					best, bestStart, bestKind = i, start, loggp.Recv
-				}
-			}
-			if st.wantsSend() && (st.toRecv == 0 || st.forced > 0) {
-				if start := st.earliest(p, loggp.Send); start < bestStart {
-					best, bestStart, bestKind = i, start, loggp.Send
-				}
-			}
-		}
-		if best >= 0 {
-			if bestKind == loggp.Send {
-				s.commitSend(pt, r, best, bestStart)
-			} else {
-				s.commitRecv(pt, r, best, bestStart)
-			}
-			continue
-		}
-		var blocked []int
-		for i := range s.st {
-			if s.st[i].wantsSend() {
-				blocked = append(blocked, i)
-			}
-		}
-		if len(blocked) == 0 {
-			break
-		}
-		s.st[blocked[s.rng.Intn(len(blocked))]].forced++
 		r.DeadlocksBroken++
 	}
 }

@@ -1,10 +1,11 @@
 package main
 
-// Scripted end-to-end test of the real daemon: build the binary, boot
-// it on an ephemeral port, and drive the robustness contract from the
-// outside — healthy predictions, input rejection, oversized bodies,
-// deadline degradation to bound certificates, overload shedding, and a
-// SIGTERM drain that exits 0. `make serve-smoke` runs exactly this.
+// Scripted end-to-end tests of the real daemon: build the binary, boot
+// it on an ephemeral port, and drive it from the outside. The
+// robustness contract — healthy predictions, input rejection, oversized
+// bodies, deadline degradation to bound certificates, overload
+// shedding, and a SIGTERM drain that exits 0 — is `make serve-smoke`;
+// the result cache's worth under a Zipf replay is `make loadtest-smoke`.
 
 import (
 	"bufio"
@@ -20,6 +21,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"loggpsim/internal/loadgen"
 )
 
 func buildBinary(t *testing.T, dir string) string {
@@ -288,6 +291,69 @@ func waitInFlight(t *testing.T, base string, deadline time.Duration) {
 		}
 	}
 	t.Fatal("no request became in-flight")
+}
+
+// TestPredictdCacheReplay replays one Zipf workload (universe 64,
+// s=1.3, seed 1, 8 clients) against a cache-on predictd (4000 requests)
+// and a cache-off one (400) and demands what the result cache is for:
+// both legs free of transport errors and byte mismatches, the cache-on
+// leg answered at least 90% without evaluating, and at least 10x the
+// cache-off leg's requests per second.
+func TestPredictdCacheReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildBinary(t, t.TempDir())
+	leg := func(name string, requests int, args ...string) loadgen.Result {
+		t.Helper()
+		var errBuf syncBuffer
+		// A deep queue keeps the closed-loop clients inside admission:
+		// this measures evaluation, not shedding.
+		base, cmd, _ := daemon(t, bin, &errBuf, append([]string{"-queue", "64"}, args...)...)
+		defer func() {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}()
+		res, err := loadgen.Run(loadgen.Config{
+			BaseURL: base, Universe: 64, Skew: 1.3, Seed: 1,
+			Clients: 8, Requests: requests,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Errors != 0 || res.Mismatches != 0 {
+			t.Fatalf("%s leg: %d transport errors, %d byte mismatches", name, res.Errors, res.Mismatches)
+		}
+		return res
+	}
+	// Load from outside the test (other packages' tests under `go test
+	// ./...`) only ever slows a leg, and need not slow both legs alike.
+	// So each leg replays three times, alternating, against a fresh
+	// process; every replay is held to the error, mismatch and hit-rate
+	// floors, and the speedup compares the two legs' best rates.
+	var on, off loadgen.Result
+	for i := 0; i < 3; i++ {
+		r := leg("cache-on", 4000)
+		if r.HitRate < 0.9 {
+			t.Errorf("cache-on hit rate %.3f below 0.9", r.HitRate)
+		}
+		if r.ReqPerSec > on.ReqPerSec {
+			on = r
+		}
+		if r := leg("cache-off", 400, "-cache-off"); r.ReqPerSec > off.ReqPerSec {
+			off = r
+		}
+	}
+	speedup := on.ReqPerSec / off.ReqPerSec
+	t.Logf("best of 3: cache-on %.0f req/s | cache-off %.0f req/s | speedup %.1fx",
+		on.ReqPerSec, off.ReqPerSec, speedup)
+	// The replay client runs in this test binary, and under -race it
+	// costs several times more per request; a cache hit is little more
+	// than that client work, so the ratio measures the detector rather
+	// than the cache (about 10x with a race-built client, 20x without).
+	if !raceEnabled && speedup < 10 {
+		t.Errorf("cache-on/cache-off speedup %.1fx below 10x", speedup)
+	}
 }
 
 // TestPredictdRejectsBadFlags keeps startup failures honest: a bad

@@ -344,14 +344,8 @@ func (rt *Router) handlePredict(w http.ResponseWriter, hr *http.Request) {
 		rt.failReject(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	var r serve.Request
-	if err := dec.Decode(&r); err != nil {
-		rt.failReject(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if err := r.Validate(rt.cfg.Limits); err != nil {
+	r, err := serve.DecodeRequest(bytes.NewReader(body), rt.cfg.Limits)
+	if err != nil {
 		rt.failReject(w, http.StatusBadRequest, "%v", err)
 		return
 	}

@@ -345,11 +345,19 @@ func TestRouterOwnsAdmission(t *testing.T) {
 	if w := post(rt, []byte(`{"mode":"simulate","workload":{"kind":"ge","procs":1000000,"n":96,"block":8}}`)); w.Code != http.StatusBadRequest {
 		t.Errorf("over-limit procs: status %d, want 400", w.Code)
 	}
+	// A valid request with data behind it dies here too: the router
+	// forwards whole bodies, so a peer would otherwise receive the tail.
+	valid := `{"mode":"simulate","workload":{"kind":"ge","procs":4,"n":96,"block":8}}`
+	for _, tail := range []string{`garbage`, `{"mode":"bogus"}`, `]`} {
+		if w := post(rt, []byte(valid+tail)); w.Code != http.StatusBadRequest {
+			t.Errorf("trailing %s: status %d, want 400", tail, w.Code)
+		}
+	}
 	if a.hits.Load() != 0 {
 		t.Errorf("rejected requests reached a peer %d times", a.hits.Load())
 	}
-	if st := rt.Stats(); st.Rejected != 4 {
-		t.Errorf("rejected %d, want 4", st.Rejected)
+	if st := rt.Stats(); st.Rejected != 7 {
+		t.Errorf("rejected %d, want 7", st.Rejected)
 	}
 }
 

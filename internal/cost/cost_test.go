@@ -164,20 +164,34 @@ func TestMeasureRealKernels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing kernels in -short mode")
 	}
-	tab := Measure([]int{2, 16}, MeasureOpts{MinTime: 500 * time.Microsecond, Seed: 1})
-	if got := tab.Sizes(); len(got) != 2 {
-		t.Fatalf("calibrated sizes = %v", got)
+	// Each cost is the mean over one short timing window, so a single
+	// scheduler stall inside a b=2 window can lift it above the b=16
+	// mean. The size comparison therefore uses each (op, size)'s
+	// minimum over three calibrations: a stall has to hit the same
+	// window three times to flip it.
+	tabs := make([]*Table, 3)
+	for i := range tabs {
+		tab := Measure([]int{2, 16}, MeasureOpts{MinTime: 500 * time.Microsecond, Seed: 1})
+		if got := tab.Sizes(); len(got) != 2 {
+			t.Fatalf("calibrated sizes = %v", got)
+		}
+		if tab.Name() != "measured" {
+			t.Fatalf("Name = %q", tab.Name())
+		}
+		for op := blockops.Op(0); op < blockops.NumOps; op++ {
+			if small, large := tab.Cost(op, 2), tab.Cost(op, 16); small <= 0 || large <= 0 {
+				t.Fatalf("%v: non-positive measured cost %g/%g", op, small, large)
+			}
+		}
+		tabs[i] = tab
 	}
 	for op := blockops.Op(0); op < blockops.NumOps; op++ {
-		small, large := tab.Cost(op, 2), tab.Cost(op, 16)
-		if small <= 0 || large <= 0 {
-			t.Fatalf("%v: non-positive measured cost %g/%g", op, small, large)
+		small, large := tabs[0].Cost(op, 2), tabs[0].Cost(op, 16)
+		for _, tab := range tabs[1:] {
+			small, large = min(small, tab.Cost(op, 2)), min(large, tab.Cost(op, 16))
 		}
 		if large <= small {
 			t.Errorf("%v: cost at b=16 (%g) not above b=2 (%g)", op, large, small)
 		}
-	}
-	if tab.Name() != "measured" {
-		t.Fatalf("Name = %q", tab.Name())
 	}
 }

@@ -122,7 +122,6 @@ var policies = map[string]Policy{
 	"internal/loadgen":     servicePolicy,
 	"cmd/predictd":         errDrop(servicePolicy),
 	"cmd/predictrouter":    errDrop(servicePolicy),
-	"cmd/loadgen":          servicePolicy,
 
 	// Everything else in the module gets the repo-wide floor,
 	// explicitly listed so scope gaps are loud (see the meta-test).

@@ -1,16 +1,20 @@
 // Package loadgen replays a reproducible, Zipf-skewed prediction
-// workload against a running predictd instance and measures what the
-// result cache is worth: request throughput, latency percentiles, the
-// hit/miss/coalesced split, and — because every prediction is
-// deterministic — whether repeated servings of one request stayed
-// byte-identical.
+// workload against a running predictd instance (or a predictrouter in
+// front of several) and measures what the result cache is worth:
+// request throughput, latency percentiles, the hit/miss/coalesced
+// split, and — because every prediction is deterministic — whether
+// repeated servings of one request stayed byte-identical.
 //
 // The workload is a function of (Universe, Skew, Seed) only: the
 // request universe is generated from an owned rand source and the
 // replay order from an owned Zipf generator, so two runs against two
 // server configurations (cache on, cache off) issue exactly the same
-// request sequence and their numbers are comparable. cmd/loadgen is the
-// CLI; `make loadtest` records both legs into BENCH_serve.json.
+// request sequence and their numbers are comparable. The binaries'
+// end-to-end tests drive Run against real processes: cmd/predictd's
+// TestPredictdCacheReplay (cache on against cache off) and
+// cmd/predictrouter's chaos and resize tests (a cluster against one
+// process). The benchmark program (perfbench) draws its requests from
+// Corpus and Sequence.
 package loadgen
 
 import (
@@ -59,8 +63,9 @@ type Config struct {
 	// be nil; indexes beyond Universe are ignored.
 	Reference [][]byte
 	// OnIssue, when set, is called with the sequence position just
-	// before each request is handed to a client — the hook chaos tests
-	// use to kill a peer mid-replay at a deterministic point.
+	// before each request is handed to a client — the hook the chaos
+	// and resize tests use to kill a peer or change the membership
+	// mid-replay at a deterministic point.
 	OnIssue func(i int)
 }
 
@@ -150,8 +155,8 @@ func StripElapsed(b []byte) []byte {
 // sweep points, pattern simulations, analyze requests, and small
 // Monte-Carlo envelopes, every one of them valid. Sizes are chosen so
 // an evaluation costs real simulator work (several milliseconds) while
-// a cache hit costs only the HTTP round trip — the gap the loadtest
-// exists to measure.
+// a cache hit costs only the HTTP round trip — the gap
+// TestPredictdCacheReplay measures.
 func Corpus(universe int, seed int64) []string {
 	r := rand.New(rand.NewSource(seed))
 	procs := []int{2, 4, 8}
@@ -365,55 +370,6 @@ func backoffDelay(ra time.Duration, attempt int, cap time.Duration) time.Duratio
 		d = cap
 	}
 	return d
-}
-
-// ResizeEvent is one membership change fired at a deterministic point
-// in a replay: when the sequence position reaches At, Action
-// ("join"/"drain"/"remove") is applied to peer index Peer. Wired
-// through Config.OnIssue by cmd/loadgen's resize leg.
-type ResizeEvent struct {
-	At     int    `json:"at"`
-	Action string `json:"action"`
-	Peer   int    `json:"peer"`
-}
-
-// ParseResizeScript parses "action:peer@position" triples, e.g.
-// "join:2@400,drain:0@800,remove:0@1000": grow with peer 2 at request
-// 400, drain peer 0 at 800, forget it at 1000. Events come back sorted
-// by position (stable for ties, so drain-then-remove at one position
-// keeps script order).
-func ParseResizeScript(s string) ([]ResizeEvent, error) {
-	var evs []ResizeEvent
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		action, rest, ok := strings.Cut(part, ":")
-		if !ok {
-			return nil, fmt.Errorf("resize script: %q is not action:peer@position", part)
-		}
-		switch action {
-		case "join", "drain", "remove":
-		default:
-			return nil, fmt.Errorf("resize script: unknown action %q (want join, drain, or remove)", action)
-		}
-		peerStr, atStr, ok := strings.Cut(rest, "@")
-		if !ok {
-			return nil, fmt.Errorf("resize script: %q is not action:peer@position", part)
-		}
-		peer, err := strconv.Atoi(peerStr)
-		if err != nil || peer < 0 {
-			return nil, fmt.Errorf("resize script: bad peer index %q in %q", peerStr, part)
-		}
-		at, err := strconv.Atoi(atStr)
-		if err != nil || at < 0 {
-			return nil, fmt.Errorf("resize script: bad position %q in %q", atStr, part)
-		}
-		evs = append(evs, ResizeEvent{At: at, Action: action, Peer: peer})
-	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	return evs, nil
 }
 
 // percentile reads the p-quantile from a sorted slice (nearest-rank).

@@ -218,41 +218,3 @@ func TestCorpusFullUniverseValid(t *testing.T) {
 		}
 	}
 }
-
-func TestParseResizeScript(t *testing.T) {
-	evs, err := ParseResizeScript("drain:0@800, join:2@400,remove:0@1000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []ResizeEvent{
-		{At: 400, Action: "join", Peer: 2},
-		{At: 800, Action: "drain", Peer: 0},
-		{At: 1000, Action: "remove", Peer: 0},
-	}
-	if len(evs) != len(want) {
-		t.Fatalf("events %+v, want %+v", evs, want)
-	}
-	for i := range want {
-		if evs[i] != want[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, evs[i], want[i])
-		}
-	}
-
-	// Ties keep script order: drain before remove at one position.
-	evs, err = ParseResizeScript("drain:1@500,remove:1@500")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if evs[0].Action != "drain" || evs[1].Action != "remove" {
-		t.Fatalf("tie order broken: %+v", evs)
-	}
-
-	if evs, err := ParseResizeScript(""); err != nil || len(evs) != 0 {
-		t.Fatalf("empty script: %v, %+v", err, evs)
-	}
-	for _, bad := range []string{"restart:0@10", "join:0", "join@10", "join:-1@10", "join:0@-5", "join:x@10", "join:0@y"} {
-		if _, err := ParseResizeScript(bad); err == nil {
-			t.Errorf("script %q parsed without error", bad)
-		}
-	}
-}

@@ -3,11 +3,10 @@ package robust
 // Envelope-throughput benchmarks on the paper's Figure-7 sweep (960×960
 // matrix, 8 processors, the reconstructed 14 block sizes), the scalar
 // oracle of scalar_test.go vs the lockstep path of Run, at the sample
-// counts the envelope work tracks. `make bench-envelope` records both
-// series to BENCH_envelope.json so the batched path's speedup — and any
-// regression of it — is visible in-repo. Workers is pinned to 1, so Run
-// evaluates one block size at a time like the oracle: the contest is
-// per-envelope work, not goroutine count.
+// counts the envelope work tracks. `make bench-envelope` runs both
+// series; EXPERIMENTS.md records the batched path's speedup. Workers is
+// pinned to 1, so Run evaluates one block size at a time like the
+// oracle: the contest is per-envelope work, not goroutine count.
 
 import (
 	"fmt"

@@ -704,9 +704,9 @@ func (d *discardWriter) Write(p []byte) (int, error) { d.n += len(p); return len
 
 // BenchmarkHandlePredictHit times the handler on a cache hit — strict
 // decode, Validate, canonical key, cache Get, write — for two entries
-// of the loadtest corpus (loadgen.Corpus(64, 1)): its hottest request,
-// a small simulate answer, and its second hottest, an analyze report
-// of about 58 KB.
+// of the cache-replay corpus (loadgen.Corpus(64, 1)): its hottest
+// request, a small simulate answer, and its second hottest, an analyze
+// report of about 58 KB.
 func BenchmarkHandlePredictHit(b *testing.B) {
 	corpus := loadgen.Corpus(64, 1)
 	for _, bc := range []struct {

@@ -154,13 +154,8 @@ func (s *Server) importLine(line *handoffLine) bool {
 	// The request must decode strictly, satisfy this server's own
 	// limits, and hash to exactly the key the line claims. A mismatched
 	// key means the line does not address what it says it does.
-	rd := json.NewDecoder(bytes.NewReader(line.Request))
-	rd.DisallowUnknownFields()
-	var req Request
-	if err := rd.Decode(&req); err != nil {
-		return false
-	}
-	if err := req.Validate(s.cfg.Limits); err != nil {
+	req, err := DecodeRequest(bytes.NewReader(line.Request), s.cfg.Limits)
+	if err != nil {
 		return false
 	}
 	key, err := CanonicalKey(&req)

@@ -7,7 +7,11 @@
 package serve
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"net/http"
 
 	"loggpsim/internal/analyze"
 	"loggpsim/internal/faults"
@@ -272,12 +276,41 @@ func makeLayout(name string, procs int) (func(nb int) layout.Layout, error) {
 	}
 }
 
+// DecodeRequest is the strict front door every request passes:
+// predictd's /predict, the cluster router's /predict (so a malformed
+// request is bounced once instead of being forwarded to a peer that
+// would bounce it anyway) and the cache-import verifier. The body must
+// hold exactly one JSON object with no unknown fields and nothing but
+// whitespace after it, and the request must pass Validate under lim.
+// Decode failures read "bad request body: …" and wrap the reader's
+// error, so a handler behind http.MaxBytesReader can answer an
+// oversized body 413.
+func DecodeRequest(rd io.Reader, lim Limits) (Request, error) {
+	dec := json.NewDecoder(rd)
+	dec.DisallowUnknownFields()
+	var r Request
+	if err := dec.Decode(&r); err != nil {
+		return Request{}, fmt.Errorf("bad request body: %w", err)
+	}
+	// Decode stops after the first value; a second value or stray bytes
+	// behind it would pass unread, and the router forwards the whole
+	// body to a peer.
+	if _, err := dec.Token(); err != io.EOF {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			return Request{}, fmt.Errorf("bad request body: %w", err)
+		}
+		return Request{}, errors.New("bad request body: data after the request object")
+	}
+	if err := r.Validate(lim); err != nil {
+		return Request{}, err
+	}
+	return r, nil
+}
+
 // Validate applies the pre-construction caps — everything that can be
 // checked before a program exists. Violations are client errors (400),
 // never degradations: a request outside the hard caps is malformed, not
-// merely expensive. Exported for the cluster router (cmd/predictrouter),
-// which validates at the front door so a malformed request is bounced
-// once instead of being forwarded to a peer that would bounce it anyway.
+// merely expensive. DecodeRequest runs it on every decoded request.
 func (r *Request) Validate(lim Limits) error {
 	switch r.Mode {
 	case "", ModeSimulate, ModeWorstCase, ModeAnalyze, ModeEnvelope:

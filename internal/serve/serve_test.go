@@ -116,6 +116,10 @@ func TestMalformedInputRejected(t *testing.T) {
 		{"bad fault plan", `{"workload":{"kind":"ge","procs":4,"n":96,"block":8},"faults":"drop=nope"}`, http.StatusBadRequest},
 		{"bad layout", `{"workload":{"kind":"ge","procs":4,"n":96,"block":8,"layout":"spiral"}}`, http.StatusBadRequest},
 		{"preset and explicit machine", `{"workload":{"kind":"ge","procs":4,"n":96,"block":8},"machine":{"preset":"cluster","l":3}}`, http.StatusBadRequest},
+		// A valid request with anything but whitespace behind it.
+		{"trailing garbage", fmt.Sprintf(smallGE, "simulate") + `garbage`, http.StatusBadRequest},
+		{"trailing second object", fmt.Sprintf(smallGE, "simulate") + `{"mode":"bogus"}`, http.StatusBadRequest},
+		{"trailing bracket", fmt.Sprintf(smallGE, "simulate") + `]`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		var e errorResponse
@@ -126,6 +130,11 @@ func TestMalformedInputRejected(t *testing.T) {
 		if e.Error == "" {
 			t.Errorf("%s: error body missing: %s", c.name, w.Body.String())
 		}
+	}
+
+	// Trailing whitespace is not data.
+	if w := post(t, s.Handler(), fmt.Sprintf(smallGE, "simulate")+" \n\t\r\n", nil); w.Code != http.StatusOK {
+		t.Errorf("trailing whitespace: status %d, want 200 (body %s)", w.Code, w.Body.String())
 	}
 
 	// Wrong method.

@@ -111,8 +111,8 @@ type Config struct {
 	Cache resultcache.Config
 	// CacheOff disables the result cache AND request coalescing,
 	// restoring the evaluate-every-request flow. It exists for the
-	// loadtest baseline and for differential testing — cached and
-	// uncached responses must be byte-identical.
+	// cache-replay test's baseline and for differential testing —
+	// cached and uncached responses must be byte-identical.
 	CacheOff bool
 	// Pprof mounts net/http/pprof under /debug/pprof/. Off by default:
 	// profiles expose internals, so the operator opts in (-pprof).
@@ -411,22 +411,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, hr *http.Request) {
 	}
 
 	// Input validation under hard caps. MaxBytesReader bounds what a
-	// hostile body can make us buffer; DisallowUnknownFields turns
-	// field typos into errors instead of silently-default behaviour.
+	// hostile body can make us buffer; the strict decode turns field
+	// typos and trailing data into errors instead of silently-default
+	// behaviour.
 	hr.Body = http.MaxBytesReader(w, hr.Body, s.cfg.Limits.MaxBodyBytes)
-	dec := json.NewDecoder(hr.Body)
-	dec.DisallowUnknownFields()
-	var r Request
-	if err := dec.Decode(&r); err != nil {
+	r, err := DecodeRequest(hr.Body, s.cfg.Limits)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			refuse(http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
 			return
 		}
-		refuse(http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if err := r.Validate(s.cfg.Limits); err != nil {
 		refuse(http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -469,13 +464,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, hr *http.Request) {
 	// Miss: coalesce. The leader runs the full admission + evaluation
 	// path in a flight goroutine detached from any one client's
 	// connection; followers wait here, consuming no queue or worker
-	// slot, and share whatever outcome the leader produced.
+	// slot, and share whatever outcome the leader produced. The flight
+	// goroutine gets its own copy of the request, so r stays on the
+	// stack of a hit.
+	req := r
 	ch, leader := s.group.DoChan(flightKey{key, r.DeadlineMS, r.Budget}, func() (*outcome, error) {
 		// Capture the wire-form request before evaluation: evaluate
 		// mutates it (hypercube proc rounding), and the handoff export
 		// needs the exact form whose canonical key addresses the entry.
-		reqJSON, reqErr := json.Marshal(&r)
-		o := s.evaluate(&r)
+		reqJSON, reqErr := json.Marshal(&req)
+		o := s.evaluate(&req)
 		if o.storable() && reqErr == nil {
 			s.cache.Put(key, cached{body: o.body, req: reqJSON}, resultcache.Meta{
 				Size:  len(o.body) + len(reqJSON),

@@ -3,8 +3,7 @@ package sim
 // Large-P stress benchmarks for the scheduler core: the indexed
 // min-clock/tournament paths against the reference linear scans, on the
 // workloads where the scans' O(P) per-operation cost bites. Run via
-// `make bench`, which records the results in BENCH_scheduler.json; the
-// headline numbers live in EXPERIMENTS.md.
+// `make bench`; the headline numbers live in EXPERIMENTS.md.
 
 import (
 	"fmt"
@@ -98,9 +97,9 @@ func BenchmarkSchedulerGlobalOrder(b *testing.B) {
 // BenchmarkFaultHook measures what the fault plumbing costs on the
 // stress workloads: "nilhook" is the zero-fault production path (one
 // nil check per message, must stay within 2% of the pre-fault-layer
-// BenchmarkScheduler numbers in BENCH_scheduler.json), "noop" pays the
+// BenchmarkScheduler numbers in EXPERIMENTS.md), "noop" pays the
 // indirect call with zero charges, and "injector" runs a live
-// drop+degrade plan. Recorded in BENCH_faults.json by `make bench`.
+// drop+degrade plan. Run by `make bench`.
 func BenchmarkFaultHook(b *testing.B) {
 	for name, pt := range map[string]*trace.Pattern{
 		"alltoall":  trace.AllToAll(64, 64),

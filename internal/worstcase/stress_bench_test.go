@@ -17,8 +17,7 @@ import (
 // overhead benchmark on the worst-case scheduler: "nilhook" is the
 // zero-fault production path that must stay within 2% of the pre-fault
 // BenchmarkWorstcaseScheduler numbers, "noop" isolates the indirect-call
-// cost, "injector" runs a live drop+degrade plan. Recorded in
-// BENCH_faults.json by `make bench`.
+// cost, "injector" runs a live drop+degrade plan. Run by `make bench`.
 func BenchmarkWorstcaseFaultHook(b *testing.B) {
 	for name, pt := range map[string]*trace.Pattern{
 		"alltoall":  trace.AllToAll(64, 64),

@@ -12,18 +12,22 @@
 #                  over the repo against the checked-in baseline
 #   make lint-sarif — same run, writing bin/lint.sarif (SARIF 2.1.0)
 #   make race    — full test suite under the race detector
-#   make diff    — scheduler differential tests (indexed cores vs the
-#                  reference_test.go oracles) under the race detector
-#   make bench   — figure, scheduler-core and fault-hook overhead
-#                  benchmarks, printed to stdout
+#   make diff    — differential tests under the race detector: the
+#                  indexed scheduler cores vs the reference_test.go
+#                  oracles, the lane engine vs its scalar oracle, and
+#                  every bound certificate vs the walk_test.go oracle
+#   make bench   — figure, scheduler-core (P=64/256 stress and the
+#                  Figure-7 GE programs at P=8), fault-hook overhead
+#                  and bound-certificate benchmarks, printed to stdout
 #   make sweep   — serial-vs-parallel sweep benchmark pair only
 #   make bench-envelope — Figure-7 envelope throughput, scalar test
 #                  oracle vs lockstep lane engine, at samples
 #                  16/64/256, printed to stdout
 #   make fuzz-smoke — short fuzz of the fault injector, the
 #                  checkpoint/resume journal, predictd's canonical cache
-#                  key, its strict request decoder and its cache-import
-#                  verifier (part of ci)
+#                  key, its strict request decoder, its cache-import
+#                  verifier and the static deadlock verdict and bound
+#                  certificate (part of ci)
 #   make serve-smoke — boot the real predictd binary on an ephemeral
 #                  port and drive the robustness contract end to end:
 #                  healthy requests, 400/413 rejection, deadline
@@ -103,19 +107,23 @@ race:
 # scans, which live in each package's reference_test.go (DESIGN.md
 # §perf); run the differential suites under -race so a data race in the
 # session-reuse machinery cannot hide behind identical output. The
-# lockstep lane engine and the certificate shape pricer make the same
-# claim against scalar replays (the robust oracle is runScalar in
-# internal/robust/scalar_test.go; DESIGN.md §5h), so their differential
-# suites run here too.
+# lockstep lane engine makes the same claim against scalar replays (the
+# robust oracle is runScalar in internal/robust/scalar_test.go; DESIGN.md
+# §5h), and every bound certificate — the shape pricer behind
+# PatternBounds, Check, BoundProgram and CheckProgram — against the
+# per-message walk in internal/analyze/walk_test.go (DESIGN.md §5e), so
+# their differential suites run here too.
 diff:
 	$(GO) test -race -run 'Reference|Reset|Reconfigure|Fuzz' \
 		./internal/sim ./internal/worstcase
-	$(GO) test -race -run 'Lockstep|Shape|Lanes' \
+	$(GO) test -race -run 'Lockstep|Shape|Lanes|Sandwich|CheckProgram' \
 		./internal/robust ./internal/analyze ./internal/lanes
 
 # Figure-level benchmarks (repo root), the scheduler-core stress
-# benchmarks and the fault-hook overhead benchmarks. The repo's
-# recorded, repeatable numbers come from perfbench (perfbench/README.md).
+# benchmarks, the fault-hook overhead benchmarks and the bound
+# certificate benchmarks (predictd's analyze corpus and the Figure-7
+# programs). The repo's recorded, repeatable numbers come from perfbench
+# (perfbench/README.md).
 bench:
 	$(GO) test -run NONE -bench . -benchmem .
 	$(GO) test -run NONE -benchmem \
@@ -124,6 +132,7 @@ bench:
 	$(GO) test -run NONE -benchmem \
 		-bench 'BenchmarkFaultHook|BenchmarkWorstcaseFaultHook' \
 		./internal/sim ./internal/worstcase
+	$(GO) test -run NONE -benchmem -bench BenchmarkCertificate ./internal/analyze
 
 sweep:
 	$(GO) test -run NONE -bench 'BenchmarkSweep(Serial|Parallel)|BenchmarkQuietModeSimulation' -benchmem .
@@ -144,16 +153,19 @@ bench-envelope:
 # byte-identically), predictd's canonical cache key (equivalent
 # spellings share a key), its strict request decoder (an accepted body
 # re-marshals to the same key; one more non-whitespace byte is
-# refused), and its cache-import verifier (a hostile handoff line is
+# refused), its cache-import verifier (a hostile handoff line is
 # dropped without touching the cache; an accepted one is stored
-# byte-exact). `go test -fuzz` takes one fuzz target per invocation,
-# hence one line each.
+# byte-exact), and the static analyzer (the deadlock verdict predicts
+# the worst-case scheduler's forced releases; Check's certificate equals
+# the walk oracle's and both schedulers finish inside it). `go test
+# -fuzz` takes one fuzz target per invocation, hence one line each.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzSendOutcome -fuzztime $(FUZZTIME) ./internal/faults
 	$(GO) test -run NONE -fuzz FuzzJournalResume -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run NONE -fuzz FuzzCanonicalKey -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run NONE -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run NONE -fuzz FuzzCacheImport -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run NONE -fuzz FuzzDeadlockVerdict -fuzztime $(FUZZTIME) ./internal/analyze
 
 # End-to-end smoke of the hardened prediction service: builds the real
 # cmd/predictd binary, boots it on a random port, and asserts the

@@ -18,17 +18,14 @@
 //     deadlock analysis produces a minimal witness cycle (the processors
 //     that really are mutually waiting) instead of a bare boolean.
 //
-//   - Bounds/BoundProgram compute per-step and per-program LogGP bound
-//     certificates: a critical-path lower bound (send/receive gap chains
-//     and o/g/G/L charges along the longest dependency path) and a
-//     serialization-based upper bound. For every pattern, machine and
-//     seed, LowerBound ≤ standard simulation ≤ worst-case simulation ≤
-//     UpperBound — a property test sweeps the differential corpus to keep
-//     the guarantee honest. See bounds.go for the derivations.
-//
-//   - Precheck/ProgramPrecheck adapt the analysis into the opt-in hook
-//     fields of sim.Config, worstcase.Config and predictor.Config, so a
-//     pipeline can refuse ill-formed inputs before any clock advances.
+//   - PatternBounds/BoundProgram compute per-step and per-program LogGP
+//     bound certificates: a critical-path lower bound (send/receive gap
+//     chains and o/g/G/L charges along the longest dependency path) and
+//     a serialization-based upper bound. For every pattern, machine and
+//     seed, Lower ≤ standard simulation ≤ worst-case simulation ≤ Upper
+//     — a property test sweeps the differential corpus to keep the
+//     guarantee honest. See bounds.go for the derivations; every
+//     certificate is priced from a ProgramShape (shape.go).
 //
 // The bound certificates assume the flat LogGP network of the paper
 // (sim.Config.Network and Jitter nil): a contention fabric may deliver
@@ -124,7 +121,7 @@ func (is Issues) Errs() Issues {
 }
 
 // Err joins every Error-severity finding into one error (nil if none);
-// warnings never fail a precheck.
+// warnings never make it fail.
 func (is Issues) Err() error {
 	var errs []error
 	for _, i := range is {
@@ -170,6 +167,23 @@ type PatternReport struct {
 // usable machine and the structure is sound — the LogGP bound
 // certificate with all processors ready at time zero.
 func Check(pt *trace.Pattern, params loggp.Params) *PatternReport {
+	r := checkPattern(pt)
+	if certifiable(r, pt, params) {
+		b := patternBounds(pt, params)
+		r.Bounds = &b
+	}
+	return r
+}
+
+// certifiable reports whether a pattern with report r admits a bound
+// certificate on params: sound structure on a valid machine at least as
+// wide.
+func certifiable(r *PatternReport, pt *trace.Pattern, params loggp.Params) bool {
+	return len(r.Issues.Errs()) == 0 && pt.P <= params.P && params.Validate() == nil
+}
+
+// checkPattern is Check without the bound certificate.
+func checkPattern(pt *trace.Pattern) *PatternReport {
 	r := &PatternReport{P: pt.P}
 	r.Issues = append(r.Issues, patternIssues(pt, -1)...)
 	if pt.P <= 0 {
@@ -213,12 +227,6 @@ func Check(pt *trace.Pattern, params loggp.Params) *PatternReport {
 		})
 	} else {
 		r.DeadlockFree = true
-	}
-	if len(r.Issues.Errs()) == 0 && pt.P <= params.P {
-		if err := params.Validate(); err == nil {
-			b := boundPattern(pt, params)
-			r.Bounds = &b
-		}
 	}
 	return r
 }
@@ -317,10 +325,7 @@ func CheckProgram(pr *program.Program, params loggp.Params, model costModel) *Pr
 			r.Issues = append(r.Issues, Issue{Code: "comm-width", Severity: Error, Step: si, Msg: -1,
 				Text: fmt.Sprintf("communication is over %d processors, program over %d", s.Comm.P, pr.P)})
 		}
-		// Step reports carry standalone certificates (every processor
-		// ready at time zero); ProgramReport.Bounds.PerStep has the
-		// chained ones.
-		sr := Check(s.Comm, params)
+		sr := checkPattern(s.Comm)
 		for i := range sr.Issues {
 			sr.Issues[i].Step = si
 		}
@@ -340,11 +345,28 @@ func CheckProgram(pr *program.Program, params loggp.Params, model costModel) *Pr
 		}
 		r.StepReports = append(r.StepReports, *sr)
 	}
-	if len(r.Issues.Errs()) == 0 && model != nil {
-		if err := params.Validate(); err == nil {
-			if b, err := BoundProgram(pr, params, model); err == nil {
-				r.Bounds = b
+	// Step reports carry standalone certificates (every processor ready
+	// at time zero); ProgramReport.Bounds.PerStep has the chained ones.
+	// A program with errors certifies each sound step on its own; a
+	// sound one prices every certificate from one shape.
+	if len(r.Issues.Errs()) > 0 {
+		for i, s := range pr.Steps {
+			if sr := &r.StepReports[i]; s.Comm != nil && certifiable(sr, s.Comm, params) {
+				b := patternBounds(s.Comm, params)
+				sr.Bounds = &b
 			}
+		}
+		return r
+	}
+	if pr.P <= params.P && params.Validate() == nil {
+		pc := programShape(pr, model).Pricer()
+		pc.price(params)
+		for i := range r.StepReports {
+			b := pc.step(i)
+			r.StepReports[i].Bounds = &b
+		}
+		if model != nil {
+			r.Bounds = pc.program()
 		}
 	}
 	return r

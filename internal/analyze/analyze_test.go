@@ -2,6 +2,7 @@ package analyze_test
 
 import (
 	"encoding/json"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -148,6 +149,63 @@ func TestCheckProgram(t *testing.T) {
 	for _, i := range r.Issues {
 		if i.Code == "op-range" && i.Step != 2 {
 			t.Fatalf("op-range attributed to step %d", i.Step)
+		}
+	}
+	// The computation errors leave every pattern sound, so each step
+	// still carries its standalone certificate, the walk oracle's.
+	for i, s := range pr.Steps {
+		want := analyze.WalkPattern(s.Comm, testParams)
+		if got := r.StepReports[i].Bounds; got == nil || !reflect.DeepEqual(*got, want) {
+			t.Fatalf("step %d bounds %+v, want the walk's %+v", i, got, want)
+		}
+	}
+}
+
+// TestCheckProgramMatchesWalk checks both of CheckProgram's certificate
+// paths against the walk oracle. A sound program prices every step's
+// standalone certificate and, given a cost model, the chained program
+// certificate from one shape; a program with errors certifies each sound
+// step on its own, and nothing else.
+func TestCheckProgramMatchesWalk(t *testing.T) {
+	model := cost.DefaultAnalytic()
+	for name, pr := range boundPrograms(t) {
+		for pi, params := range append(boundParams(pr.P), loggp.MeikoCS2(pr.P)) {
+			r := analyze.CheckProgram(pr, params, model)
+			if want := analyze.WalkProgram(pr, params, model); !reflect.DeepEqual(r.Bounds, want) {
+				t.Fatalf("%s/m%d: program bounds diverge from the walk:\nwant %+v\ngot  %+v", name, pi, want, r.Bounds)
+			}
+			for i, s := range pr.Steps {
+				want := analyze.WalkPattern(s.Comm, params)
+				if got := r.StepReports[i].Bounds; got == nil || !reflect.DeepEqual(*got, want) {
+					t.Fatalf("%s/m%d: step %d bounds %+v, want the walk's %+v", name, pi, i, got, want)
+				}
+			}
+			nr := analyze.CheckProgram(pr, params, nil)
+			if nr.Bounds != nil || !reflect.DeepEqual(nr.StepReports, r.StepReports) {
+				t.Fatalf("%s/m%d: without a model, want the same step reports and no program bounds", name, pi)
+			}
+		}
+	}
+
+	pr := boundPrograms(t)["trisolve"]
+	pr.Steps[0].AddOp(0, blockops.Op(99), 8)           // op-range: the program is unsound
+	pr.Steps[1].Comm = trace.New(pr.P).Add(0, pr.P, 8) // dst-range: so is this step
+	pr.Steps[2].Comm = nil                             // nil-comm: no pattern to certify
+	params := loggp.MeikoCS2(pr.P)
+	r := analyze.CheckProgram(pr, params, model)
+	if r.Bounds != nil {
+		t.Fatal("program bounds computed despite structural errors")
+	}
+	for i, s := range pr.Steps {
+		got := r.StepReports[i].Bounds
+		if i == 1 || i == 2 {
+			if got != nil {
+				t.Fatalf("step %d: bounds %+v for an unsound step", i, got)
+			}
+			continue
+		}
+		if want := analyze.WalkPattern(s.Comm, params); got == nil || !reflect.DeepEqual(*got, want) {
+			t.Fatalf("step %d bounds %+v, want the walk's %+v", i, got, want)
 		}
 	}
 }

@@ -3,7 +3,7 @@ package analyze_test
 // Satellite property test: the static certificates must sandwich the
 // event-driven schedulers —
 //
-//	LowerBound ≤ sim ≤ worstcase ≤ UpperBound
+//	Lower ≤ sim ≤ worstcase ≤ Upper
 //
 // across the differential corpus, the machine grid, seeds, and every
 // ablation mode. The corpus and grid mirror the sched_diff tests'
@@ -12,6 +12,7 @@ package analyze_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"loggpsim/internal/analyze"
@@ -64,14 +65,14 @@ const eps = 1e-6
 func TestBoundsSandwichSimulators(t *testing.T) {
 	for name, pt := range boundCorpus() {
 		for pi, params := range boundParams(pt.P) {
-			lb, err := analyze.LowerBound(pt, params)
+			b, err := analyze.PatternBounds(pt, params)
 			if err != nil {
-				t.Fatalf("%s/m%d: LowerBound: %v", name, pi, err)
+				t.Fatalf("%s/m%d: PatternBounds: %v", name, pi, err)
 			}
-			ub, err := analyze.UpperBound(pt, params)
-			if err != nil {
-				t.Fatalf("%s/m%d: UpperBound: %v", name, pi, err)
+			if want := analyze.WalkPattern(pt, params); !reflect.DeepEqual(b, want) {
+				t.Fatalf("%s/m%d: PatternBounds diverge from the walk:\nwant %+v\ngot  %+v", name, pi, want, b)
 			}
+			lb, ub := b.Lower, b.Upper
 			if lb > ub+eps {
 				t.Fatalf("%s/m%d: lower %v > upper %v", name, pi, lb, ub)
 			}
@@ -202,13 +203,13 @@ func TestBoundProgramSandwichesPredictor(t *testing.T) {
 func TestBoundsRejectInvalidInput(t *testing.T) {
 	good := trace.Ring(4, 64)
 	params := loggp.Params{L: 9, O: 2, Gap: 16, G: 0.07, P: 4}
-	if _, err := analyze.LowerBound(trace.New(3).Add(0, 0, 8), params); err == nil {
+	if _, err := analyze.PatternBounds(trace.New(3).Add(0, 0, 8), params); err == nil {
 		t.Fatal("undeclared self message accepted")
 	}
-	if _, err := analyze.UpperBound(good, loggp.Params{P: 0}); err == nil {
+	if _, err := analyze.PatternBounds(good, loggp.Params{P: 0}); err == nil {
 		t.Fatal("invalid machine accepted")
 	}
-	if _, err := analyze.LowerBound(trace.Ring(8, 64), params); err == nil {
+	if _, err := analyze.PatternBounds(trace.Ring(8, 64), params); err == nil {
 		t.Fatal("pattern wider than machine accepted")
 	}
 	if _, err := analyze.BoundProgram(program.New(2), params, nil); err == nil {
@@ -216,12 +217,11 @@ func TestBoundsRejectInvalidInput(t *testing.T) {
 	}
 }
 
-func ExampleLowerBound() {
+func ExamplePatternBounds() {
 	pt := trace.Figure3()
 	params := loggp.Params{L: 9, O: 2, Gap: 16, G: 0.07, P: pt.P}
-	lb, _ := analyze.LowerBound(pt, params)
-	ub, _ := analyze.UpperBound(pt, params)
+	b, _ := analyze.PatternBounds(pt, params)
 	std, _ := sim.Run(pt, sim.Config{Params: params})
-	fmt.Printf("lower %.2f <= sim %.2f <= upper %.2f\n", lb, std.Finish, ub)
+	fmt.Printf("lower %.2f <= sim %.2f <= upper %.2f\n", b.Lower, std.Finish, b.Upper)
 	// Output: lower 50.00 <= sim 50.00 <= upper 536.47
 }

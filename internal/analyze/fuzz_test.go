@@ -6,9 +6,12 @@ package analyze_test
 // the deduplicated src→dst graph forces at least one released send —
 // and without one, none: the verdict must predict DeadlocksBroken
 // exactly. The standard scheduler never blocks sends, so a deadlock-free
-// verdict additionally promises every operation commits there too.
+// verdict additionally promises every operation commits there too. The
+// same inputs fuzz the bound certificate: Check's must equal the walk
+// oracle's bit for bit, and both schedulers must finish inside it.
 
 import (
+	"reflect"
 	"testing"
 
 	"loggpsim/internal/analyze"
@@ -48,6 +51,11 @@ func FuzzDeadlockVerdict(f *testing.F) {
 	f.Add([]byte{2, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 0, 1})              // two-cycle
 	f.Add([]byte{15, 49, 19, 39, 9, 255, 0, 0, 0, 255})                  // self message
 	f.Add([]byte{3, 9, 2, 16, 1, 7, 0, 1, 0, 8, 1, 2, 0, 8, 2, 0, 0, 8}) // three-cycle
+	// Mixed sizes, standard above worst case: processor 4 receives the
+	// 4033-byte 3->4 first and waits out its gap in the standard run
+	// (712.12µs), but the smaller 0->4 first in the worst case, where 3
+	// sends only after its own receive (652.52µs).
+	f.Add([]byte("10000009070X\xc8011009X\xf90"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pt, params, seed, ok := fuzzPattern(data)
 		if !ok {
@@ -60,8 +68,11 @@ func FuzzDeadlockVerdict(f *testing.F) {
 		if rep.DeadlockFree != (pt.FindCycle() == nil) {
 			t.Fatalf("verdict %v disagrees with FindCycle %v", rep.DeadlockFree, pt.FindCycle())
 		}
-		if rep.DeadlockFree != (pt.ValidateDeadlockFree() == nil) {
-			t.Fatalf("verdict %v disagrees with ValidateDeadlockFree", rep.DeadlockFree)
+		if rep.Bounds == nil {
+			t.Fatal("no certificate for a sound pattern")
+		}
+		if want := analyze.WalkPattern(pt, params); !reflect.DeepEqual(*rep.Bounds, want) {
+			t.Fatalf("certificate diverges from the walk:\nwant %+v\ngot  %+v", want, *rep.Bounds)
 		}
 
 		worst, err := worstcase.Run(pt, worstcase.Config{Params: params, Seed: seed})
@@ -91,6 +102,23 @@ func FuzzDeadlockVerdict(f *testing.F) {
 		if std.Timeline.Sends() != net || std.Timeline.Recvs() != net {
 			t.Fatalf("global order delivered %d/%d of %d",
 				std.Timeline.Sends(), std.Timeline.Recvs(), net)
+		}
+
+		// The certificate bounds every schedule of either scheduler. The
+		// overestimation need not bound the standard run (see the
+		// mixed-size seed), so the two are not compared with each other.
+		paper, err := sim.Run(pt, sim.Config{Params: params, Seed: seed, NoTimeline: true})
+		if err != nil {
+			t.Fatalf("sim: %v", err)
+		}
+		lo, hi := rep.Bounds.Lower, rep.Bounds.Upper
+		for _, run := range []struct {
+			name   string
+			finish float64
+		}{{"sim", paper.Finish}, {"global order", std.Finish}, {"worstcase", worst.Finish}} {
+			if run.finish < lo-eps || run.finish > hi+eps {
+				t.Fatalf("%s finishes at %v, outside the certificate [%v, %v]", run.name, run.finish, lo, hi)
+			}
 		}
 	})
 }

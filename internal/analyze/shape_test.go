@@ -1,11 +1,11 @@
 package analyze_test
 
-// Satellite test for the certificate re-pricer: a ProgramShape built
-// once and priced per parameter vector must reproduce the from-scratch
-// BoundProgram certificate bit-for-bit — whole-program bounds and every
-// per-step bound — on the bound corpus programs across the machine
-// grid, presets, and perturbed parameter vectors, reusing one Pricer
-// across all of them (the robust sweep's access pattern).
+// Satellite test for the certificate pricer: a ProgramShape built once
+// and priced per parameter vector must reproduce the walk oracle's
+// certificate (walk_test.go) bit-for-bit — whole-program bounds and
+// every per-step bound — on the bound corpus programs across the
+// machine grid, presets, and perturbed parameter vectors, reusing one
+// Pricer across all of them (the robust sweep's access pattern).
 
 import (
 	"reflect"
@@ -39,7 +39,7 @@ func shapeMachines(p int) []loggp.Params {
 	return out
 }
 
-func TestShapePricerMatchesBoundProgram(t *testing.T) {
+func TestShapePricerMatchesWalk(t *testing.T) {
 	model := cost.DefaultAnalytic()
 	for name, pr := range boundPrograms(t) {
 		shape, err := analyze.NewProgramShape(pr, model)
@@ -51,25 +51,25 @@ func TestShapePricerMatchesBoundProgram(t *testing.T) {
 		}
 		pricer := shape.Pricer()
 		for pi, params := range shapeMachines(pr.P) {
-			want, err := analyze.BoundProgram(pr, params, model)
-			if err != nil {
-				t.Fatalf("%s/m%d: BoundProgram: %v", name, pi, err)
-			}
+			want := analyze.WalkProgram(pr, params, model)
 			got, err := pricer.Bound(params)
 			if err != nil {
 				t.Fatalf("%s/m%d: Pricer.Bound: %v", name, pi, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/m%d: pricer bounds diverge from BoundProgram:\nwant %+v\ngot  %+v",
+				t.Fatalf("%s/m%d: pricer bounds diverge from the walk:\nwant %+v\ngot  %+v",
 					name, pi, want, got)
+			}
+			if got, err := analyze.BoundProgram(pr, params, model); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/m%d: BoundProgram diverges from the walk (err %v):\nwant %+v\ngot  %+v",
+					name, pi, err, want, got)
 			}
 		}
 	}
 }
 
-// TestShapeRejectsInvalidInput pins the acceptance checks: they must
-// match BoundProgram's, split between shape build (program and model)
-// and pricing (parameters).
+// TestShapeRejectsInvalidInput pins the acceptance checks, split
+// between shape build (program and model) and pricing (parameters).
 func TestShapeRejectsInvalidInput(t *testing.T) {
 	if _, err := analyze.NewProgramShape(program.New(2), nil); err == nil {
 		t.Fatal("nil cost model accepted")

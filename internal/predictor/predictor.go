@@ -54,13 +54,6 @@ type Config struct {
 	// scheduler step; a nil context reproduces the unbounded behaviour.
 	Ctx context.Context
 
-	// Precheck, when non-nil, is consulted once per prediction before
-	// any session is touched: a non-nil return aborts with that error.
-	// The static analyzer provides an implementation
-	// (analyze.ProgramPrecheck) that reports every restricted-class
-	// violation at once instead of program.Validate's first-failure.
-	Precheck func(*program.Program) error
-
 	// Network, when non-nil, routes the standard run's messages over an
 	// explicit contention fabric (see sim.Config.Network). The
 	// worst-case run keeps the flat LogGP network, so TotalWorst and
@@ -227,11 +220,6 @@ func grow(buf []float64, n int) []float64 {
 func (e *Evaluator) PredictInto(out *Prediction, pr *program.Program, cfg Config) error {
 	if cfg.Cost == nil {
 		return fmt.Errorf("predictor: no cost model")
-	}
-	if cfg.Precheck != nil {
-		if err := cfg.Precheck(pr); err != nil {
-			return err
-		}
 	}
 	if err := pr.Validate(); err != nil {
 		return err

@@ -77,13 +77,6 @@ type Config struct {
 		Arrival(src, dst, bytes int, inject float64) float64
 	}
 
-	// Precheck, when non-nil, is consulted before any clock advances: a
-	// non-nil return aborts the step with that error and no simulation
-	// state is touched. The static analyzer provides implementations
-	// (analyze.Precheck and analyze.DeadlockFreePrecheck) with
-	// multi-error reporting and witness cycles; any func works.
-	Precheck func(*trace.Pattern) error
-
 	// Jitter, when non-nil, returns an extra non-negative network delay
 	// added to the arrival time of each message (indexed by its position
 	// in the pattern). The machine emulator uses it to model the network
@@ -389,11 +382,6 @@ func (s *Session) CommunicateInto(r *Result, pt *trace.Pattern) error {
 // step's send and receive queues: everything a communication step does
 // before its scheduler core runs.
 func (s *Session) startStep(r *Result, pt *trace.Pattern) error {
-	if s.cfg.Precheck != nil {
-		if err := s.cfg.Precheck(pt); err != nil {
-			return err
-		}
-	}
 	if err := pt.Validate(); err != nil {
 		return err
 	}

@@ -1,15 +1,18 @@
 package sim
 
-// Large-P stress benchmarks for the scheduler core: the indexed
+// Stress benchmarks for the scheduler core: the indexed
 // min-clock/tournament paths against the reference linear scans, on the
-// workloads where the scans' O(P) per-operation cost bites. Run via
-// `make bench`; the headline numbers live in EXPERIMENTS.md.
+// large-P workloads where the scans' O(P) per-operation cost bites and
+// on the paper's own Figure-7 programs at P=8. Run via `make bench`;
+// the headline numbers live in EXPERIMENTS.md.
 
 import (
 	"fmt"
 	"testing"
 
 	"loggpsim/internal/faults"
+	"loggpsim/internal/ge"
+	"loggpsim/internal/layout"
 	"loggpsim/internal/loggp"
 	"loggpsim/internal/trace"
 )
@@ -30,51 +33,89 @@ func stressPatterns(p, dims int) map[string]*trace.Pattern {
 	}
 }
 
-// benchCommunicate measures repeated quiet-mode simulation of pt on a
-// reused session: Reset + CommunicateInto per iteration, the sweep
-// engine's steady state. reference swaps in the reference cores of
-// reference_test.go.
-func benchCommunicate(b *testing.B, pt *trace.Pattern, cfg Config, reference bool) {
+// benchCommunicate measures repeated quiet-mode simulation of a step
+// sequence on a reused session: Reset, then CommunicateInto per step,
+// per iteration — the sweep engine's steady state. reference swaps in
+// the reference cores of reference_test.go.
+func benchCommunicate(b *testing.B, cfg Config, reference bool, steps ...*trace.Pattern) {
 	b.Helper()
-	sess, err := NewSession(pt.P, cfg)
+	sess, err := NewSession(steps[0].P, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var r Result
-	msgs := pt.NetworkMessages()
+	msgs := 0
+	for _, pt := range steps {
+		msgs += pt.NetworkMessages()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := sess.Reset(nil); err != nil {
 			b.Fatal(err)
 		}
-		if reference {
-			err = sess.communicateReference(&r, pt)
-		} else {
-			err = sess.CommunicateInto(&r, pt)
-		}
-		if err != nil {
-			b.Fatal(err)
+		for _, pt := range steps {
+			if reference {
+				err = sess.communicateReference(&r, pt)
+			} else {
+				err = sess.CommunicateInto(&r, pt)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	b.ReportMetric(float64(msgs)*float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
 }
 
+// geSteps returns the communication steps of the Figure-7 GE program
+// (diagonal layout) for an n×n matrix in b×b blocks on p processors.
+func geSteps(b *testing.B, n, blk, p int) []*trace.Pattern {
+	b.Helper()
+	grid, err := ge.NewGrid(n, blk)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pr, err := ge.BuildProgram(grid, layout.Diagonal(p, grid.NB))
+	if err != nil {
+		b.Fatal(err)
+	}
+	steps := make([]*trace.Pattern, len(pr.Steps))
+	for i, s := range pr.Steps {
+		steps[i] = s.Comm
+	}
+	return steps
+}
+
+var schedulerCores = []struct {
+	name      string
+	reference bool
+}{{"indexed", false}, {"reference", true}}
+
 // BenchmarkScheduler is the indexed-vs-reference comparison across
 // workloads and machine sizes. The acceptance target of the scheduler-
 // core rework is >=2x throughput on all-to-all or butterfly at P>=64.
+// The ge-b* cases replay every communication step of the Figure-7 GE
+// program (N=960, P=8, Meiko CS-2) per iteration, at the smallest,
+// middle and largest block sizes of the sweep.
 func BenchmarkScheduler(b *testing.B) {
 	for _, size := range []struct{ p, dims int }{{64, 6}, {256, 8}} {
 		for name, pt := range stressPatterns(size.p, size.dims) {
-			for _, core := range []struct {
-				name      string
-				reference bool
-			}{{"indexed", false}, {"reference", true}} {
+			for _, core := range schedulerCores {
 				b.Run(fmt.Sprintf("%s/P%d/%s", name, size.p, core.name), func(b *testing.B) {
 					cfg := Config{Params: stressParams(pt.P), NoTimeline: true}
-					benchCommunicate(b, pt, cfg, core.reference)
+					benchCommunicate(b, cfg, core.reference, pt)
 				})
 			}
+		}
+	}
+	for _, blk := range []int{8, 48, 120} {
+		steps := geSteps(b, 960, blk, 8)
+		for _, core := range schedulerCores {
+			b.Run(fmt.Sprintf("ge-b%d/P8/%s", blk, core.name), func(b *testing.B) {
+				cfg := Config{Params: loggp.MeikoCS2(8), NoTimeline: true}
+				benchCommunicate(b, cfg, core.reference, steps...)
+			})
 		}
 	}
 }
@@ -83,13 +124,10 @@ func BenchmarkScheduler(b *testing.B) {
 // commit loop against the full-rescan reference on the ablation path.
 func BenchmarkSchedulerGlobalOrder(b *testing.B) {
 	pt := trace.AllToAll(64, 64)
-	for _, core := range []struct {
-		name      string
-		reference bool
-	}{{"indexed", false}, {"reference", true}} {
+	for _, core := range schedulerCores {
 		b.Run(core.name, func(b *testing.B) {
 			cfg := Config{Params: stressParams(64), GlobalOrder: true, NoTimeline: true}
-			benchCommunicate(b, pt, cfg, core.reference)
+			benchCommunicate(b, cfg, core.reference, pt)
 		})
 	}
 }
@@ -123,7 +161,7 @@ func BenchmarkFaultHook(b *testing.B) {
 			{"injector", in.SendOutcome},
 		} {
 			b.Run(fmt.Sprintf("%s/P%d/%s", name, pt.P, mode.name), func(b *testing.B) {
-				benchCommunicate(b, pt, Config{Params: params, NoTimeline: true, Fault: mode.hook}, false)
+				benchCommunicate(b, Config{Params: params, NoTimeline: true, Fault: mode.hook}, false, pt)
 			})
 		}
 	}
@@ -135,7 +173,7 @@ func BenchmarkFaultHook(b *testing.B) {
 func BenchmarkSessionReuse(b *testing.B) {
 	pt := trace.Butterfly(6, 512)
 	cfg := Config{Params: stressParams(64), NoTimeline: true}
-	benchCommunicate(b, pt, cfg, false)
+	benchCommunicate(b, cfg, false, pt)
 }
 
 // BenchmarkSessionFresh is the old cost for contrast: a new session per

@@ -108,21 +108,6 @@ func (pt *Pattern) Validate() error {
 	return errors.Join(errs...)
 }
 
-// ValidateDeadlockFree is Validate plus a deadlock-freedom requirement:
-// the processor dependency graph must be acyclic. On a cyclic pattern the
-// error names a minimal witness cycle (see FindCycle). The worst-case
-// algorithm breaks such deadlocks randomly, so cyclic patterns are legal
-// inputs to the simulators; this stricter check serves callers — the
-// static analyzer's precheck hooks — that want certainty the worst-case
-// schedule involves no random deadlock breaking.
-func (pt *Pattern) ValidateDeadlockFree() error {
-	err := pt.Validate()
-	if cyc := pt.FindCycle(); cyc != nil {
-		err = errors.Join(err, fmt.Errorf("trace: pattern can deadlock the worst-case scheduler: witness cycle %s", FormatCycle(cyc)))
-	}
-	return err
-}
-
 // FormatCycle renders a witness cycle as "P3 -> P5 -> P3" (0-based
 // processor indices).
 func FormatCycle(cycle []int) string {

@@ -51,13 +51,6 @@ type Config struct {
 	// leaving Result.Timeline and Result.ProcFinish nil while computing
 	// the identical schedule.
 	NoTimeline bool
-	// Precheck, when non-nil, is consulted before any clock advances
-	// (see sim.Config.Precheck). The worst-case scheduler tolerates
-	// cyclic patterns by construction, but a pipeline that treats random
-	// deadlock breaking as an input error can install
-	// analyze.DeadlockFreePrecheck here.
-	Precheck func(*trace.Pattern) error
-
 	// Fault, when non-nil, injects deterministic communication faults
 	// (see sim.Config.Fault): called once per committed send — forced
 	// deadlock releases included — returning extra sender occupancy,
@@ -321,11 +314,6 @@ func (s *Session) CommunicateInto(r *Result, pt *trace.Pattern) error {
 // send and receive queues and sets the messages-to-receive counters:
 // everything a communication step does before its commit loop runs.
 func (s *Session) startStep(r *Result, pt *trace.Pattern) error {
-	if s.cfg.Precheck != nil {
-		if err := s.cfg.Precheck(pt); err != nil {
-			return err
-		}
-	}
 	if err := pt.Validate(); err != nil {
 		return err
 	}

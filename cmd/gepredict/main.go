@@ -166,31 +166,6 @@ func main() {
 	for _, name := range names {
 		mk := layouts[name]
 		tab := stats.NewTable("block", "predicted(s)", "worst-case(s)", "comp(s)", "comm(s)", "measured(s)")
-		predict := func(b int) (*predictor.Prediction, *machine.Result, error) {
-			g, err := ge.NewGrid(*n, b)
-			if err != nil {
-				return nil, nil, err
-			}
-			lay := mk(g.NB)
-			pr, err := ge.BuildProgram(g, lay)
-			if err != nil {
-				return nil, nil, err
-			}
-			pred, err := predictor.Predict(pr, predictor.Config{Params: params, Cost: model, Seed: *seed, Faults: plan})
-			if err != nil {
-				return nil, nil, err
-			}
-			var meas *machine.Result
-			if *emulate {
-				mcfg := machine.Default(params, model)
-				mcfg.Seed = *seed
-				mcfg.AssignedBlocks = layout.BlockCounts(lay, g.NB)
-				if meas, err = machine.Run(pr, mcfg); err != nil {
-					return nil, nil, err
-				}
-			}
-			return pred, meas, nil
-		}
 
 		// One independent prediction (plus optional emulation) per block
 		// size: fan out, then emit the ordered rows. Fields are exported
@@ -200,12 +175,35 @@ func main() {
 			Meas *machine.Result       `json:"meas,omitempty"`
 		}
 		cells, err := sweep.MapResume(journal, "gepredict/"+name, usable, func(_ int, b int) (cell, error) {
-			pred, meas, err := predict(b)
-			return cell{pred, meas}, err
+			g, err := ge.NewGrid(*n, b)
+			if err != nil {
+				return cell{}, err
+			}
+			lay := mk(g.NB)
+			pr, err := ge.BuildProgram(g, lay)
+			if err != nil {
+				return cell{}, err
+			}
+			var c cell
+			if c.Pred, err = predictor.Predict(pr, predictor.Config{Params: params, Cost: model, Seed: *seed, Faults: plan}); err != nil {
+				return cell{}, err
+			}
+			if *emulate {
+				mcfg := machine.Default(params, model)
+				mcfg.Seed = *seed
+				mcfg.AssignedBlocks = layout.BlockCounts(lay, g.NB)
+				if c.Meas, err = machine.Run(pr, mcfg); err != nil {
+					return cell{}, err
+				}
+			}
+			return c, nil
 		}, sweep.Workers(*workers), sweep.Context(ctx))
 		if err != nil {
 			bail(err)
 		}
+		// The cells hold every candidate's prediction, so the optimum
+		// search below reads them instead of predicting again.
+		predicted := make(map[int]float64, len(usable))
 		for i, b := range usable {
 			measured := "-"
 			if cells[i].Meas != nil {
@@ -213,6 +211,7 @@ func main() {
 			}
 			p := cells[i].Pred
 			tab.AddRow(b, p.Total/1e6, p.TotalWorst/1e6, p.Comp/1e6, p.Comm/1e6, measured)
+			predicted[b] = p.Total
 		}
 		fmt.Printf("## %s mapping, n=%d, P=%d, %s cost model\n\n", name, *n, *procs, *modelName)
 		if *csv {
@@ -249,13 +248,7 @@ func main() {
 			}
 		}
 
-		objective := func(b int) (float64, error) {
-			pred, _, err := predict(b)
-			if err != nil {
-				return 0, err
-			}
-			return pred.Total, nil
-		}
+		objective := func(b int) (float64, error) { return predicted[b], nil }
 		var best search.Result
 		var err2 error
 		switch *searchName {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"loggpsim/internal/apps"
 	"loggpsim/internal/ge"
 	"loggpsim/internal/layout"
 	"loggpsim/internal/loggp"
@@ -86,7 +87,7 @@ func AblationTable(cfg Config, b int) (*stats.Table, error) {
 			return c, nil
 		}},
 		{"mesh contention fabric", func() (predictor.Config, error) {
-			r, cgrid := gridShape(cfg.P)
+			r, cgrid := apps.GridShape(cfg.P)
 			topo, err := network.NewMesh(r, cgrid)
 			if err != nil {
 				return predictor.Config{}, err
@@ -125,18 +126,6 @@ func AblationTable(cfg Config, b int) (*stats.Table, error) {
 		tab.AddRow(v.name, totals[i]*secPerMicro, fmt.Sprintf("%+.1f%%", 100*(totals[i]-baseline)/baseline))
 	}
 	return tab, nil
-}
-
-// gridShape factors p into the most square r×c grid (duplicated from
-// package apps to keep the dependency graph acyclic).
-func gridShape(p int) (int, int) {
-	r := 1
-	for d := 2; d*d <= p; d++ {
-		if p%d == 0 {
-			r = d
-		}
-	}
-	return r, p / r
 }
 
 // SensitivityTable reports, per block size, the elasticity of the GE

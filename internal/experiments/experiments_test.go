@@ -186,15 +186,6 @@ func TestSensitivityTable(t *testing.T) {
 	}
 }
 
-func TestGridShape(t *testing.T) {
-	for _, tc := range []struct{ p, r, c int }{{8, 2, 4}, {9, 3, 3}, {7, 1, 7}, {16, 4, 4}} {
-		r, c := gridShape(tc.p)
-		if r != tc.r || c != tc.c {
-			t.Errorf("gridShape(%d) = %d×%d, want %d×%d", tc.p, r, c, tc.r, tc.c)
-		}
-	}
-}
-
 // TestRunGEParallelDeterminism is the deterministic-equivalence check of
 // the sweep engine: fanning the block-size sweep out over 8 workers must
 // produce exactly (bit-for-bit float equality) the Point slice the

@@ -89,8 +89,10 @@ func purityService(p Policy) Policy {
 var policies = map[string]Policy{
 	// Scheduler core: the two simulator engines, the event queue
 	// machinery, the fault injector, the Monte-Carlo envelope sweep,
-	// the lockstep lane engine, the pooled evaluator, and the parallel
-	// sweep engine that derives per-cell seeds.
+	// the lockstep lane engine, the pooled evaluator, the parallel
+	// sweep engine that derives per-cell seeds, the cache model whose
+	// charges feed the predictions, and the machine emulator whose
+	// seeded jitter produces the "measured" curves.
 	"internal/sim":       schedulerPolicy,
 	"internal/worstcase": schedulerPolicy,
 	"internal/eventq":    schedulerPolicy,
@@ -99,6 +101,8 @@ var policies = map[string]Policy{
 	"internal/lanes":     schedulerPolicy,
 	"internal/predictor": schedulerPolicy,
 	"internal/sweep":     schedulerPolicy,
+	"internal/cache":     schedulerPolicy,
+	"internal/machine":   schedulerPolicy,
 
 	// Timeline construction and rendering.
 	"internal/timeline": timelinePolicy,
@@ -118,7 +122,6 @@ var policies = map[string]Policy{
 	"internal/cluster":     errDrop(servicePolicy),
 	"internal/resultcache": purityService(errDrop(servicePolicy)),
 	"internal/flight":      errDrop(servicePolicy),
-	"internal/cache":       errDrop(servicePolicy),
 	"internal/loadgen":     servicePolicy,
 	"cmd/predictd":         errDrop(servicePolicy),
 	"cmd/predictrouter":    errDrop(servicePolicy),
@@ -138,7 +141,6 @@ var policies = map[string]Policy{
 	"internal/layout":      DefaultPolicy,
 	"internal/lintrules":   DefaultPolicy,
 	"internal/loggp":       DefaultPolicy,
-	"internal/machine":     DefaultPolicy,
 	"internal/matrix":      DefaultPolicy,
 	"internal/network":     DefaultPolicy,
 	"internal/profiling":   DefaultPolicy,

@@ -8,7 +8,9 @@
 //   - a per-processor cache model (package cache): operand blocks and
 //     received message buffers must be loaded before use; misses cost
 //     time that is accounted separately, like the paper's separately
-//     timed "bring the blocks into the cache" section;
+//     timed "bring the blocks into the cache" section. The touch order
+//     never depends on simulated time, so Run replays it once
+//     (cache.Warm) and both of its passes read the same charges;
 //   - the overhead of iterating through all the blocks a processor is
 //     assigned, paid once per step (the paper's explanation for its
 //     computation-time underestimation at small block sizes);
@@ -118,7 +120,9 @@ type Result struct {
 
 // Run emulates the program twice — once with cache-warming charges, once
 // without — and reports both finishing times plus the decomposition of
-// the charged run.
+// the charged run. The cache model is replayed once (cache.Warm): the
+// touch order never depends on simulated time, so both passes read the
+// same charges.
 func Run(pr *program.Program, cfg Config) (*Result, error) {
 	if cfg.Cost == nil {
 		return nil, fmt.Errorf("machine: no cost model")
@@ -130,25 +134,33 @@ func Run(pr *program.Program, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("machine: %d assigned-block counts for %d processors",
 			len(cfg.AssignedBlocks), pr.P)
 	}
+	var warming *cache.Warming
+	if cfg.CacheBytes > 0 {
+		warming = cache.Warm(pr, cfg.CacheBytes, cfg.MissFixed, cfg.MissPerByte)
+	}
 	// One simulator session serves both passes: run re-aims it with
 	// Reconfigure, so the second pass reuses the first one's scheduler
 	// state and queue storage instead of rebuilding it.
 	sess := &sim.Session{}
-	charged, err := run(pr, cfg, true, sess)
+	charged, err := run(pr, cfg, warming, sess)
 	if err != nil {
 		return nil, err
 	}
-	warm, err := run(pr, cfg, false, sess)
+	warm, err := run(pr, cfg, nil, sess)
 	if err != nil {
 		return nil, err
 	}
 	charged.TotalNoCache = warm.Total
+	if warming != nil {
+		charged.CacheWarm = warming.Max
+		charged.Hits, charged.Misses = warming.Hits, warming.Misses
+	}
 	return charged, nil
 }
 
-// run performs one emulated execution. chargeCache selects whether cache
-// misses cost time (they are tracked either way).
-func run(pr *program.Program, cfg Config, chargeCache bool, sess *sim.Session) (*Result, error) {
+// run performs one emulated execution, adding each step's cache-loading
+// charges to the computation phase when warming is non-nil.
+func run(pr *program.Program, cfg Config, warming *cache.Warming, sess *sim.Session) (*Result, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	// The emulator only reads clocks, so the replay runs in quiet mode
 	// (no timeline recording; see sim.Config.NoTimeline).
@@ -165,20 +177,9 @@ func run(pr *program.Program, cfg Config, chargeCache bool, sess *sim.Session) (
 		return nil, err
 	}
 
-	caches := make([]*cache.Cache, pr.P)
-	for i := range caches {
-		caches[i] = cache.New(cfg.CacheBytes)
-	}
 	res := &Result{}
 	compT := make([]float64, pr.P)
 	commT := make([]float64, pr.P)
-	warmT := make([]float64, pr.P)
-	// pendingBuffers holds, per processor, the byte sizes of message
-	// buffers received in the previous communication phase; they are
-	// pulled into the cache when the next computation phase touches
-	// them.
-	pendingBuffers := make([][]int, pr.P)
-	nextBufferID := uint64(1) << 32 // distinct from block ids
 
 	durs := make([]float64, pr.P)
 	var before, after []float64 // clock scratch, reused across steps
@@ -191,29 +192,13 @@ func run(pr *program.Program, cfg Config, chargeCache bool, sess *sim.Session) (
 			if cfg.AssignedBlocks != nil {
 				comp += cfg.IterPerBlock * float64(cfg.AssignedBlocks[proc])
 			}
-			warm := 0.0
-			if cfg.CacheBytes > 0 {
-				c := caches[proc]
-				for _, bytes := range pendingBuffers[proc] {
-					c.Access(nextBufferID, bytes)
-					nextBufferID++
-					warm += cfg.MissFixed + cfg.MissPerByte*float64(bytes)
-				}
-				pendingBuffers[proc] = pendingBuffers[proc][:0]
-				for _, call := range step.Comp[proc] {
-					bytes := 8 * call.BlockSize * call.BlockSize
-					if !c.Access(call.Block, bytes) {
-						warm += cfg.MissFixed + cfg.MissPerByte*float64(bytes)
-					}
-				}
-			}
 			for _, call := range step.Comp[proc] {
 				comp += cfg.Cost.Cost(call.Op, call.BlockSize)
 			}
 			compT[proc] += comp
-			warmT[proc] += warm
-			if !chargeCache {
-				warm = 0
+			warm := 0.0
+			if warming != nil {
+				warm = warming.Charges[stepIdx][proc]
 			}
 			durs[proc] = comp + warm
 		}
@@ -228,8 +213,6 @@ func run(pr *program.Program, cfg Config, chargeCache bool, sess *sim.Session) (
 		for _, m := range step.Comm.Msgs {
 			if m.Src == m.Dst {
 				durs[m.Src] += cfg.LocalFixed + cfg.LocalPerByte*float64(m.Bytes)
-			} else {
-				pendingBuffers[m.Dst] = append(pendingBuffers[m.Dst], m.Bytes)
 			}
 		}
 		before = sess.ClocksInto(before)
@@ -253,11 +236,6 @@ func run(pr *program.Program, cfg Config, chargeCache bool, sess *sim.Session) (
 		if commT[proc] > res.Comm {
 			res.Comm = commT[proc]
 		}
-		if warmT[proc] > res.CacheWarm {
-			res.CacheWarm = warmT[proc]
-		}
-		res.Hits += caches[proc].Stats.Hits
-		res.Misses += caches[proc].Stats.Misses
 	}
 	return res, nil
 }

@@ -86,10 +86,11 @@ type Config struct {
 	// CacheBytes, when positive, enables the cache-aware prediction the
 	// paper proposes as future work ("a model to simulate caching
 	// behavior must be incorporated in the simulation algorithm"): the
-	// predictor then maintains the same per-processor LRU block cache
-	// the machine emulator uses, charging MissFixed + MissPerByte·size
-	// for every operand block or received buffer that must be loaded.
-	// The charges appear in Prediction.CacheWarm and in the totals.
+	// predictor then calls the same cache.Warm the machine emulator
+	// uses, a per-processor LRU block cache charging MissFixed +
+	// MissPerByte·size for every operand block or received buffer that
+	// must be loaded. The charges appear in Prediction.CacheWarm and in
+	// the totals.
 	CacheBytes  int
 	MissFixed   float64
 	MissPerByte float64
@@ -280,23 +281,14 @@ func (e *Evaluator) PredictInto(out *Prediction, pr *program.Program, cfg Config
 	if !cfg.CollectSteps {
 		p.PerStep = nil
 	}
-	// Cache-aware mode: the same block-granularity LRU the emulator
-	// uses. Cache behaviour depends only on the program's touch order,
-	// not on simulated timing, so one set of caches serves both the
-	// standard and the worst-case run.
-	var (
-		caches       []*cache.Cache
-		pendingBufs  [][]int
-		nextBufferID = uint64(1) << 32
-		warmPerProc  []float64
-	)
+	// Cache-aware mode: the emulator's cache model. Cache behaviour
+	// depends only on the program's touch order, not on simulated
+	// timing, so one replay serves both the standard and the worst-case
+	// run.
+	var warming *cache.Warming
 	if cfg.CacheBytes > 0 {
-		caches = make([]*cache.Cache, pr.P)
-		pendingBufs = make([][]int, pr.P)
-		warmPerProc = make([]float64, pr.P)
-		for i := range caches {
-			caches[i] = cache.New(cfg.CacheBytes)
-		}
+		warming = cache.Warm(pr, cfg.CacheBytes, cfg.MissFixed, cfg.MissPerByte)
+		p.CacheWarm = warming.Max
 	}
 	e.durs = grow(e.durs, pr.P)
 	e.commStd = grow(e.commStd, pr.P)
@@ -329,30 +321,8 @@ func (e *Evaluator) PredictInto(out *Prediction, pr *program.Program, cfg Config
 			}
 			durs[proc] = d
 			p.CompPerProc[proc] += d
-			if caches != nil {
-				warm := 0.0
-				c := caches[proc]
-				for _, bytes := range pendingBufs[proc] {
-					c.Access(nextBufferID, bytes)
-					nextBufferID++
-					warm += cfg.MissFixed + cfg.MissPerByte*float64(bytes)
-				}
-				pendingBufs[proc] = pendingBufs[proc][:0]
-				for _, call := range step.Comp[proc] {
-					bytes := 8 * call.BlockSize * call.BlockSize
-					if !c.Access(call.Block, bytes) {
-						warm += cfg.MissFixed + cfg.MissPerByte*float64(bytes)
-					}
-				}
-				warmPerProc[proc] += warm
-				durs[proc] += warm
-			}
-		}
-		if caches != nil {
-			for _, m := range step.Comm.Msgs {
-				if m.Src != m.Dst {
-					pendingBufs[m.Dst] = append(pendingBufs[m.Dst], m.Bytes)
-				}
+			if warming != nil {
+				durs[proc] += warming.Charges[i][proc]
 			}
 		}
 		if !cfg.Overlap {
@@ -415,9 +385,6 @@ func (e *Evaluator) PredictInto(out *Prediction, pr *program.Program, cfg Config
 		}
 		if commWC[proc] > p.CommWorst {
 			p.CommWorst = commWC[proc]
-		}
-		if warmPerProc != nil && warmPerProc[proc] > p.CacheWarm {
-			p.CacheWarm = warmPerProc[proc]
 		}
 	}
 	return nil

@@ -26,7 +26,7 @@ type OpCall struct {
 	// BlockSize is the block's side length b.
 	BlockSize int
 	// Block identifies the owned block the operation writes, an opaque
-	// id used by the machine emulator's cache model. Operand data that
+	// id used by the cache model (package cache). Operand data that
 	// arrives by message is charged per message instead.
 	Block uint64
 }
@@ -68,8 +68,8 @@ func (s *Step) AddOp(p int, op blockops.Op, blockSize int) {
 	s.Comp[p] = append(s.Comp[p], OpCall{Op: op, BlockSize: blockSize})
 }
 
-// AddOpOn is AddOp with an explicit owned-block id for the emulator's
-// cache model.
+// AddOpOn is AddOp with an explicit owned-block id for the cache
+// model.
 func (s *Step) AddOpOn(p int, op blockops.Op, blockSize int, block uint64) {
 	s.Comp[p] = append(s.Comp[p], OpCall{Op: op, BlockSize: blockSize, Block: block})
 }

@@ -1,7 +1,6 @@
 // Package resultcache is the content-addressed result cache behind the
 // prediction service: a sharded in-process LRU+TTL store keyed by
-// canonical content hashes (see key.go), with singleflight coalescing
-// so concurrent misses for one key evaluate once.
+// canonical content hashes (see key.go).
 //
 // Why a result cache is safe here at all: every prediction layer in
 // this repository is deterministic by construction — hash-seeded
@@ -32,11 +31,13 @@
 //     would cost the most simulator time (a deterministic, list-ordered
 //     variant of GreedyDual-style policies).
 //
-//   - Coalescing. GetOrCompute routes misses through a flight.Group —
-//     the singleflight core shared with search.Memoized — so a burst of
-//     identical requests costs one evaluation; whether the outcome is
-//     stored is the evaluator's decision (Meta.Store), letting callers
-//     share degraded results without caching them.
+//   - No coalescing here. The cache is a store: Get, Put, Export and
+//     Stats. Concurrent misses for one key are coalesced by the caller
+//     (internal/serve keys its own flight.Group with the cache key plus
+//     the request's deadline and budget, so a follower never inherits
+//     a degradation it did not ask for); whether an outcome is stored
+//     is the caller's decision (Meta.Store), so degraded results can be
+//     shared with coalesced requests without being cached.
 package resultcache
 
 import (
@@ -44,8 +45,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"loggpsim/internal/flight"
 )
 
 // Config tunes a Cache. The zero value selects the defaults.
@@ -95,19 +94,15 @@ type Meta struct {
 	// under pressure prefers evicting low-cost entries.
 	Cost float64
 	// Store reports whether the value should be retained at all —
-	// false for degraded or error outcomes, which are shared with
-	// coalesced waiters but never cached.
+	// false for degraded or error outcomes, which are never cached.
 	Store bool
 }
 
 // Stats is a counter snapshot (see Cache.Stats).
 type Stats struct {
-	// Hits and Misses count Get outcomes; Coalesced counts the
-	// GetOrCompute followers that received a shared in-flight result
-	// without evaluating.
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Coalesced int64 `json:"coalesced"`
+	// Hits and Misses count Get outcomes.
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
 	// Stores counts retained values; Evictions capacity-pressure
 	// removals; Expired TTL removals; Oversize values too large for a
 	// shard's byte budget (never stored).
@@ -134,10 +129,9 @@ type Cache[V any] struct {
 	cfg    Config
 	mask   uint64
 	shards []shard[V]
-	group  flight.Group[Key, V]
 	now    func() time.Time // test seam; time.Now in production
 
-	hits, misses, coalesced, stores, evictions, expired, oversize atomic.Int64
+	hits, misses, stores, evictions, expired, oversize atomic.Int64
 }
 
 type shard[V any] struct {
@@ -312,44 +306,6 @@ func (s *shard[V]) evictOver(now int64) (evicted, expired int64) {
 	return evicted, expired
 }
 
-// GetOrCompute returns the cached value for key or computes it,
-// coalescing concurrent computations of the same key onto one
-// evaluation through the shared singleflight group. fn runs on a new
-// goroutine; the returned channel (buffered, safe to abandon) delivers
-// the outcome, and leader reports whether this caller's fn was the one
-// chosen to run. Outcomes with Meta.Store true are cached before
-// delivery; others — degraded or failed computations — are shared with
-// the coalesced waiters but never stored.
-//
-// Callers needing finer control (the serve layer checks its drain gate
-// between the lookup and the computation) compose Get, the flight
-// group, and Put themselves; GetOrCompute is the assembled fast path.
-func (c *Cache[V]) GetOrCompute(key Key, fn func() (V, Meta, error)) (<-chan flight.Result[V], bool) {
-	if v, ok := c.Get(key); ok {
-		ch := make(chan flight.Result[V], 1)
-		ch <- flight.Result[V]{Val: v}
-		return ch, false
-	}
-	return c.Compute(key, fn)
-}
-
-// Compute is GetOrCompute without the lookup: it coalesces and runs fn,
-// storing outcomes fn marks storable. Followers are counted in the
-// Coalesced statistic.
-func (c *Cache[V]) Compute(key Key, fn func() (V, Meta, error)) (<-chan flight.Result[V], bool) {
-	ch, leader := c.group.DoChan(key, func() (V, error) {
-		v, meta, err := fn()
-		if err == nil {
-			c.Put(key, v, meta)
-		}
-		return v, err
-	})
-	if !leader {
-		c.coalesced.Add(1)
-	}
-	return ch, leader
-}
-
 // Entry is one exported cache entry (see Export).
 type Entry[V any] struct {
 	Key  Key
@@ -408,7 +364,6 @@ func (c *Cache[V]) Stats() Stats {
 	st := Stats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
-		Coalesced: c.coalesced.Load(),
 		Stores:    c.stores.Load(),
 		Evictions: c.evictions.Load(),
 		Expired:   c.expired.Load(),

@@ -3,7 +3,6 @@ package resultcache
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -151,77 +150,6 @@ func TestShardOccupancyIsReported(t *testing.T) {
 	}
 }
 
-func TestComputeCoalescesConcurrentMisses(t *testing.T) {
-	c := New[int](Config{})
-	k := keyOf("hot")
-	var evals, started atomic.Int32
-
-	const n = 32
-	var wg sync.WaitGroup
-	vals := make(chan int, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			started.Add(1)
-			ch, _ := c.GetOrCompute(k, func() (int, Meta, error) {
-				evals.Add(1)
-				for started.Load() < n {
-					time.Sleep(time.Millisecond)
-				}
-				time.Sleep(50 * time.Millisecond)
-				return 99, Meta{Size: 2, Cost: 10, Store: true}, nil
-			})
-			r := <-ch
-			if r.Err != nil {
-				t.Errorf("compute error: %v", r.Err)
-			}
-			vals <- r.Val
-		}()
-	}
-	wg.Wait()
-	if got := evals.Load(); got != 1 {
-		t.Fatalf("evaluated %d times under coalescing, want 1", got)
-	}
-	for i := 0; i < n; i++ {
-		if v := <-vals; v != 99 {
-			t.Fatalf("caller got %d, want 99", v)
-		}
-	}
-	st := c.Stats()
-	if st.Coalesced == 0 {
-		t.Fatalf("no coalesced followers recorded: %+v", st)
-	}
-	if st.Stores != 1 {
-		t.Fatalf("stores = %d, want 1", st.Stores)
-	}
-	// The value is now cached: a fresh GetOrCompute must not evaluate.
-	ch, leader := c.GetOrCompute(k, func() (int, Meta, error) {
-		t.Error("evaluated despite a cached entry")
-		return 0, Meta{}, nil
-	})
-	if leader {
-		t.Fatal("cache hit reported leadership")
-	}
-	if r := <-ch; r.Val != 99 {
-		t.Fatalf("hit value %d", r.Val)
-	}
-}
-
-func TestComputeErrorNotCached(t *testing.T) {
-	c := New[int](Config{})
-	k := keyOf("err")
-	ch, _ := c.Compute(k, func() (int, Meta, error) {
-		return 0, Meta{Size: 1, Store: true}, fmt.Errorf("boom")
-	})
-	if r := <-ch; r.Err == nil {
-		t.Fatal("error swallowed")
-	}
-	if _, ok := c.Get(k); ok {
-		t.Fatal("failed computation was cached")
-	}
-}
-
 func TestPutRefreshAdjustsBytes(t *testing.T) {
 	c := New[int](Config{Shards: 1})
 	k := keyOf("r")
@@ -232,9 +160,9 @@ func TestPutRefreshAdjustsBytes(t *testing.T) {
 	}
 }
 
-// TestConcurrentMixedUse is the package's -race soak: readers, writers
-// and coalesced computes hammer a tiny cache whose budgets force
-// constant eviction.
+// TestConcurrentMixedUse is the package's -race soak: readers, writers,
+// read-through fills and statistics snapshots hammer a tiny cache whose
+// budgets force constant eviction.
 func TestConcurrentMixedUse(t *testing.T) {
 	c := New[int](Config{Shards: 4, MaxEntries: 32, MaxBytes: 1 << 12})
 	var wg sync.WaitGroup
@@ -250,10 +178,10 @@ func TestConcurrentMixedUse(t *testing.T) {
 				case 1:
 					c.Get(k)
 				default:
-					ch, _ := c.GetOrCompute(k, func() (int, Meta, error) {
-						return i, Meta{Size: 64, Cost: float64(i), Store: true}, nil
-					})
-					<-ch
+					if _, ok := c.Get(k); !ok {
+						c.Put(k, i, Meta{Size: 64, Cost: float64(i), Store: true})
+					}
+					c.Stats()
 				}
 			}
 		}(w)

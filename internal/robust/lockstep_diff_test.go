@@ -63,7 +63,8 @@ func lockstepCases() map[string]Config {
 // TestLockstepMatchesScalar is the differential suite the lockstep
 // engine answers to: for every corpus case and at every worker count,
 // the batched path must reproduce the scalar reference envelopes of
-// runScalar byte-for-byte — every quantile, Samples, and Lost.
+// runScalar byte-for-byte — every quantile, Samples, Lost, and the
+// nominal point, which the batched path runs as one more lane.
 func TestLockstepMatchesScalar(t *testing.T) {
 	sawLost := false
 	for name, cfg := range lockstepCases() {

@@ -35,7 +35,6 @@ import (
 	"loggpsim/internal/lanes"
 	"loggpsim/internal/layout"
 	"loggpsim/internal/loggp"
-	"loggpsim/internal/predictor"
 	"loggpsim/internal/program"
 	"loggpsim/internal/stats"
 	"loggpsim/internal/sweep"
@@ -137,14 +136,14 @@ type Config struct {
 	// Options are extra sweep options (e.g. sweep.Context for
 	// cancellation), applied after Workers.
 	Options []sweep.Option
-	// Ctx, when non-nil, deadline-bounds the sweep at sample
-	// granularity: it is checked before every Monte-Carlo sample and
-	// propagated into each sample's prediction (predictor.Config.Ctx),
-	// so a cancelled or expired context aborts within one scheduler
-	// step of one sample — no envelope waits for its remaining samples
-	// once the deadline is gone. The returned error wraps ctx.Err().
-	// Ctx is also installed as a sweep.Context option on the block-size
-	// fan-out.
+	// Ctx, when non-nil, deadline-bounds the sweep at step
+	// granularity: the lane engine polls it once per program step
+	// (lanes.Config.Ctx), and each step advances all of a block size's
+	// samples and its nominal point, so a cancelled or expired context
+	// aborts within one scheduler step — no envelope finishes its
+	// replay once the deadline is gone. The returned error wraps
+	// ctx.Err(). Ctx is also installed as a sweep.Context option on the
+	// block-size fan-out.
 	Ctx context.Context
 }
 
@@ -160,7 +159,10 @@ type Quantiles struct {
 // seconds, like experiments.Point.
 type Envelope struct {
 	B int `json:"b"`
-	// Nominal is the unperturbed zero-fault standard prediction.
+	// Nominal is the standard prediction at the unperturbed parameters
+	// and base seed, without faults. It runs as one more lane beside
+	// the samples and counts in neither Samples, Lost nor the
+	// quantiles.
 	Nominal float64 `json:"nominal"`
 	// Total and Worst envelope the standard and worst-case predictions
 	// across the surviving samples.
@@ -230,8 +232,9 @@ func summarize(xs []float64) Quantiles {
 }
 
 // Run executes the Monte-Carlo sweep and returns one envelope per
-// usable block size, in input order. A block size's samples advance in
-// lockstep through internal/lanes (see lockstepEnvelope). Each
+// usable block size, in input order. A block size's samples and its
+// nominal point advance in lockstep through internal/lanes (see
+// lockstepEnvelope); a nominal lane that fails fails the run. Each
 // sample's prediction is checked against the static certificate
 // computed from that sample's own perturbed parameters: below the
 // lower bound is always an error; above the upper bound is an error
@@ -281,21 +284,18 @@ func Run(cfg Config) ([]Envelope, error) {
 		if err != nil {
 			return Envelope{}, err
 		}
-		var pred predictor.Prediction
-		base := predictor.Config{Params: cfg.Params, Cost: cfg.Model, Seed: cfg.Seed, Ctx: cfg.Ctx}
-		if err := predictor.NewEvaluator().PredictInto(&pred, pr, base); err != nil {
-			return Envelope{}, err
-		}
-		return lockstepEnvelope(cfg, pr, pred.Total, i, b, samples)
+		return lockstepEnvelope(cfg, pr, i, b, samples)
 	}, opts...)
 }
 
-// laneSpecs derives the per-sample lane configurations for block-size
-// index i, with exactly the seed and parameter derivations of the
-// per-sample oracle in scalar_test.go.
+// laneSpecs derives the lane configurations for block-size index i:
+// lanes 0..samples-1 are the Monte-Carlo samples, with exactly the seed
+// and parameter derivations of the per-sample oracle in scalar_test.go,
+// and lane samples is the nominal point — the unperturbed parameters
+// and base seed, with no fault plan even when faults are on.
 func laneSpecs(cfg Config, i, samples int) []lanes.Lane {
-	ls := make([]lanes.Lane, samples)
-	for s := range ls {
+	ls := make([]lanes.Lane, samples+1)
+	for s := range samples {
 		seed := sweep.Seed(cfg.Seed, i*samples+s)
 		ls[s] = lanes.Lane{Params: sampleParams(cfg.Params, cfg.Perturb, seed), Seed: seed}
 		if cfg.Faults.Enabled() {
@@ -303,17 +303,19 @@ func laneSpecs(cfg Config, i, samples int) []lanes.Lane {
 			ls[s].Faults.Seed = sweep.Seed(seed, 4)
 		}
 	}
+	ls[samples] = lanes.Lane{Params: cfg.Params, Seed: cfg.Seed}
 	return ls
 }
 
-// lockstepEnvelope runs one block size's Monte-Carlo samples through
-// the lane engine: all samples advance together through one decode of
-// the program, and the certificate's structure is summarized once and
-// only re-priced per perturbed parameter vector. Quantiles, Samples and
-// Lost are bit-identical to those of the per-sample oracle in
-// scalar_test.go, which replays each sample through its own predictor
-// session and certificate.
-func lockstepEnvelope(cfg Config, pr *program.Program, nominalTotal float64, i, b, samples int) (Envelope, error) {
+// lockstepEnvelope runs one block size's Monte-Carlo samples, plus the
+// nominal point as one more lane, through the lane engine: all lanes
+// advance together through one decode of the program, and the
+// certificate's structure is summarized once and only re-priced per
+// perturbed parameter vector. The envelope is bit-identical to that of
+// the per-sample oracle in scalar_test.go, which replays the nominal
+// point and each sample through its own predictor session and
+// certificate.
+func lockstepEnvelope(cfg Config, pr *program.Program, i, b, samples int) (Envelope, error) {
 	shape, err := analyze.NewProgramShape(pr, cfg.Model)
 	if err != nil {
 		return Envelope{}, err
@@ -323,12 +325,6 @@ func lockstepEnvelope(cfg Config, pr *program.Program, nominalTotal float64, i, 
 	if err != nil {
 		return Envelope{}, err
 	}
-	env := Envelope{
-		B:         b,
-		Nominal:   nominalTotal * secPerMicro,
-		CertLower: nominalBounds.Lower * secPerMicro,
-		CertUpper: nominalBounds.Upper * secPerMicro,
-	}
 	ls := laneSpecs(cfg, i, samples)
 	eng := enginePool.Get().(*lanes.Engine)
 	results, err := eng.Run(pr, lanes.Config{Cost: cfg.Model, Ctx: cfg.Ctx}, ls)
@@ -336,9 +332,19 @@ func lockstepEnvelope(cfg Config, pr *program.Program, nominalTotal float64, i, 
 	if err != nil {
 		return Envelope{}, fmt.Errorf("robust: b=%d: %w", b, err)
 	}
+	nominal := results[samples]
+	if nominal.Err != nil {
+		return Envelope{}, fmt.Errorf("robust: b=%d nominal: %w", b, nominal.Err)
+	}
+	env := Envelope{
+		B:         b,
+		Nominal:   nominal.Total * secPerMicro,
+		CertLower: nominalBounds.Lower * secPerMicro,
+		CertUpper: nominalBounds.Upper * secPerMicro,
+	}
 	totals := make([]float64, 0, samples)
 	worsts := make([]float64, 0, samples)
-	for s, res := range results {
+	for s, res := range results[:samples] {
 		if res.Err != nil {
 			var le *faults.LossError
 			if errors.As(res.Err, &le) {

@@ -13,21 +13,24 @@
 #   make lint-sarif — same run, writing bin/lint.sarif (SARIF 2.1.0)
 #   make race    — full test suite under the race detector
 #   make diff    — differential tests under the race detector: the
+#                  tournament tree vs its linear-scan oracles, the
 #                  indexed scheduler cores vs the reference_test.go
 #                  oracles, the lane engine vs its scalar oracle, and
 #                  every bound certificate vs the walk_test.go oracle
 #   make bench   — figure, scheduler-core (P=64/256 stress and the
-#                  Figure-7 GE programs at P=8), fault-hook overhead
-#                  and bound-certificate benchmarks, printed to stdout
+#                  Figure-7 GE programs at P=8, standard and worst
+#                  case), fault-hook overhead and bound-certificate
+#                  benchmarks, printed to stdout
 #   make sweep   — serial-vs-parallel sweep benchmark pair only
 #   make bench-envelope — Figure-7 envelope throughput, scalar test
 #                  oracle vs lockstep lane engine, at samples
 #                  16/64/256, printed to stdout
-#   make fuzz-smoke — short fuzz of the fault injector, the
-#                  checkpoint/resume journal, predictd's canonical cache
-#                  key, its strict request decoder, its cache-import
-#                  verifier and the static deadlock verdict and bound
-#                  certificate (part of ci)
+#   make fuzz-smoke — short fuzz of the standard and worst-case
+#                  scheduler cores against their reference oracles, the
+#                  fault injector, the checkpoint/resume journal,
+#                  predictd's canonical cache key, its strict request
+#                  decoder, its cache-import verifier and the static
+#                  deadlock verdict and bound certificate (part of ci)
 #   make serve-smoke — boot the real predictd binary on an ephemeral
 #                  port and drive the robustness contract end to end:
 #                  healthy requests, 400/413 rejection, deadline
@@ -107,13 +110,17 @@ race:
 # scans, which live in each package's reference_test.go (DESIGN.md
 # §perf); run the differential suites under -race so a data race in the
 # session-reuse machinery cannot hide behind identical output. The
-# lockstep lane engine makes the same claim against scalar replays (the
-# robust oracle is runScalar in internal/robust/scalar_test.go; DESIGN.md
-# §5h), and every bound certificate — the shape pricer behind
-# PatternBounds, Check, BoundProgram and CheckProgram — against the
-# per-message walk in internal/analyze/walk_test.go (DESIGN.md §5e), so
-# their differential suites run here too.
+# selection tree all four indexed cores share (eventq.Tournament) is
+# checked first against its own linear-scan oracles, including the
+# Figure-2 tie-break with a twin RNG. The lockstep lane engine makes
+# the same claim against scalar replays (the robust oracle is runScalar
+# in internal/robust/scalar_test.go; DESIGN.md §5h), and every bound
+# certificate — the shape pricer behind PatternBounds, Check,
+# BoundProgram and CheckProgram — against the per-message walk in
+# internal/analyze/walk_test.go (DESIGN.md §5e), so their differential
+# suites run here too.
 diff:
+	$(GO) test -race -run 'Tournament.*Scan' ./internal/eventq
 	$(GO) test -race -run 'Reference|Reset|Reconfigure|Fuzz' \
 		./internal/sim ./internal/worstcase
 	$(GO) test -race -run 'Lockstep|Shape|Lanes|Sandwich|CheckProgram' \
@@ -147,19 +154,25 @@ bench-envelope:
 		-bench 'BenchmarkEnvelope(Scalar|Lockstep)' ./internal/robust
 
 # Short fuzz runs of the robustness-critical state machines and
-# verifiers: the fault injector's retry/backoff accounting (clock
-# monotonicity, no lost messages below MaxRetries), the checkpoint
-# journal's resume path (any interrupted prefix resumes
-# byte-identically), predictd's canonical cache key (equivalent
-# spellings share a key), its strict request decoder (an accepted body
-# re-marshals to the same key; one more non-whitespace byte is
-# refused), its cache-import verifier (a hostile handoff line is
-# dropped without touching the cache; an accepted one is stored
+# verifiers: the scheduler cores (sim's paper, send-priority and
+# global-order cores and the worst-case core on arbitrary patterns and
+# machines, P 2-16, each bit-identical to its reference_test.go oracle
+# and every timeline passing the LogGP verifier), the fault injector's
+# retry/backoff accounting (clock monotonicity, no lost messages below
+# MaxRetries), the checkpoint journal's resume path (any interrupted
+# prefix resumes byte-identically), predictd's canonical cache key
+# (equivalent spellings share a key), its strict request decoder (an
+# accepted body re-marshals to the same key; one more non-whitespace
+# byte is refused), its cache-import verifier (a hostile handoff line
+# is dropped without touching the cache; an accepted one is stored
 # byte-exact), and the static analyzer (the deadlock verdict predicts
-# the worst-case scheduler's forced releases; Check's certificate equals
-# the walk oracle's and both schedulers finish inside it). `go test
-# -fuzz` takes one fuzz target per invocation, hence one line each.
+# the worst-case scheduler's forced releases; Check's certificate
+# equals the walk oracle's and both schedulers finish inside it). `go
+# test -fuzz` takes one fuzz target per invocation, hence one line
+# each.
 fuzz-smoke:
+	$(GO) test -run NONE -fuzz FuzzSimulationAlgorithms -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run NONE -fuzz FuzzWorstcaseScheduler -fuzztime $(FUZZTIME) ./internal/worstcase
 	$(GO) test -run NONE -fuzz FuzzSendOutcome -fuzztime $(FUZZTIME) ./internal/faults
 	$(GO) test -run NONE -fuzz FuzzJournalResume -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run NONE -fuzz FuzzCanonicalKey -fuzztime $(FUZZTIME) ./internal/serve

@@ -67,8 +67,8 @@ func EstimateWork(pr *program.Program) Work {
 }
 
 // Units reduces the estimate to scalar scheduler-work units. Each
-// network message costs two commits, each touching O(log P) of indexed
-// min-clock / tournament state; each step pays a per-processor sweep
+// network message costs two commits, each touching O(log P) of the
+// schedulers' tournament tree; each step pays a per-processor sweep
 // (clock collection, computation charging) and each basic operation one
 // cost-model call. The constants are unity — units are a relative
 // currency, not microseconds.

@@ -1,7 +1,8 @@
 // Package eventq provides the priority-queue machinery used by the
 // simulators: a time-keyed min-heap that is stable (entries with equal
 // keys come out in insertion order), so simulation runs are fully
-// deterministic.
+// deterministic, and Tournament, the tie-counting selection tree the
+// scheduler cores pick their next processor from.
 package eventq
 
 // Queue is a min-heap of values keyed by a float64 time stamp. Ties are

@@ -24,17 +24,18 @@
 // at a fixed receiver are almost always nondecreasing (its start times
 // only grow), so a push is an append (with a rare ordered insert) and
 // a pop scans the heads of the receiver's few runs — a two-or-three-way
-// merge instead of a heap sift. Scans run over bitmasks of live
+// merge instead of a heap sift. The standard core draws its
+// minimum-clock sender from eventq.Tournament, the tie-counting tree the
+// session cores select on. The worst-case core scans bitmasks of live
 // processors, and a processor that remains the strict minimum after a
 // commit keeps committing without a rescan (the common case in
 // broadcast-shaped steps), so the per-lane cost approaches the bare
-// per-message float arithmetic. Lane results
-// are bit-identical to per-sample predictor.Evaluator replays: the
-// cores replicate the schedulers' reference loops (runPaperReference
-// and runReference in the reference_test.go files of sim and
-// worstcase — the oracles the session cores are differentially tested
-// against) decision for decision, including when tie-break randomness
-// is consumed.
+// per-message float arithmetic. Lane results are bit-identical to
+// per-sample predictor.Evaluator replays: the cores replicate the
+// schedulers' reference loops (runPaperReference and runReference in
+// the reference_test.go files of sim and worstcase — the oracles the
+// session cores are differentially tested against) decision for
+// decision, including when tie-break randomness is consumed.
 //
 // Divergence between lanes is handled two ways:
 //
@@ -65,6 +66,7 @@ import (
 	"math/rand"
 
 	"loggpsim/internal/cost"
+	"loggpsim/internal/eventq"
 	"loggpsim/internal/faults"
 	"loggpsim/internal/loggp"
 	"loggpsim/internal/program"
@@ -180,15 +182,12 @@ type Engine struct {
 	candKind       []uint8
 	mask, pend     []uint64
 
-	// Standard-algorithm selection tree: a tournament over tw (next
-	// power of two >= p) leaves holding each unexhausted sender's clock
-	// (+Inf otherwise), with per-node tie counts. Selecting the
-	// minimum-clock sender, counting its ties and extracting the k-th
-	// tied index — all in leaf (index) order, as the reference's scan
-	// produces them — costs log p instead of a full rescan per commit.
-	treeVal []float64
-	treeCnt []int32
-	tw      int
+	// Standard-algorithm selection tree: the tie-counting tournament
+	// over each unexhausted sender's clock (+Inf otherwise), the one the
+	// session cores use. Counting the minimum-clock senders and
+	// extracting the k-th of them in index order — the reference scan's
+	// tie list — costs log p per commit instead of a full rescan.
+	tt eventq.Tournament
 
 	// Per-receiver head cache: hRun[q] is the run holding q's earliest
 	// pending arrival (-1 when none) and hKey[q] that arrival. A push
@@ -437,12 +436,6 @@ func (e *Engine) prepare(p int, ls []Lane) {
 	e.qSeq, e.qCls = growI32(e.qSeq, e.maxNmsgs), growI32(e.qCls, e.maxNmsgs)
 	e.rHead, e.rFill = growI32(e.rHead, e.maxRuns), growI32(e.rFill, e.maxRuns)
 	e.rKey, e.rSeq = growF64(e.rKey, e.maxRuns), growI32(e.rSeq, e.maxRuns)
-	e.tw = 1
-	for e.tw < p {
-		e.tw <<= 1
-	}
-	e.treeVal = growF64(e.treeVal, 2*e.tw)
-	e.treeCnt = growI32(e.treeCnt, 2*e.tw)
 	if cap(e.mask) < e.words {
 		e.mask = make([]uint64, e.words)
 		e.pend = make([]uint64, e.words)
@@ -523,9 +516,9 @@ func (e *Engine) prepare(p int, ls []Lane) {
 // genuine ties) chooses between its next send and its earliest pending
 // receive, receive winning start-time ties; then every processor drains
 // its remaining receives in index order. Selection runs on the
-// tournament tree — one leaf update and a root read per commit — whose
-// tie counts and leaf order reproduce the reference scan's tie list
-// exactly.
+// tournament tree — a root-to-leaf descent and one leaf update per
+// commit — whose tie counts and index order reproduce the reference
+// scan's tie list exactly.
 func (e *Engine) runStd(sp *stepPlan, si, l int) {
 	p := e.p
 	lp := l * p
@@ -546,62 +539,29 @@ func (e *Engine) runStd(sp *stepPlan, si, l int) {
 	inj := e.inj[l]
 	lc := l * e.classes
 
-	// Build the selection tree: leaves hold the clocks of processors
-	// with unsent messages, +Inf otherwise.
-	tw := e.tw
-	tv, tc := e.treeVal, e.treeCnt
-	for i := 0; i < tw; i++ {
-		leaf := math.Inf(1)
-		if i < p && sp.off[i] < sp.off[i+1] {
-			leaf = ct[i]
-		}
-		tv[tw+i], tc[tw+i] = leaf, 1
-	}
-	for n := tw - 1; n >= 1; n-- {
-		lv, rv := tv[2*n], tv[2*n+1]
-		switch {
-		case lv < rv:
-			tv[n], tc[n] = lv, tc[2*n]
-		case lv > rv:
-			tv[n], tc[n] = rv, tc[2*n+1]
-		default:
-			tv[n], tc[n] = lv, tc[2*n]+tc[2*n+1]
+	// Seed the selection tree with the clocks of processors with
+	// unsent messages; the rest stay +Inf.
+	tt := &e.tt
+	tt.Reset(p)
+	for q := 0; q < p; q++ {
+		if sp.off[q] < sp.off[q+1] {
+			tt.Update(q, ct[q])
 		}
 	}
 
 	for {
-		minT := tv[1]
-		if math.IsInf(minT, 1) {
+		// With ties, the reference collects the tied processors in index
+		// order and consumes one Intn; the tree's k-th tied index is the
+		// same draw against the same ordering.
+		ties := tt.Ties()
+		if ties == 0 {
 			break
 		}
-		// Descend to the minimum-clock leaf. With ties, the reference
-		// collects tied processors in index order and consumes one
-		// Intn; descending by per-node tie counts selects the k-th
-		// tied leaf — the same draw against the same ordering.
-		n := 1
-		if tc[1] > 1 {
-			k := int32(rng.Intn(int(tc[1])))
-			for n < tw {
-				left := 2 * n
-				if tv[left] == minT {
-					if k < tc[left] {
-						n = left
-						continue
-					}
-					k -= tc[left]
-				}
-				n = 2*n + 1
-			}
-		} else {
-			for n < tw {
-				if tv[2*n] == minT {
-					n = 2 * n
-				} else {
-					n = 2*n + 1
-				}
-			}
+		k := 0
+		if ties > 1 {
+			k = rng.Intn(ties)
 		}
-		proc := n - tw
+		proc := tt.Nth(k)
 
 		startSend := ct[proc]
 		if f := fs[proc]; f > startSend {
@@ -661,19 +621,7 @@ func (e *Engine) runStd(sp *stepPlan, si, l int) {
 			fr[proc] = startRecv + e.ivLikeTab[lc+c]
 			leaf = ct[proc]
 		}
-		// Re-seat proc in the tree along its leaf-to-root path.
-		tv[n] = leaf
-		for n >>= 1; n >= 1; n >>= 1 {
-			lv, rv := tv[2*n], tv[2*n+1]
-			switch {
-			case lv < rv:
-				tv[n], tc[n] = lv, tc[2*n]
-			case lv > rv:
-				tv[n], tc[n] = rv, tc[2*n+1]
-			default:
-				tv[n], tc[n] = lv, tc[2*n]+tc[2*n+1]
-			}
-		}
+		tt.Update(proc, leaf)
 	}
 	// Drain phase: remaining receives per processor in index order.
 	for q := 0; q < p; q++ {

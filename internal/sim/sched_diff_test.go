@@ -1,11 +1,11 @@
 package sim
 
-// Differential tests for the indexed scheduler core: the minClock-served
-// Figure-2 loop and the tournament-served global-order loop must produce
-// results bit-identical — timelines, finish times, per-processor clocks
-// and RNG-driven tie-breaks included — to the reference linear scans they
-// replaced (runPaperReference, runGlobalOrderReference in
-// reference_test.go).
+// Differential tests for the indexed scheduler core: the Figure-2 loop
+// and the global-order loop, both served by the tournament tree, must
+// produce results bit-identical — timelines, finish times,
+// per-processor clocks and RNG-driven tie-breaks included — to the
+// reference linear scans they replaced (runPaperReference,
+// runGlobalOrderReference in reference_test.go).
 
 import (
 	"fmt"
@@ -33,21 +33,25 @@ func diffParams(p int) []loggp.Params {
 // diffCorpus returns the named patterns the differential tests sweep:
 // the paper's Figure 3 plus the generator families, covering acyclic,
 // cyclic, dense, sparse, randomized and self-message-bearing shapes.
+// alltoall65 (lockstep ties at a non-power-of-two P) and random200 put
+// the selection tree seven and eight levels deep.
 func diffCorpus() map[string]*trace.Pattern {
 	withSelf := trace.Random(9, 40, 2048, 5)
 	withSelf.AddLocal(3, 100) // self messages are skipped, not scheduled
 	withSelf.AddLocal(7, 1)
 	return map[string]*trace.Pattern{
-		"figure3":   trace.Figure3(),
-		"ring":      trace.Ring(16, 112),
-		"shift":     trace.Shift(12, 5, 300),
-		"alltoall":  trace.AllToAll(12, 64),
-		"butterfly": trace.Butterfly(4, 512),
-		"gather":    trace.Gather(10, 0, 1024),
-		"scatter":   trace.Scatter(10, 3, 1024),
-		"random":    trace.Random(13, 80, 4096, 11),
-		"randomdag": trace.RandomDAG(11, 60, 2048, 7),
-		"selfmsg":   withSelf,
+		"figure3":    trace.Figure3(),
+		"ring":       trace.Ring(16, 112),
+		"shift":      trace.Shift(12, 5, 300),
+		"alltoall":   trace.AllToAll(12, 64),
+		"butterfly":  trace.Butterfly(4, 512),
+		"gather":     trace.Gather(10, 0, 1024),
+		"scatter":    trace.Scatter(10, 3, 1024),
+		"random":     trace.Random(13, 80, 4096, 11),
+		"randomdag":  trace.RandomDAG(11, 60, 2048, 7),
+		"selfmsg":    withSelf,
+		"alltoall65": trace.AllToAll(65, 64),
+		"random200":  trace.Random(200, 1600, 1024, 3),
 	}
 }
 

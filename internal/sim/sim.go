@@ -16,12 +16,13 @@
 // each would have; the strict comparison gives receives priority on ties.
 // Afterwards every processor drains its remaining receives.
 //
-// The min-clock selection is served by an indexed structure over the
-// sender clocks (see minClock) rather than a per-operation linear scan,
-// and the global-order ablation replays commits off an incrementally
-// maintained tournament tree; both produce timelines bit-identical to
-// the straightforward scans, which are kept as reference paths for the
-// differential tests. See DESIGN.md §perf.
+// Both commit loops select off one incrementally maintained tournament
+// tree (eventq.Tournament) instead of a per-operation linear scan: the
+// Figure-2 loop keeps the sender clocks in it and draws its random
+// tie-break over the tree's tie count, the global-order ablation keeps
+// each processor's best candidate start. Both produce timelines
+// bit-identical to the straightforward scans, which are kept as
+// reference paths for the differential tests. See DESIGN.md §perf.
 //
 // A Session chains multiple alternating computation and communication
 // steps — the paper's restricted program class — carrying both the
@@ -181,7 +182,6 @@ type Session struct {
 	// Step scratch, reused across Communicate calls.
 	sendArena []int
 	counts    []int
-	mc        minClock
 	tt        eventq.Tournament
 	ttKind    []loggp.OpKind
 }
@@ -550,24 +550,32 @@ func (s *Session) candidateStarts(st *procState) (startSend, startRecv float64) 
 }
 
 // runPaper is the Figure-2 main loop plus the drain phase, served by the
-// indexed min-clock structure: each iteration pops the (randomly
-// tie-broken) minimum-clock sender in O(log P) amortized instead of
-// rescanning all P processors. Only the committed processor's clock can
-// change between iterations, so the index is maintained by removing the
-// picked processor and re-adding it after the commit.
+// tournament tree over the clocks of the processors that still want to
+// send (+Inf for the rest): each iteration draws the (randomly
+// tie-broken) minimum-clock sender in O(log P) instead of rescanning all
+// P processors. The tree lists the equal-minimum set in ascending
+// processor order, as the reference scan collects it, and the RNG is
+// consulted only when that set has more than one member, so the draw
+// sequence is the reference's. Only the committed processor's clock can
+// change between iterations, so one leaf update re-seats it.
 func (s *Session) runPaper(pt *trace.Pattern, r *Result) {
-	mc := &s.mc
-	mc.reset(s.p)
+	tt := &s.tt
+	tt.Reset(s.p)
 	for i := range s.st {
 		if s.st[i].wantsSend() {
-			mc.add(i, s.st[i].ctime)
+			tt.Update(i, s.st[i].ctime)
 		}
 	}
 	for s.hookErr == nil {
-		proc, ok := mc.pick(s.rng)
-		if !ok {
+		ties := tt.Ties()
+		if ties == 0 {
 			break
 		}
+		k := 0
+		if ties > 1 {
+			k = s.rng.Intn(ties)
+		}
+		proc := tt.Nth(k)
 		st := &s.st[proc]
 		startSend, startRecv := s.candidateStarts(st)
 		sendWins := startSend < startRecv
@@ -579,9 +587,11 @@ func (s *Session) runPaper(pt *trace.Pattern, r *Result) {
 		} else {
 			s.commitRecv(pt, r.Timeline, proc, startRecv)
 		}
+		key := math.Inf(1)
 		if st.wantsSend() {
-			mc.add(proc, st.ctime)
+			key = st.ctime
 		}
+		tt.Update(proc, key)
 	}
 	s.drainReceives(pt, r)
 }

@@ -1,10 +1,10 @@
 package sim
 
-// Stress benchmarks for the scheduler core: the indexed
-// min-clock/tournament paths against the reference linear scans, on the
-// large-P workloads where the scans' O(P) per-operation cost bites and
-// on the paper's own Figure-7 programs at P=8. Run via `make bench`;
-// the headline numbers live in EXPERIMENTS.md.
+// Stress benchmarks for the scheduler core: the tournament-served
+// indexed cores against the reference linear scans, on the large-P
+// workloads where the scans' O(P) per-operation cost bites and on the
+// paper's own Figure-7 programs at P=8. Run via `make bench`; the
+// headline numbers live in EXPERIMENTS.md.
 
 import (
 	"fmt"

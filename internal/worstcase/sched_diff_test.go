@@ -26,19 +26,23 @@ func diffParams(p int) []loggp.Params {
 // diffCorpus leans on cyclic shapes — ring, all-to-all, butterfly,
 // random — because deadlock breaking is the worst-case algorithm's one
 // randomized choice; the acyclic shapes check the pure counter path.
+// alltoall65 (a non-power-of-two P) and random200 put the tournament
+// tree seven and eight levels deep.
 func diffCorpus() map[string]*trace.Pattern {
 	withSelf := trace.Random(9, 40, 2048, 5)
 	withSelf.AddLocal(3, 100)
 	return map[string]*trace.Pattern{
-		"figure3":   trace.Figure3(),
-		"ring":      trace.Ring(16, 112),
-		"twocycle":  trace.Ring(2, 500),
-		"alltoall":  trace.AllToAll(12, 64),
-		"butterfly": trace.Butterfly(4, 512),
-		"gather":    trace.Gather(10, 0, 1024),
-		"random":    trace.Random(13, 80, 4096, 11),
-		"randomdag": trace.RandomDAG(11, 60, 2048, 7),
-		"selfmsg":   withSelf,
+		"figure3":    trace.Figure3(),
+		"ring":       trace.Ring(16, 112),
+		"twocycle":   trace.Ring(2, 500),
+		"alltoall":   trace.AllToAll(12, 64),
+		"butterfly":  trace.Butterfly(4, 512),
+		"gather":     trace.Gather(10, 0, 1024),
+		"random":     trace.Random(13, 80, 4096, 11),
+		"randomdag":  trace.RandomDAG(11, 60, 2048, 7),
+		"selfmsg":    withSelf,
+		"alltoall65": trace.AllToAll(65, 64),
+		"random200":  trace.Random(200, 1600, 1024, 3),
 	}
 }
 

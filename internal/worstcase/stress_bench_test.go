@@ -1,17 +1,55 @@
 package worstcase
 
-// Large-P stress benchmarks for the worst-case commit loop: the
-// incremental tournament core against the reference full rescan (see
-// the sim package's stress benchmarks; `make bench` records both).
+// Stress benchmarks for the worst-case commit loop: the incremental
+// tournament core against the reference full rescan, on the large-P
+// workloads and on the paper's own Figure-7 programs at P=8 (see the
+// sim package's stress benchmarks; `make bench` records both).
 
 import (
 	"fmt"
 	"testing"
 
 	"loggpsim/internal/faults"
+	"loggpsim/internal/ge"
+	"loggpsim/internal/layout"
 	"loggpsim/internal/loggp"
 	"loggpsim/internal/trace"
 )
+
+// benchCommunicate measures repeated quiet-mode simulation of a step
+// sequence on a reused session: Reset, then CommunicateInto per step,
+// per iteration. reference swaps in the reference core of
+// reference_test.go.
+func benchCommunicate(b *testing.B, cfg Config, reference bool, steps ...*trace.Pattern) {
+	b.Helper()
+	sess, err := NewSession(steps[0].P, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var r Result
+	msgs := 0
+	for _, pt := range steps {
+		msgs += pt.NetworkMessages()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sess.Reset(nil); err != nil {
+			b.Fatal(err)
+		}
+		for _, pt := range steps {
+			if reference {
+				err = sess.communicateReference(&r, pt)
+			} else {
+				err = sess.CommunicateInto(&r, pt)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(msgs)*float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
+}
 
 // BenchmarkWorstcaseFaultHook mirrors the sim package's fault-hook
 // overhead benchmark on the worst-case scheduler: "nilhook" is the
@@ -41,28 +79,41 @@ func BenchmarkWorstcaseFaultHook(b *testing.B) {
 			{"injector", in.SendOutcome},
 		} {
 			b.Run(fmt.Sprintf("%s/P%d/%s", name, pt.P, mode.name), func(b *testing.B) {
-				sess, err := NewSession(pt.P, Config{Params: params, NoTimeline: true, Fault: mode.hook})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var r Result
-				msgs := pt.NetworkMessages()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := sess.Reset(nil); err != nil {
-						b.Fatal(err)
-					}
-					if err := sess.CommunicateInto(&r, pt); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(msgs)*float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
+				benchCommunicate(b, Config{Params: params, NoTimeline: true, Fault: mode.hook}, false, pt)
 			})
 		}
 	}
 }
 
+// geSteps returns the communication steps of the Figure-7 GE program
+// (diagonal layout) for an n×n matrix in b×b blocks on p processors.
+func geSteps(b *testing.B, n, blk, p int) []*trace.Pattern {
+	b.Helper()
+	grid, err := ge.NewGrid(n, blk)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pr, err := ge.BuildProgram(grid, layout.Diagonal(p, grid.NB))
+	if err != nil {
+		b.Fatal(err)
+	}
+	steps := make([]*trace.Pattern, len(pr.Steps))
+	for i, s := range pr.Steps {
+		steps[i] = s.Comm
+	}
+	return steps
+}
+
+var schedulerCores = []struct {
+	name      string
+	reference bool
+}{{"indexed", false}, {"reference", true}}
+
+// BenchmarkWorstcaseScheduler is the indexed-vs-reference comparison
+// across workloads and machine sizes. The ge-b* cases replay every
+// communication step of the Figure-7 GE program (N=960, P=8, Meiko
+// CS-2) per iteration, at the smallest, middle and largest block sizes
+// of the sweep.
 func BenchmarkWorstcaseScheduler(b *testing.B) {
 	for _, size := range []struct{ p, dims int }{{64, 6}, {256, 8}} {
 		patterns := map[string]*trace.Pattern{
@@ -71,36 +122,21 @@ func BenchmarkWorstcaseScheduler(b *testing.B) {
 			"random":    trace.Random(size.p, 16*size.p, 1024, 1),
 		}
 		for name, pt := range patterns {
-			for _, core := range []struct {
-				name      string
-				reference bool
-			}{{"indexed", false}, {"reference", true}} {
+			for _, core := range schedulerCores {
 				b.Run(fmt.Sprintf("%s/P%d/%s", name, size.p, core.name), func(b *testing.B) {
 					cfg := Config{Params: loggp.Params{L: 9, O: 2, Gap: 16, G: 0.07, P: pt.P}, NoTimeline: true}
-					sess, err := NewSession(pt.P, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					var r Result
-					msgs := pt.NetworkMessages()
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if err := sess.Reset(nil); err != nil {
-							b.Fatal(err)
-						}
-						if core.reference {
-							err = sess.communicateReference(&r, pt)
-						} else {
-							err = sess.CommunicateInto(&r, pt)
-						}
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.ReportMetric(float64(msgs)*float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
+					benchCommunicate(b, cfg, core.reference, pt)
 				})
 			}
+		}
+	}
+	for _, blk := range []int{8, 48, 120} {
+		steps := geSteps(b, 960, blk, 8)
+		for _, core := range schedulerCores {
+			b.Run(fmt.Sprintf("ge-b%d/P8/%s", blk, core.name), func(b *testing.B) {
+				cfg := Config{Params: loggp.MeikoCS2(8), NoTimeline: true}
+				benchCommunicate(b, cfg, core.reference, steps...)
+			})
 		}
 	}
 }

@@ -14,13 +14,16 @@
 #   make race    — full test suite under the race detector
 #   make diff    — differential tests under the race detector: the
 #                  tournament tree vs its linear-scan oracles, the
-#                  indexed scheduler cores vs the reference_test.go
-#                  oracles, the lane engine vs its scalar oracle, and
-#                  every bound certificate vs the walk_test.go oracle
+#                  slice-backed cache LRU and cache.Warm vs their
+#                  container/list oracles, the indexed scheduler cores
+#                  vs the reference_test.go oracles, the lane engine
+#                  vs its scalar oracle, and every bound certificate
+#                  vs the walk_test.go oracle
 #   make bench   — figure, scheduler-core (P=64/256 stress and the
 #                  Figure-7 GE programs at P=8, standard and worst
-#                  case), fault-hook overhead and bound-certificate
-#                  benchmarks, printed to stdout
+#                  case), fault-hook overhead, bound-certificate, and
+#                  Figure-7 program-build and cache-warming benchmarks,
+#                  printed to stdout
 #   make sweep   — serial-vs-parallel sweep benchmark pair only
 #   make bench-envelope — Figure-7 envelope throughput, scalar test
 #                  oracle vs lockstep lane engine, at samples
@@ -112,25 +115,28 @@ race:
 # session-reuse machinery cannot hide behind identical output. The
 # selection tree all four indexed cores share (eventq.Tournament) is
 # checked first against its own linear-scan oracles, including the
-# Figure-2 tie-break with a twin RNG. The lockstep lane engine makes
-# the same claim against scalar replays (the robust oracle is runScalar
-# in internal/robust/scalar_test.go; DESIGN.md §5h), and every bound
-# certificate — the shape pricer behind PatternBounds, Check,
-# BoundProgram and CheckProgram — against the per-message walk in
-# internal/analyze/walk_test.go (DESIGN.md §5e), so their differential
-# suites run here too.
+# Figure-2 tie-break with a twin RNG, and so are the cache model's
+# slice-backed LRU, and cache.Warm on it, against the container/list
+# LRU they replaced (internal/cache/cache_test.go). The lockstep lane
+# engine makes the same claim against scalar replays (the robust
+# oracle is runScalar in internal/robust/scalar_test.go; DESIGN.md
+# §5h), and every bound certificate — the shape pricer behind
+# PatternBounds, Check, BoundProgram and CheckProgram — against the
+# per-message walk in internal/analyze/walk_test.go (DESIGN.md §5e), so
+# their differential suites run here too.
 diff:
 	$(GO) test -race -run 'Tournament.*Scan' ./internal/eventq
+	$(GO) test -race -run 'MatchesListOracle' ./internal/cache
 	$(GO) test -race -run 'Reference|Reset|Reconfigure|Fuzz' \
 		./internal/sim ./internal/worstcase
 	$(GO) test -race -run 'Lockstep|Shape|Lanes|Sandwich|CheckProgram' \
 		./internal/robust ./internal/analyze ./internal/lanes
 
 # Figure-level benchmarks (repo root), the scheduler-core stress
-# benchmarks, the fault-hook overhead benchmarks and the bound
-# certificate benchmarks (predictd's analyze corpus and the Figure-7
-# programs). The repo's recorded, repeatable numbers come from perfbench
-# (perfbench/README.md).
+# benchmarks, the fault-hook overhead benchmarks, the bound certificate
+# benchmarks (predictd's analyze corpus and the Figure-7 programs), and
+# building and cache-warming the 28 Figure-7 programs. The repo's
+# recorded, repeatable numbers come from perfbench (perfbench/README.md).
 bench:
 	$(GO) test -run NONE -bench . -benchmem .
 	$(GO) test -run NONE -benchmem \
@@ -140,6 +146,8 @@ bench:
 		-bench 'BenchmarkFaultHook|BenchmarkWorstcaseFaultHook' \
 		./internal/sim ./internal/worstcase
 	$(GO) test -run NONE -benchmem -bench BenchmarkCertificate ./internal/analyze
+	$(GO) test -run NONE -benchmem -bench 'BenchmarkWarm|BenchmarkBuildProgram' \
+		./internal/cache ./internal/ge
 
 sweep:
 	$(GO) test -run NONE -bench 'BenchmarkSweep(Serial|Parallel)|BenchmarkQuietModeSimulation' -benchmem .

@@ -51,7 +51,7 @@ func (p *Proc) Compute(op blockops.Op, blockSize int) {
 }
 
 // ComputeOn is Compute with an explicit owned-block id for the cache
-// models.
+// model. Any uint64 is a valid block id (see program.OpCall.Block).
 func (p *Proc) ComputeOn(op blockops.Op, blockSize int, block uint64) {
 	p.cur.comp = append(p.cur.comp, program.OpCall{Op: op, BlockSize: blockSize, Block: block})
 }

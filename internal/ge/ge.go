@@ -32,6 +32,7 @@ import (
 	"loggpsim/internal/layout"
 	"loggpsim/internal/matrix"
 	"loggpsim/internal/program"
+	"loggpsim/internal/trace"
 )
 
 // Grid describes a blocked square matrix: NB×NB blocks of size B.
@@ -116,9 +117,32 @@ func BuildProgram(g Grid, lay layout.Layout) (*program.Program, error) {
 		return nil, err
 	}
 	pr := program.New(lay.P())
+	pr.Steps = make([]*program.Step, 0, g.Waves())
 	bytes := blockops.BlockBytes(g.B)
+	ops := make([]int, lay.P()) // the wave's operation count per owner
 	for t := 0; t < g.Waves(); t++ {
+		// Count the wave's operations per owner and its messages first,
+		// so that every list is allocated once, at its final length.
+		clear(ops)
+		msgs := 0
+		g.active(t, func(i, j, k int) {
+			ops[lay.Owner(i, j)]++
+			if j+1 < g.NB {
+				msgs++
+			}
+			if i+1 < g.NB {
+				msgs++
+			}
+		})
 		s := pr.AddStep()
+		for q, n := range ops {
+			if n > 0 {
+				s.Comp[q] = make([]program.OpCall, 0, n)
+			}
+		}
+		if msgs > 0 {
+			s.Comm.Msgs = make([]trace.Msg, 0, msgs)
+		}
 		// Edges between co-located blocks are intentional local
 		// transfers, not accidental self-sends.
 		s.Comm.WithLocalTransfers()

@@ -26,8 +26,9 @@ type OpCall struct {
 	// BlockSize is the block's side length b.
 	BlockSize int
 	// Block identifies the owned block the operation writes, an opaque
-	// id used by the cache model (package cache). Operand data that
-	// arrives by message is charged per message instead.
+	// id used by the cache model (package cache); any uint64 is a valid
+	// id. Operand data that arrives by message is charged per message
+	// instead.
 	Block uint64
 }
 

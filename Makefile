@@ -1,4 +1,8 @@
-# Build/verify targets for the loggpsim repository.
+# Build/verify targets for the loggpsim repository. Every program-level
+# prediction (predictor, robust envelopes, predictd's simulate,
+# worstcase and envelope modes) runs on one engine, internal/lanes;
+# the sim and worstcase sessions serve single patterns, the emulator,
+# and the oracles the engine is tested against.
 #
 #   make ci      — what a CI runner executes: vet + determinism lint +
 #                  differential tests under -race + race-enabled full
@@ -17,19 +21,23 @@
 #                  slice-backed cache LRU and cache.Warm vs their
 #                  container/list oracles, the indexed scheduler cores
 #                  vs the reference_test.go oracles, the lane engine
-#                  vs its scalar oracle, and every bound certificate
-#                  vs the walk_test.go oracle
+#                  vs the session-replay oracle in every mode and the
+#                  envelope vs its per-sample oracle, and every bound
+#                  certificate vs the walk_test.go oracle
 #   make bench   — figure, scheduler-core (P=64/256 stress and the
 #                  Figure-7 GE programs at P=8, standard and worst
-#                  case), fault-hook overhead, bound-certificate, and
-#                  Figure-7 program-build and cache-warming benchmarks,
-#                  printed to stdout
+#                  case), predictor (steady-state reuse and the
+#                  high-in-degree all-to-all and butterfly programs at
+#                  P=64/256), fault-hook overhead, bound-certificate,
+#                  and Figure-7 program-build and cache-warming
+#                  benchmarks, printed to stdout
 #   make sweep   — serial-vs-parallel sweep benchmark pair only
 #   make bench-envelope — Figure-7 envelope throughput, scalar test
 #                  oracle vs lockstep lane engine, at samples
 #                  16/64/256, printed to stdout
 #   make fuzz-smoke — short fuzz of the standard and worst-case
-#                  scheduler cores against their reference oracles, the
+#                  scheduler cores against their reference oracles, of
+#                  one lane against the session-replay oracle, the
 #                  fault injector, the checkpoint/resume journal,
 #                  predictd's canonical cache key, its strict request
 #                  decoder, its cache-import verifier and the static
@@ -117,10 +125,12 @@ race:
 # checked first against its own linear-scan oracles, including the
 # Figure-2 tie-break with a twin RNG, and so are the cache model's
 # slice-backed LRU, and cache.Warm on it, against the container/list
-# LRU they replaced (internal/cache/cache_test.go). The lockstep lane
-# engine makes the same claim against scalar replays (the robust
-# oracle is runScalar in internal/robust/scalar_test.go; DESIGN.md
-# §5h), and every bound certificate — the shape pricer behind
+# LRU they replaced (internal/cache/cache_test.go). The lane engine
+# makes the same claim against the session loop the predictor used to
+# run (sessionReplay in internal/lanes/oracle_test.go, every mode;
+# DESIGN.md §5c), envelopes against the per-sample oracle runScalar in
+# internal/robust/scalar_test.go (DESIGN.md §5h), and every bound
+# certificate — the shape pricer behind
 # PatternBounds, Check, BoundProgram and CheckProgram — against the
 # per-message walk in internal/analyze/walk_test.go (DESIGN.md §5e), so
 # their differential suites run here too.
@@ -133,14 +143,16 @@ diff:
 		./internal/robust ./internal/analyze ./internal/lanes
 
 # Figure-level benchmarks (repo root), the scheduler-core stress
-# benchmarks, the fault-hook overhead benchmarks, the bound certificate
+# benchmarks, the predictor on one reused evaluator (the GE reuse case
+# and high-in-degree programs, where the lane engine's run-head heaps
+# carry the receives), the fault-hook overhead benchmarks, the bound certificate
 # benchmarks (predictd's analyze corpus and the Figure-7 programs), and
 # building and cache-warming the 28 Figure-7 programs. The repo's
 # recorded, repeatable numbers come from perfbench (perfbench/README.md).
 bench:
 	$(GO) test -run NONE -bench . -benchmem .
 	$(GO) test -run NONE -benchmem \
-		-bench 'BenchmarkScheduler|BenchmarkSession|BenchmarkWorstcaseScheduler|BenchmarkPredict(Reuse|Fresh)' \
+		-bench 'BenchmarkScheduler|BenchmarkSession|BenchmarkWorstcaseScheduler|BenchmarkPredict(Reuse|Fresh|LargeP)' \
 		./internal/sim ./internal/worstcase ./internal/predictor
 	$(GO) test -run NONE -benchmem \
 		-bench 'BenchmarkFaultHook|BenchmarkWorstcaseFaultHook' \
@@ -154,7 +166,8 @@ sweep:
 
 # Envelope-throughput benchmark: the Figure-7 sweep at samples 16/64/256
 # through the scalar per-sample test oracle (runScalar in
-# internal/robust/scalar_test.go) and the lockstep lane engine. The
+# internal/robust/scalar_test.go, one one-lane prediction per sample)
+# and the lockstep lane engine (all samples as lanes of one run). The
 # scalar s256 leg alone runs for minutes; the long -timeout is
 # deliberate.
 bench-envelope:
@@ -165,7 +178,10 @@ bench-envelope:
 # verifiers: the scheduler cores (sim's paper, send-priority and
 # global-order cores and the worst-case core on arbitrary patterns and
 # machines, P 2-16, each bit-identical to its reference_test.go oracle
-# and every timeline passing the LogGP verifier), the fault injector's
+# and every timeline passing the LogGP verifier), one lane of the
+# program engine (random small programs under every mode combination,
+# seed and fault plan, bit-identical to the session-replay oracle), the
+# fault injector's
 # retry/backoff accounting (clock monotonicity, no lost messages below
 # MaxRetries), the checkpoint journal's resume path (any interrupted
 # prefix resumes byte-identically), predictd's canonical cache key
@@ -181,6 +197,7 @@ bench-envelope:
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzSimulationAlgorithms -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run NONE -fuzz FuzzWorstcaseScheduler -fuzztime $(FUZZTIME) ./internal/worstcase
+	$(GO) test -run NONE -fuzz FuzzLanesMatchSessions -fuzztime $(FUZZTIME) ./internal/lanes
 	$(GO) test -run NONE -fuzz FuzzSendOutcome -fuzztime $(FUZZTIME) ./internal/faults
 	$(GO) test -run NONE -fuzz FuzzJournalResume -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run NONE -fuzz FuzzCanonicalKey -fuzztime $(FUZZTIME) ./internal/serve

@@ -9,11 +9,16 @@
 //	appredict -app ge|cannon|trisolve|stencil [-n 960] [-b 48] [-procs 8]
 //	          [-iters 10] [-blocks 8,16,...] [-scale 1,2,4,8]
 //	          [-overlap] [-cache] [-csv]
+//
+// Cannon needs a square processor count: without -procs it runs on 4
+// processors, the largest square count not above the default 8; an
+// explicit -procs is used as given.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -39,6 +44,12 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
+	if *app == "cannon" && !flagSet("procs") {
+		// Cannon runs on a square processor grid: without an explicit
+		// -procs it takes the largest square count within the default.
+		q := int(math.Sqrt(float64(*procs)))
+		*procs = q * q
+	}
 
 	model := cost.DefaultAnalytic()
 	predictCfg := func(p int) predictor.Config {
@@ -131,6 +142,13 @@ func main() {
 		fmt.Println()
 		emit(tab)
 	}
+}
+
+// flagSet reports whether the named flag was given on the command line.
+func flagSet(name string) bool {
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
 }
 
 func fatal(err error) {

@@ -5,7 +5,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"loggpsim/internal/cost"
 	"loggpsim/internal/loggp"
+	"loggpsim/internal/predictor"
+	"loggpsim/internal/program"
 	"loggpsim/internal/sim"
 	"loggpsim/internal/trace"
 )
@@ -30,6 +33,35 @@ func simulateSteps(t *testing.T, steps []*trace.Pattern, p loggp.Params) float64
 	return finish
 }
 
+// predictSteps runs a step sequence through predictor.Predict as a
+// program with no computation: the closed forms share no code with any
+// scheduler, so they pin the predictor's absolute values as well as the
+// session's.
+func predictSteps(steps []*trace.Pattern, p loggp.Params) (float64, error) {
+	pr := program.New(steps[0].P)
+	for _, pt := range steps {
+		pr.AddStep().Comm = pt
+	}
+	pred, err := predictor.Predict(pr, predictor.Config{Params: p, Cost: cost.DefaultAnalytic()})
+	if err != nil {
+		return 0, err
+	}
+	return pred.Total, nil
+}
+
+// checkPredicted asserts the predictor path meets the same closed form
+// with the same tolerance.
+func checkPredicted(t *testing.T, steps []*trace.Pattern, p loggp.Params, want float64, what string) {
+	t.Helper()
+	got, err := predictSteps(steps, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(got-want) > eps {
+		t.Errorf("%v %s: predictor %g != formula %g", p, what, got, want)
+	}
+}
+
 func TestPointToPointOracle(t *testing.T) {
 	for _, p := range machines {
 		for _, bytes := range []int{1, 112, 4096} {
@@ -41,6 +73,7 @@ func TestPointToPointOracle(t *testing.T) {
 			if math.Abs(got-want) > eps {
 				t.Errorf("%v bytes=%d: sim %g != formula %g", p, bytes, got, want)
 			}
+			checkPredicted(t, []*trace.Pattern{trace.New(2).Add(0, 1, bytes)}, p, want, "point-to-point")
 		}
 	}
 }
@@ -58,6 +91,7 @@ func TestLinearBroadcastOracle(t *testing.T) {
 					t.Errorf("%v procs=%d bytes=%d: sim %g != formula %g",
 						p, procs, bytes, got, want)
 				}
+				checkPredicted(t, []*trace.Pattern{LinearBroadcastPattern(procs, 0, bytes)}, p, want, "linear broadcast")
 			}
 		}
 	}
@@ -76,6 +110,7 @@ func TestGatherOracle(t *testing.T) {
 					t.Errorf("%v procs=%d bytes=%d: sim %g != formula %g",
 						p, procs, bytes, got, want)
 				}
+				checkPredicted(t, []*trace.Pattern{GatherPattern(procs, 0, bytes)}, p, want, "gather")
 			}
 		}
 	}
@@ -91,6 +126,7 @@ func TestBinomialBroadcastOracle(t *testing.T) {
 					t.Errorf("%v procs=%d bytes=%d: sim %g != recurrence %g",
 						p, procs, bytes, got, want)
 				}
+				checkPredicted(t, BinomialBroadcastSteps(procs, bytes), p, want, "binomial broadcast")
 			}
 		}
 	}
@@ -106,6 +142,7 @@ func TestRingAllGatherOracle(t *testing.T) {
 					t.Errorf("%v procs=%d bytes=%d: sim %g != recurrence %g",
 						p, procs, bytes, got, want)
 				}
+				checkPredicted(t, RingAllGatherSteps(procs, bytes), p, want, "ring all-gather")
 			}
 		}
 	}
@@ -185,7 +222,25 @@ func TestOraclesPropertyRandomMachines(t *testing.T) {
 			return false
 		}
 		ring, _, err := sim.RunSteps(RingAllGatherSteps(procs, bytes), sim.Config{Params: p})
-		return err == nil && math.Abs(ring-RingAllGatherTime(p, procs, bytes)) <= eps
+		if err != nil || math.Abs(ring-RingAllGatherTime(p, procs, bytes)) > eps {
+			return false
+		}
+		// The same closed forms through the predictor.
+		for _, c := range []struct {
+			steps []*trace.Pattern
+			want  float64
+		}{
+			{[]*trace.Pattern{LinearBroadcastPattern(procs, 0, bytes)}, LinearBroadcastTime(p, procs, bytes)},
+			{[]*trace.Pattern{GatherPattern(procs, 0, bytes)}, GatherTime(p, procs, bytes)},
+			{BinomialBroadcastSteps(procs, bytes), BinomialBroadcastTime(p, procs, bytes)},
+			{RingAllGatherSteps(procs, bytes), RingAllGatherTime(p, procs, bytes)},
+		} {
+			got, err := predictSteps(c.steps, p)
+			if err != nil || math.Abs(got-c.want) > eps {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

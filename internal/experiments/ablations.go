@@ -103,7 +103,7 @@ func AblationTable(cfg Config, b int) (*stats.Table, error) {
 	}
 
 	// Every variant predicts the same read-only program with its own
-	// sessions (and, where applicable, its own contention fabric), so the
+	// evaluator (and, where applicable, its own contention fabric), so the
 	// variants fan out; the rows are assembled serially from the ordered
 	// results, with the baseline at index 0.
 	totals, err := sweep.Map(variants, func(_ int, v variant) (float64, error) {

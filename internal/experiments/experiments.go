@@ -120,7 +120,7 @@ const secPerMicro = 1e-6
 // RunGE sweeps one layout over the block sizes and returns one Point per
 // size, fanning the independent (block size → prediction + emulation)
 // cells out over cfg.Workers goroutines. Each cell builds its own
-// program, sessions and caches and is seeded with cfg.Seed exactly as
+// program, engines and caches and is seeded with cfg.Seed exactly as
 // the serial loop was, so the returned slice is byte-identical at any
 // worker count. The layout is identified by lay's Name.
 func RunGE(cfg Config, makeLayout func(nb int) layout.Layout) ([]Point, error) {

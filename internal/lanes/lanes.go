@@ -1,41 +1,63 @@
-// Package lanes advances many Monte-Carlo samples of one program —
-// "lanes" — through the quiet-mode schedulers in lockstep: one pass
-// over the decoded program structure drives every lane's standard
-// (Figure 2) and worst-case (Section 4.2) replay, with the per-lane
-// state laid out structure-of-arrays (clocks and gap floors lane-major,
-// per-lane hash-derived RNG streams and fault injectors).
+// Package lanes is the program-level prediction engine: it replays an
+// oblivious block program under the paper's standard (Figure 2) and
+// worst-case (Section 4.2) communication algorithms for one or many
+// "lanes" at once. A lane is one configuration of the replay — a
+// machine, a tie-break seed, a fault plan and optionally a contention
+// fabric — so a scalar prediction (package predictor) is the one-lane
+// case and a Monte-Carlo envelope (package robust) advances all of its
+// samples in lockstep: one pass over the program drives every lane's
+// standard and worst-case slot, with the per-lane state laid out
+// structure-of-arrays (clocks and gap floors lane-major, per-lane
+// hash-derived RNG streams and fault injectors).
 //
-// A scalar Monte-Carlo envelope replays the program once per sample,
-// re-paying per sample everything that does not depend on the sample:
-// program and pattern validation, the arena decode of every
-// communication step, the per-step computation-cost sums, session
-// reconfiguration, and the indexed scheduler structures. The lane
-// engine hoists all of it: the program is validated and decoded once
-// (flat per-processor send windows, in-degrees, sender masks, byte
-// classes), the unperturbed computation charges are summed once per
-// step and shared, and each lane's per-class LogGP derivatives (arrival
-// delay, like/unlike operation intervals) are tabulated once per lane.
-// The scheduler cores themselves are leaner than the sessions': because
-// every communication phase starts and ends with empty receive queues,
-// only clocks and gap floors persist per lane; receive buffers, send
-// heads and candidate caches are step-transient scratch shared by all
-// lanes. Receive queues are not heaps: a step's messages are grouped
-// into runs, one per (sender, receiver) pair, and a sender's arrivals
-// at a fixed receiver are almost always nondecreasing (its start times
-// only grow), so a push is an append (with a rare ordered insert) and
-// a pop scans the heads of the receiver's few runs — a two-or-three-way
-// merge instead of a heap sift. The standard core draws its
-// minimum-clock sender from eventq.Tournament, the tie-counting tree the
-// session cores select on. The worst-case core scans bitmasks of live
-// processors, and a processor that remains the strict minimum after a
-// commit keeps committing without a rescan (the common case in
-// broadcast-shaped steps), so the per-lane cost approaches the bare
-// per-message float arithmetic. Lane results are bit-identical to
-// per-sample predictor.Evaluator replays: the cores replicate the
-// schedulers' reference loops (runPaperReference and runReference in
-// the reference_test.go files of sim and worstcase — the oracles the
-// session cores are differentially tested against) decision for
-// decision, including when tie-break randomness is consumed.
+// Everything that does not depend on the lane is paid once per step:
+// the program is validated once, each step is decoded once into reused
+// scratch (flat per-processor send windows, in-degrees, sender masks,
+// receive runs and byte classes) and its unperturbed computation
+// charges are summed once and shared. Decoding one step at a time keeps
+// memory bounded by the largest step, not the whole program, and a
+// steady-state RunInto on a reused engine allocates nothing for lanes
+// without a fault plan (a plan compiles one injector per lane and run).
+// Each lane's per-class LogGP derivatives (arrival delay, like/unlike
+// operation intervals) are tabulated when the class first appears.
+//
+// The scheduler cores are leaner than the sessions' (packages sim and
+// worstcase): because every communication phase starts and ends with
+// empty receive queues, only clocks and gap floors persist per lane;
+// receive buffers, send heads and candidate caches are step-transient
+// scratch shared by all lanes. A step's messages are grouped into
+// receive runs, one per (sender, receiver) pair; a sender's arrivals at
+// a fixed receiver are almost always nondecreasing (its start times
+// only grow), so a push is an append (with a rare ordered insert), and
+// each receiver keeps a binary heap of its run heads keyed by (arrival,
+// sequence), so a receive costs O(log runs) however many senders
+// target the receiver. The standard core draws its minimum-clock sender
+// from eventq.Tournament, the tie-counting tree the session cores
+// select on. The worst-case core scans bitmasks of live processors,
+// and a processor that remains the strict minimum after a commit keeps
+// committing without a rescan (the common case in broadcast-shaped
+// steps), so the per-lane cost approaches the bare per-message float
+// arithmetic.
+//
+// The modes of predictor.Config are lane-engine modes: SendPriority
+// flips the standard core's send-versus-receive tie; GlobalOrder runs
+// the standard slot on the worst-case core with its messages-to-receive
+// gate off (such a run cannot deadlock, so it draws no random numbers),
+// with the tie within one processor going to the send under
+// SendPriority; Overlap lets each step's computation run concurrently
+// with its communication; Charges adds the cache-aware prediction's
+// per-step loading charges to the clocks; a lane's Network routes its
+// standard slot over a contention fabric. Every lane reads out the
+// predictor's decomposition (Comp, Comm, CommWorst, per-processor
+// computation and, under CollectSteps, a per-step profile).
+//
+// Lane results are bit-identical to the session loop the predictor ran
+// before it became one lane — sessionReplay in oracle_test.go, which
+// drives sim and worstcase sessions with every option: the cores
+// replicate the schedulers' reference loops (runPaperReference,
+// runGlobalOrderReference and runReference in the reference_test.go
+// files of sim and worstcase) decision for decision, including when
+// tie-break randomness is consumed.
 //
 // Divergence between lanes is handled two ways:
 //
@@ -48,10 +70,8 @@
 //   - Branch divergence — a message exhausting its retries aborts the
 //     sample — masks the lane out: the lane records its error (the
 //     *faults.LossError is preserved in the chain) and is skipped for
-//     the rest of the run, exactly as the scalar path abandons the
-//     sample. No scalar replay is needed for masked lanes: the abort
-//     point is mid-step and the lane's remaining schedule is never
-//     observed by anyone.
+//     the rest of the run, exactly as a scalar replay abandons the
+//     sample.
 //
 // Fault decisions are pure functions of (plan seed, identities), never
 // of evaluation order (see internal/faults), so interleaving lanes
@@ -72,17 +92,31 @@ import (
 	"loggpsim/internal/program"
 )
 
-// Lane configures one Monte-Carlo sample: its (possibly perturbed)
-// machine, its scheduler tie-break seed, and its fault plan.
+// Network is a contention fabric (see package network): a message from
+// src to dst handed to the network at inject arrives at the returned
+// time.
+type Network interface {
+	Arrival(src, dst, bytes int, inject float64) float64
+}
+
+// Lane configures one replay: its (possibly perturbed) machine, its
+// scheduler tie-break seed, its fault plan and its network.
 type Lane struct {
 	// Params is the lane's LogGP machine description.
 	Params loggp.Params
 	// Seed seeds the lane's two tie-break RNG streams exactly as
-	// predictor.Config.Seed seeds the scalar sessions.
+	// predictor.Config.Seed seeds a prediction.
 	Seed int64
 	// Faults is the lane's fault plan (seed included); the zero plan
 	// injects nothing.
 	Faults faults.Plan
+	// Network, when non-nil, replaces the flat LogGP arrival of the
+	// lane's standard slot: a message committed at start is handed to
+	// the fabric at start + o, before any fault delay, and a non-finite
+	// answer fails the lane. It is called once per message in commit
+	// order, so a stateful fabric must serve one lane only. The
+	// worst-case slot keeps the flat LogGP network.
+	Network Network
 }
 
 // Config carries the lane-shared configuration.
@@ -96,19 +130,58 @@ type Config struct {
 	// advancing every live lane), and a cancelled or expired context
 	// aborts the whole run with an error wrapping ctx.Err().
 	Ctx context.Context
+
+	// SendPriority inverts the standard slot's receive-over-send
+	// priority rule (the sim.Config ablation); the worst-case slot keeps
+	// receive priority.
+	SendPriority bool
+	// GlobalOrder replaces the standard slot's Figure-2 loop with the
+	// globally time-ordered commit loop of sim.Config.GlobalOrder.
+	GlobalOrder bool
+	// Overlap runs each step's computation concurrently with its
+	// communication (predictor.Config.Overlap): the clocks are not
+	// charged before the communication phase, and after it each clock
+	// rises to at least its step-start value plus the computation plus
+	// o per communication operation of the processor.
+	Overlap bool
+	// Charges, when non-nil, holds per-step, per-processor charges
+	// (cache.Warming.Charges of the cache-aware prediction) added to the
+	// clocks in each step's computation phase; they count in the clocks
+	// but not in Result.Comp.
+	Charges [][]float64
+	// CollectSteps records each lane's per-step profile of the standard
+	// slot, read back with Engine.Profile.
+	CollectSteps bool
 }
 
 // Result is one lane's outcome.
 type Result struct {
 	// Total and TotalWorst are the standard and worst-case predicted
-	// running times, bit-identical to predictor.Prediction's fields for
-	// an equivalent scalar configuration.
+	// running times (predictor.Prediction's fields for an equivalent
+	// scalar configuration).
 	Total      float64
 	TotalWorst float64
+	// Comp is the maximum over processors of the summed computation
+	// time, charges excluded. Comm and CommWorst are the maximum over
+	// processors of the clock advance across the communication phases
+	// of the standard and the worst-case slot, waiting included.
+	Comp, Comm, CommWorst float64
 	// Err, when non-nil, marks a masked lane: the replay aborted (a
-	// *faults.LossError in the chain means the sample lost a message)
-	// and the totals are meaningless.
+	// *faults.LossError in the chain means the lane lost a message)
+	// and the other fields are meaningless.
 	Err error
+}
+
+// StepProfile is one step of a lane's standard-slot profile.
+type StepProfile struct {
+	// Comp is the step's maximum per-processor computation charge
+	// (charges included).
+	Comp float64
+	// CommAdvance is the step's maximum per-processor clock advance
+	// across the communication phase, waiting included.
+	CommAdvance float64
+	// Finish is the maximum clock after the step.
+	Finish float64
 }
 
 // stepPlan is the decoded structure of one communication step. The
@@ -124,7 +197,7 @@ type stepPlan struct {
 	off      []int32 // len p+1: send-slot range per sender
 	sDst     []int32 // per slot: destination processor
 	sCls     []int32 // per slot: byte class (engine classBytes index)
-	sRun     []int32 // per slot: receive run (step-local)
+	sRun     []int32 // per slot: receive run
 	sOrig    []int32 // per slot: index within the pattern (fault identity)
 	inCnt    []int32
 	sendMask []uint64
@@ -140,47 +213,93 @@ const (
 )
 
 // Engine holds the lockstep state. The zero value is ready; Run may be
-// called repeatedly (each call rebuilds the program plan and reuses the
-// storage). An Engine must not be used concurrently.
+// called repeatedly, reusing the storage. An Engine must not be used
+// concurrently.
 type Engine struct {
-	p, lanes, classes, words int
+	p, lanes, words, nsteps int
 
-	// Program plan, shared across lanes.
-	classBytes []int
-	steps      []stepPlan
-	baseDurs   [][]float64
-	maxNmsgs   int // max messages in any one step (arrival-buffer size)
-	maxRuns    int // max receive runs in any one step
-
-	// Per-lane machine derivatives, lane-major [lane*classes + class].
+	// Byte classes, discovered step by step: classOf maps a message size
+	// to its index in classBytes, and each lane's derivatives are
+	// tabulated class-major [class*lanes + lane] when a class first
+	// appears.
+	classBytes  []int
+	classOf     map[int]int32
 	adTab       []float64 // ArrivalDelay(bytes)
 	ivLikeTab   []float64 // Interval(k, k, bytes): like consecutive ops
 	ivUnlikeTab []float64 // Interval(k, k', bytes), k != k'
+
+	// The run's configuration, per lane and shared.
 	o           []float64 // Params.O per lane
+	net         []Network // per lane; nil is the flat network
+	rngStd      []*rand.Rand
+	rngWC       []*rand.Rand
+	inj         []*faults.Injector
+	errs        []error
+	sendFirst   bool // Config.SendPriority
+	globalOrder bool // Config.GlobalOrder
+	overlap     bool // Config.Overlap
+	collect     bool // Config.CollectSteps
+	charges     [][]float64
+
+	// Lane-major readouts [lane*p + proc] (prof: [lane*nsteps + step]):
+	// summed computation, and the clock advance across communication in
+	// each slot.
+	comp, commStd, commWC []float64
+	prof                  []StepProfile
+
+	// The current step, decoded into reused scratch, and its decode
+	// scratch: per-processor send counts and cursors, the step's
+	// network messages grouped by receiver, each pattern message's run,
+	// and per-run message counts. stamp marks a sender as seen by the
+	// receiver being grouped (receiver+1), with its run in srcRun.
+	sp            stepPlan
+	cnt, fill     []int32
+	stamp, srcRun []int32
+	order, msgRun []int32
+	runCnt        []int32
+
+	// Computation-phase scratch: the step's unperturbed charge per
+	// processor, a lane's perturbed and cache-charged copies, and the
+	// lane's clocks entering the communication phase.
+	base, durs, charged []float64
+	beforeStd, beforeWC []float64
+
+	// Per-receiver run heads: receiver q's non-empty runs form a binary
+	// heap in hp[runIdx[q] : runIdx[q]+hn[q]] ordered by head (arrival,
+	// seq), hpos[r] is run r's slot in it, and hRun[q]/hKey[q] cache the
+	// root run and its arrival (hRun -1 when q has nothing pending).
+	hn, hp, hpos []int32
+	hRun         []int32
+	hKey         []float64
+
+	// Scheduler-core scratch: each sender's next send slot, and the
+	// worst-case core's messages-to-receive counters, forced releases,
+	// candidate keys and kinds, and live-candidate and pending-sender
+	// masks.
+	head, toRecv, forced []int32
+	candKey              []float64
+	candKind             []uint8
+	mask, pend           []uint64
 
 	// Persistent per-lane-processor scheduler state, lane-major
-	// [lane*p + proc]: the clocks and gap-floor carries. The floors hold
-	// lastStart + Interval(last, kind, lastBytes), or zero before the
-	// lane's first operation; clocks are non-negative, so
-	// max(clock, floor) reproduces the sessions' earliest() exactly.
+	// [lane*p + proc]: the clocks and gap-floor carries of the standard
+	// and worst-case slot. The floors hold lastStart + Interval(last,
+	// kind, lastBytes), or zero before the lane's first operation;
+	// clocks are non-negative, so max(clock, floor) reproduces the
+	// sessions' earliest() exactly.
 	ctStd, fsStd, frStd []float64
 	ctWC, fsWC, frWC    []float64
 
-	// Step-transient scratch, shared by all lanes (every communication
-	// phase starts and ends with empty receive buffers, so nothing
-	// below outlives one lane-step). qKey/qSeq/qGid form the arrival
-	// buffer the step's receive runs live in; rHead/rFill are the
-	// per-run consumed and filled counts.
-	qKey           []float64
-	qSeq, qCls     []int32
-	rHead, rFill   []int32
-	rKey           []float64 // cached head arrival per run (valid while non-empty)
-	rSeq           []int32   // cached head sequence per run
-	head           []int32   // next unsent send slot per sender
-	toRecv, forced []int32
-	candKey        []float64
-	candKind       []uint8
-	mask, pend     []uint64
+	// Step-transient arrival buffer, shared by all lanes (every
+	// communication phase starts and ends with empty receive buffers,
+	// so nothing below outlives one lane-step). qKey/qSeq/qCls hold the
+	// step's receive runs; rHead/rFill are the per-run consumed and
+	// filled counts, rKey/rSeq each non-empty run's head.
+	qKey         []float64
+	qSeq, qCls   []int32
+	rHead, rFill []int32
+	rKey         []float64
+	rSeq         []int32
 
 	// Standard-algorithm selection tree: the tie-counting tournament
 	// over each unexhausted sender's clock (+Inf otherwise), the one the
@@ -188,19 +307,6 @@ type Engine struct {
 	// extracting the k-th of them in index order — the reference scan's
 	// tie list — costs log p per commit instead of a full rescan.
 	tt eventq.Tournament
-
-	// Per-receiver head cache: hRun[q] is the run holding q's earliest
-	// pending arrival (-1 when none) and hKey[q] that arrival. A push
-	// maintains it with one compare (a new entry only matters if it
-	// becomes its own run's head and beats the cached key); only a pop
-	// pays the scan over q's runs to rebuild it.
-	hRun []int32
-	hKey []float64
-
-	rngStd, rngWC []*rand.Rand
-	inj           []*faults.Injector
-	errs          []error
-	durs          []float64 // per-lane perturbed computation scratch
 }
 
 // Run advances every lane through the whole program and returns one
@@ -213,7 +319,15 @@ func Run(pr *program.Program, cfg Config, ls []Lane) ([]Result, error) {
 }
 
 // Run is the method form, reusing the engine's storage across calls.
+// The returned slice is freshly allocated.
 func (e *Engine) Run(pr *program.Program, cfg Config, ls []Lane) ([]Result, error) {
+	return e.RunInto(nil, pr, cfg, ls)
+}
+
+// RunInto is Run writing the results over out's backing array when it
+// has room for len(ls) entries, so a caller that keeps out and the
+// engine across calls (the predictor) runs without allocating.
+func (e *Engine) RunInto(out []Result, pr *program.Program, cfg Config, ls []Lane) ([]Result, error) {
 	if cfg.Cost == nil {
 		return nil, fmt.Errorf("lanes: no cost model")
 	}
@@ -223,250 +337,380 @@ func (e *Engine) Run(pr *program.Program, cfg Config, ls []Lane) ([]Result, erro
 	if err := pr.Validate(); err != nil {
 		return nil, err
 	}
-	if err := e.decode(pr, cfg.Cost); err != nil {
-		return nil, err
+	if cfg.Charges != nil {
+		if len(cfg.Charges) != len(pr.Steps) {
+			return nil, fmt.Errorf("lanes: %d steps of charges for %d program steps", len(cfg.Charges), len(pr.Steps))
+		}
+		for si, c := range cfg.Charges {
+			if len(c) != pr.P {
+				return nil, fmt.Errorf("lanes: step %d: %d charges for %d processors", si, len(c), pr.P)
+			}
+		}
 	}
-	e.prepare(pr.P, ls)
+	e.prepare(pr, cfg, ls)
 
-	for si := range e.steps {
+	for si, s := range pr.Steps {
 		if cfg.Ctx != nil {
 			if err := cfg.Ctx.Err(); err != nil {
-				return nil, fmt.Errorf("lanes: step %d of %d: %w", si, len(e.steps), err)
+				return nil, fmt.Errorf("lanes: step %d of %d: %w", si, len(pr.Steps), err)
 			}
 		}
-		sp := &e.steps[si]
-		base := e.baseDurs[si]
+		if err := e.decode(s, si, cfg.Cost, ls); err != nil {
+			return nil, err
+		}
 		for l := range ls {
-			if e.errs[l] != nil {
-				continue
-			}
-			// Computation phase: the shared unperturbed charges, inflated
-			// by the lane's injector exactly as the scalar predictor
-			// inflates them (same step and processor identities).
-			durs := base
-			if inj := e.inj[l]; inj != nil {
-				for q := range e.durs {
-					e.durs[q] = inj.PerturbCompute(si, q, base[q])
-				}
-				durs = e.durs
-			}
-			lp := l * e.p
-			for q := 0; q < e.p; q++ {
-				e.ctStd[lp+q] += durs[q]
-				e.ctWC[lp+q] += durs[q]
-			}
-			if sp.nmsgs == 0 {
-				continue // nothing to schedule; both loops would no-op
-			}
-			// Each scheduler run resets the shared receive buffers on
-			// entry, so a lane dying mid-step cannot leak undelivered
-			// arrivals into the next lane.
-			e.runStd(sp, si, l)
 			if e.errs[l] == nil {
-				e.runWC(sp, si, l)
+				e.step(si, l)
 			}
 		}
 	}
 
-	out := make([]Result, len(ls))
+	if cap(out) < len(ls) {
+		out = make([]Result, len(ls))
+	}
+	out = out[:len(ls)]
 	for l := range ls {
-		if e.errs[l] != nil {
-			out[l].Err = e.errs[l]
+		r := &out[l]
+		*r = Result{Err: e.errs[l]}
+		if r.Err != nil {
 			continue
 		}
 		lp := l * e.p
-		for q := 0; q < e.p; q++ {
-			if c := e.ctStd[lp+q]; c > out[l].Total {
-				out[l].Total = c
-			}
-			if c := e.ctWC[lp+q]; c > out[l].TotalWorst {
-				out[l].TotalWorst = c
-			}
+		for q := lp; q < lp+e.p; q++ {
+			raise(&r.Total, e.ctStd[q])
+			raise(&r.TotalWorst, e.ctWC[q])
+			raise(&r.Comp, e.comp[q])
+			raise(&r.Comm, e.commStd[q])
+			raise(&r.CommWorst, e.commWC[q])
 		}
 	}
 	return out, nil
 }
 
-// decode builds the shared program plan: per-step flat send windows,
-// in-degrees, sender masks, receive-run tables and byte classes, plus
-// the unperturbed computation-charge sums. The program is already
-// validated.
-func (e *Engine) decode(pr *program.Program, model cost.Model) error {
-	e.p = pr.P
-	e.words = (pr.P + 63) / 64
-	e.classBytes = e.classBytes[:0]
-	e.steps = e.steps[:0]
-	e.baseDurs = e.baseDurs[:0]
-	e.maxNmsgs, e.maxRuns = 0, 0
-	classOf := make(map[int]int32)
-	cnt := make([]int32, pr.P)
-	fill := make([]int32, pr.P)
-	cnt2 := make([]int32, pr.P*pr.P)  // per (src,dst) message count
-	runOf := make([]int32, pr.P*pr.P) // per (src,dst) run index
-	for si, s := range pr.Steps {
-		durs := make([]float64, pr.P)
-		for q := range durs {
-			d := 0.0
-			for _, call := range s.Comp[q] {
-				d += model.Cost(call.Op, call.BlockSize)
-			}
-			if d < 0 {
-				return fmt.Errorf("lanes: step %d: processor %d has negative computation time %g", si, q, d)
-			}
-			durs[q] = d
-		}
-		e.baseDurs = append(e.baseDurs, durs)
-		sp := stepPlan{
-			off:      make([]int32, pr.P+1),
-			inCnt:    make([]int32, pr.P),
-			sendMask: make([]uint64, e.words),
-		}
-		clear(cnt)
-		nmsgs := 0
-		for _, m := range s.Comm.Msgs {
-			if m.Src == m.Dst {
-				continue // local transfer: skipped by both schedulers
-			}
-			if _, ok := classOf[m.Bytes]; !ok {
-				classOf[m.Bytes] = int32(len(e.classBytes))
-				e.classBytes = append(e.classBytes, m.Bytes)
-			}
-			cnt[m.Src]++
-			sp.inCnt[m.Dst]++
-			cnt2[m.Src*pr.P+m.Dst]++
-			nmsgs++
-		}
-		sp.nmsgs = nmsgs
-		if nmsgs > e.maxNmsgs {
-			e.maxNmsgs = nmsgs
-		}
-		off := int32(0)
-		for q := 0; q < pr.P; q++ {
-			sp.off[q] = off
-			off += cnt[q]
-			if cnt[q] > 0 {
-				sp.sendMask[q>>6] |= 1 << (q & 63)
-			}
-		}
-		sp.off[pr.P] = off
-		// Receive runs: one per (sender, receiver) pair with traffic,
-		// grouped per receiver, each owning a region of the step's
-		// arrival buffer sized to the pair's message count.
-		sp.runIdx = make([]int32, pr.P+1)
-		nRuns, base := int32(0), int32(0)
-		for dst := 0; dst < pr.P; dst++ {
-			sp.runIdx[dst] = nRuns
-			for src := 0; src < pr.P; src++ {
-				if c := cnt2[src*pr.P+dst]; c > 0 {
-					runOf[src*pr.P+dst] = nRuns
-					sp.runBase = append(sp.runBase, base)
-					base += c
-					nRuns++
-				}
-			}
-		}
-		sp.runIdx[pr.P] = nRuns
-		sp.nRuns = int(nRuns)
-		if sp.nRuns > e.maxRuns {
-			e.maxRuns = sp.nRuns
-		}
-		// Second pass: fill the send slots, grouped by sender in
-		// pattern order.
-		sp.sDst = make([]int32, nmsgs)
-		sp.sCls = make([]int32, nmsgs)
-		sp.sRun = make([]int32, nmsgs)
-		sp.sOrig = make([]int32, nmsgs)
-		copy(fill, sp.off[:pr.P])
-		for idx, m := range s.Comm.Msgs {
-			if m.Src == m.Dst {
-				continue
-			}
-			slot := fill[m.Src]
-			fill[m.Src] = slot + 1
-			sp.sDst[slot] = int32(m.Dst)
-			sp.sCls[slot] = classOf[m.Bytes]
-			sp.sRun[slot] = runOf[m.Src*pr.P+m.Dst]
-			sp.sOrig[slot] = int32(idx)
-			cnt2[m.Src*pr.P+m.Dst] = 0
-		}
-		e.steps = append(e.steps, sp)
+// CompPerProc returns lane l's per-processor computation time from the
+// last run. The slice is engine storage, valid until the next run.
+func (e *Engine) CompPerProc(l int) []float64 {
+	return e.comp[l*e.p : (l+1)*e.p : (l+1)*e.p]
+}
+
+// Profile returns lane l's per-step standard-slot profile from the last
+// run, nil unless it ran with Config.CollectSteps. The slice is engine
+// storage, valid until the next run.
+func (e *Engine) Profile(l int) []StepProfile {
+	if !e.collect {
+		return nil
 	}
-	e.classes = len(e.classBytes)
+	return e.prof[l*e.nsteps : (l+1)*e.nsteps : (l+1)*e.nsteps]
+}
+
+// step advances lane l through program step si: the computation phase,
+// then (unless the step sends nothing) the standard and the worst-case
+// communication phase, then the overlap bound and the readouts.
+func (e *Engine) step(si, l int) {
+	p := e.p
+	lp := l * p
+	sp := &e.sp
+	// Computation phase: the shared unperturbed charges, inflated by the
+	// lane's injector (same step and processor identities as a scalar
+	// replay), plus the cache charges.
+	durs := e.base
+	if inj := e.inj[l]; inj != nil {
+		for q := range e.durs {
+			e.durs[q] = inj.PerturbCompute(si, q, e.base[q])
+		}
+		durs = e.durs
+	}
+	comp := e.comp[lp : lp+p : lp+p]
+	for q, d := range durs {
+		comp[q] += d
+	}
+	if e.charges != nil {
+		for q, d := range durs {
+			e.charged[q] = d + e.charges[si][q]
+		}
+		durs = e.charged
+	}
+	ctStd := e.ctStd[lp : lp+p : lp+p]
+	ctWC := e.ctWC[lp : lp+p : lp+p]
+	if !e.overlap {
+		for q, d := range durs {
+			ctStd[q] += d
+			ctWC[q] += d
+		}
+		if sp.nmsgs == 0 && !e.collect {
+			return // no clock moves in the phase: both advances are zero
+		}
+	}
+	copy(e.beforeStd, ctStd)
+	copy(e.beforeWC, ctWC)
+	if sp.nmsgs > 0 {
+		// Each scheduler run resets the shared receive buffers on entry,
+		// so a lane dying mid-step cannot leak undelivered arrivals into
+		// the next lane.
+		if e.globalOrder {
+			e.runWC(sp, si, l, slot{ct: ctStd, fs: e.fsStd[lp : lp+p : lp+p], fr: e.frStd[lp : lp+p : lp+p],
+				net: e.net[l], sendFirst: e.sendFirst})
+		} else {
+			e.runStd(sp, si, l)
+		}
+		if e.errs[l] != nil {
+			return
+		}
+		e.runWC(sp, si, l, slot{ct: ctWC, fs: e.fsWC[lp : lp+p : lp+p], fr: e.frWC[lp : lp+p : lp+p], gated: true})
+		if e.errs[l] != nil {
+			return
+		}
+	}
+	if e.overlap {
+		// Busy-time bound: the processor still executes its computation
+		// and the o of each of its communication operations serially.
+		o := e.o[l]
+		for q := 0; q < p; q++ {
+			ops := float64(sp.inCnt[q]+sp.off[q+1]-sp.off[q]) * o
+			raise(&ctStd[q], e.beforeStd[q]+durs[q]+ops)
+			raise(&ctWC[q], e.beforeWC[q]+durs[q]+ops)
+		}
+	}
+	commStd := e.commStd[lp : lp+p : lp+p]
+	commWC := e.commWC[lp : lp+p : lp+p]
+	for q := 0; q < p; q++ {
+		commStd[q] += ctStd[q] - e.beforeStd[q]
+		commWC[q] += ctWC[q] - e.beforeWC[q]
+	}
+	if e.collect {
+		var prof StepProfile
+		for q := 0; q < p; q++ {
+			raise(&prof.Finish, ctStd[q])
+			raise(&prof.Comp, durs[q])
+			raise(&prof.CommAdvance, ctStd[q]-e.beforeStd[q])
+		}
+		e.prof[l*e.nsteps+si] = prof
+	}
+}
+
+// decode builds the plan of program step si into the reused step
+// scratch — per-sender send windows, in-degrees, sender masks,
+// receive-run tables and byte classes — and sums its unperturbed
+// computation charges. The program is already validated.
+func (e *Engine) decode(s *program.Step, si int, model cost.Model, ls []Lane) error {
+	p := e.p
+	for q := 0; q < p; q++ {
+		d := 0.0
+		for _, call := range s.Comp[q] {
+			d += model.Cost(call.Op, call.BlockSize)
+		}
+		if d < 0 {
+			return fmt.Errorf("lanes: step %d: processor %d has negative computation time %g", si, q, d)
+		}
+		e.base[q] = d
+	}
+	sp := &e.sp
+	msgs := s.Comm.Msgs
+	clear(e.cnt)
+	clear(sp.inCnt)
+	nmsgs := 0
+	for _, m := range msgs {
+		if m.Src == m.Dst {
+			continue // local transfer: skipped by both schedulers
+		}
+		e.cnt[m.Src]++
+		sp.inCnt[m.Dst]++
+		nmsgs++
+	}
+	sp.nmsgs = nmsgs
+	off := int32(0)
+	for q := 0; q < p; q++ {
+		sp.off[q] = off
+		off += e.cnt[q]
+	}
+	sp.off[p] = off
+	if nmsgs == 0 {
+		return nil
+	}
+	clear(sp.sendMask)
+	for q := 0; q < p; q++ {
+		if e.cnt[q] > 0 {
+			sp.sendMask[q>>6] |= 1 << (q & 63)
+		}
+	}
+
+	// Receive runs: group the messages by receiver (a counting sort in
+	// pattern order), then give each receiver one run per distinct
+	// sender, numbered receiver by receiver, and each run a region of
+	// the arrival buffer sized to its message count.
+	pos := int32(0)
+	for q := 0; q < p; q++ {
+		e.fill[q] = pos
+		pos += sp.inCnt[q]
+	}
+	for idx, m := range msgs {
+		if m.Src != m.Dst {
+			e.order[e.fill[m.Dst]] = int32(idx)
+			e.fill[m.Dst]++
+		}
+	}
+	clear(e.stamp)
+	nRuns, i := int32(0), 0
+	for q := 0; q < p; q++ {
+		sp.runIdx[q] = nRuns
+		for end := i + int(sp.inCnt[q]); i < end; i++ {
+			idx := e.order[i]
+			src := msgs[idx].Src
+			if e.stamp[src] != int32(q+1) {
+				e.stamp[src] = int32(q + 1)
+				e.srcRun[src] = nRuns
+				e.runCnt[nRuns] = 0
+				nRuns++
+			}
+			r := e.srcRun[src]
+			e.msgRun[idx] = r
+			e.runCnt[r]++
+		}
+	}
+	sp.runIdx[p] = nRuns
+	sp.nRuns = int(nRuns)
+	base := int32(0)
+	for r := int32(0); r < nRuns; r++ {
+		sp.runBase[r] = base
+		base += e.runCnt[r]
+	}
+
+	// Send slots, grouped by sender in pattern order.
+	copy(e.fill, sp.off[:p])
+	lastBytes, lastCls := -1, int32(0)
+	for idx, m := range msgs {
+		if m.Src == m.Dst {
+			continue
+		}
+		if m.Bytes != lastBytes {
+			lastBytes, lastCls = m.Bytes, e.class(m.Bytes, ls)
+		}
+		slot := e.fill[m.Src]
+		e.fill[m.Src] = slot + 1
+		sp.sDst[slot] = int32(m.Dst)
+		sp.sCls[slot] = lastCls
+		sp.sRun[slot] = e.msgRun[idx]
+		sp.sOrig[slot] = int32(idx)
+	}
 	return nil
 }
 
-// growF64 / growI32 resize scratch to n entries, reusing backing.
-func growF64(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
+// class returns the byte class of a message size, tabulating every
+// lane's derivatives with the exact expressions of loggp.Params.Interval
+// and ArrivalDelay when the size is new to the run.
+func (e *Engine) class(bytes int, ls []Lane) int32 {
+	if c, ok := e.classOf[bytes]; ok {
+		return c
 	}
-	buf = buf[:n]
+	c := int32(len(e.classBytes))
+	e.classOf[bytes] = c
+	e.classBytes = append(e.classBytes, bytes)
+	for i := range ls {
+		m := &ls[i].Params
+		floor := max(m.O, m.Serialization(bytes))
+		like := max(m.Gap, floor)
+		unlike := like
+		if m.NoCrossGap {
+			unlike = floor
+		}
+		e.adTab = append(e.adTab, m.ArrivalDelay(bytes))
+		e.ivLikeTab = append(e.ivLikeTab, like)
+		e.ivUnlikeTab = append(e.ivUnlikeTab, unlike)
+	}
+	return c
+}
+
+// raise lifts *x to y when y is larger: the sessions' comparison, which
+// (unlike the max builtin) keeps *x on a NaN y.
+func raise(x *float64, y float64) {
+	if y > *x {
+		*x = y
+	}
+}
+
+// fit returns buf resized to n entries, reusing its backing when it is
+// large enough; the contents are not cleared.
+func fit[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// zeroed is fit with the contents cleared.
+func zeroed[T any](buf []T, n int) []T {
+	buf = fit(buf, n)
 	clear(buf)
 	return buf
 }
 
-func growI32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
+// fitSteps sizes the step-transient scratch once for the largest step:
+// n bounds every step's pattern messages, hence its network messages
+// and its receive runs (at most one per message).
+func (e *Engine) fitSteps(n int) {
+	sp := &e.sp
+	e.order, e.msgRun, e.runCnt = fit(e.order, n), fit(e.msgRun, n), fit(e.runCnt, n)
+	sp.sDst, sp.sCls = fit(sp.sDst, n), fit(sp.sCls, n)
+	sp.sRun, sp.sOrig = fit(sp.sRun, n), fit(sp.sOrig, n)
+	sp.runBase = fit(sp.runBase, n)
+	e.qKey = fit(e.qKey, n)
+	e.qSeq, e.qCls = fit(e.qSeq, n), fit(e.qCls, n)
+	e.rHead, e.rFill = fit(e.rHead, n), fit(e.rFill, n)
+	e.rKey, e.rSeq = fit(e.rKey, n), fit(e.rSeq, n)
+	e.hp, e.hpos = fit(e.hp, n), fit(e.hpos, n)
 }
 
-// prepare sizes and initializes the engine state: fresh per-lane clocks
-// and gap floors, per-lane RNG pairs, injectors and per-class LogGP
-// tables, and the shared scratch (the arrival buffer sized once to the
-// program's largest step).
-func (e *Engine) prepare(p int, ls []Lane) {
-	e.lanes = len(ls)
+// prepare sizes and initializes the engine state for a run: fresh
+// per-lane clocks, gap floors and readouts, per-lane RNG pairs,
+// injectors and networks, and the per-processor scratch.
+func (e *Engine) prepare(pr *program.Program, cfg Config, ls []Lane) {
+	p := pr.P
+	e.p, e.words, e.nsteps, e.lanes = p, (p+63)/64, len(pr.Steps), len(ls)
+	e.sendFirst, e.globalOrder, e.overlap = cfg.SendPriority, cfg.GlobalOrder, cfg.Overlap
+	e.collect, e.charges = cfg.CollectSteps, cfg.Charges
 	n := e.lanes * p
-	e.ctStd, e.fsStd, e.frStd = growF64(e.ctStd, n), growF64(e.fsStd, n), growF64(e.frStd, n)
-	e.ctWC, e.fsWC, e.frWC = growF64(e.ctWC, n), growF64(e.fsWC, n), growF64(e.frWC, n)
+	e.ctStd, e.fsStd, e.frStd = zeroed(e.ctStd, n), zeroed(e.fsStd, n), zeroed(e.frStd, n)
+	e.ctWC, e.fsWC, e.frWC = zeroed(e.ctWC, n), zeroed(e.fsWC, n), zeroed(e.frWC, n)
+	e.comp, e.commStd, e.commWC = zeroed(e.comp, n), zeroed(e.commStd, n), zeroed(e.commWC, n)
+	if e.collect {
+		e.prof = fit(e.prof, e.lanes*e.nsteps)
+	}
 
-	e.head = growI32(e.head, p)
-	e.toRecv, e.forced = growI32(e.toRecv, p), growI32(e.forced, p)
-	e.candKey = growF64(e.candKey, p)
-	if cap(e.candKind) < p {
-		e.candKind = make([]uint8, p)
+	e.base, e.durs, e.charged = fit(e.base, p), fit(e.durs, p), fit(e.charged, p)
+	e.beforeStd, e.beforeWC = fit(e.beforeStd, p), fit(e.beforeWC, p)
+	e.cnt, e.fill = fit(e.cnt, p), fit(e.fill, p)
+	e.stamp, e.srcRun = fit(e.stamp, p), fit(e.srcRun, p)
+	e.sp.off, e.sp.runIdx = fit(e.sp.off, p+1), fit(e.sp.runIdx, p+1)
+	e.sp.inCnt, e.sp.sendMask = fit(e.sp.inCnt, p), fit(e.sp.sendMask, e.words)
+	e.head, e.toRecv, e.forced = fit(e.head, p), fit(e.toRecv, p), fit(e.forced, p)
+	e.candKey, e.candKind = fit(e.candKey, p), fit(e.candKind, p)
+	e.hn, e.hRun, e.hKey = fit(e.hn, p), fit(e.hRun, p), fit(e.hKey, p)
+	e.mask, e.pend = fit(e.mask, e.words), fit(e.pend, e.words)
+	largest := 0
+	for _, s := range pr.Steps {
+		largest = max(largest, len(s.Comm.Msgs))
 	}
-	e.candKind = e.candKind[:p]
-	e.hRun, e.hKey = growI32(e.hRun, p), growF64(e.hKey, p)
-	e.qKey = growF64(e.qKey, e.maxNmsgs)
-	e.qSeq, e.qCls = growI32(e.qSeq, e.maxNmsgs), growI32(e.qCls, e.maxNmsgs)
-	e.rHead, e.rFill = growI32(e.rHead, e.maxRuns), growI32(e.rFill, e.maxRuns)
-	e.rKey, e.rSeq = growF64(e.rKey, e.maxRuns), growI32(e.rSeq, e.maxRuns)
-	if cap(e.mask) < e.words {
-		e.mask = make([]uint64, e.words)
-		e.pend = make([]uint64, e.words)
-	}
-	e.mask, e.pend = e.mask[:e.words], e.pend[:e.words]
-	e.durs = growF64(e.durs, p)
+	e.fitSteps(largest)
 
-	nc := e.lanes * e.classes
-	e.adTab = growF64(e.adTab, nc)
-	e.ivLikeTab, e.ivUnlikeTab = growF64(e.ivLikeTab, nc), growF64(e.ivUnlikeTab, nc)
-	e.o = growF64(e.o, e.lanes)
+	if e.classOf == nil {
+		e.classOf = make(map[int]int32)
+	}
+	clear(e.classOf)
+	e.classBytes = e.classBytes[:0]
+	e.adTab, e.ivLikeTab, e.ivUnlikeTab = e.adTab[:0], e.ivLikeTab[:0], e.ivUnlikeTab[:0]
 
-	if cap(e.rngStd) < e.lanes {
-		e.rngStd = make([]*rand.Rand, e.lanes)
-		e.rngWC = make([]*rand.Rand, e.lanes)
+	e.o = fit(e.o, e.lanes)
+	e.net = fit(e.net, e.lanes)
+	e.inj = fit(e.inj, e.lanes)
+	e.errs = fit(e.errs, e.lanes)
+	for len(e.rngStd) < e.lanes {
+		e.rngStd = append(e.rngStd, nil)
+		e.rngWC = append(e.rngWC, nil)
 	}
-	e.rngStd, e.rngWC = e.rngStd[:e.lanes], e.rngWC[:e.lanes]
-	if cap(e.inj) < e.lanes {
-		e.inj = make([]*faults.Injector, e.lanes)
-	}
-	e.inj = e.inj[:e.lanes]
-	if cap(e.errs) < e.lanes {
-		e.errs = make([]error, e.lanes)
-	}
-	e.errs = e.errs[:e.lanes]
-
 	for l, ln := range ls {
-		e.errs[l] = nil
-		e.inj[l] = nil
-		// The same acceptance checks the scalar sessions apply in
-		// Reconfigure; a rejected lane fails alone, like its sample would.
+		e.errs[l], e.inj[l], e.net[l] = nil, nil, ln.Network
+		// The acceptance checks a scalar replay applies before its first
+		// step; a rejected lane fails alone, like its sample would.
 		if err := ln.Params.Validate(); err != nil {
 			e.errs[l] = err
 			continue
@@ -492,33 +736,59 @@ func (e *Engine) prepare(p int, ls []Lane) {
 			e.rngWC[l].Seed(ln.Seed)
 		}
 		e.o[l] = ln.Params.O
-		// Per-class derivatives, evaluated with the exact expressions of
-		// loggp.Params.Interval and ArrivalDelay.
-		lc := l * e.classes
-		for c, bytes := range e.classBytes {
-			ser := ln.Params.Serialization(bytes)
-			floor := max(ln.Params.O, ser)
-			like := max(ln.Params.Gap, floor)
-			unlike := like
-			if ln.Params.NoCrossGap {
-				unlike = floor
-			}
-			e.adTab[lc+c] = ln.Params.ArrivalDelay(bytes)
-			e.ivLikeTab[lc+c] = like
-			e.ivUnlikeTab[lc+c] = unlike
-		}
 	}
 }
 
-// runStd replays one communication step of one lane under the standard
-// algorithm, replicating runPaperReference (sim/reference_test.go): the
+// resetRecv empties the step's receive runs and run-head heaps before a
+// scheduler core replays the step.
+func (e *Engine) resetRecv(sp *stepPlan) {
+	clear(e.rHead[:sp.nRuns])
+	clear(e.rFill[:sp.nRuns])
+	clear(e.hn)
+	for q := range e.hRun {
+		e.hRun[q] = -1
+	}
+}
+
+// sendHooks applies lane l's fault hook to a send committed at start
+// from src out of the given slot, and rejects a non-finite arrival
+// (from the fault hook or the network): it returns the final arrival
+// and the sender's extra busy time, or ok false after recording the
+// lane's error.
+func (e *Engine) sendHooks(sp *stepPlan, si, l int, slot int32, src int, start, arrival float64) (float64, float64, bool) {
+	orig, dst := int(sp.sOrig[slot]), int(sp.sDst[slot])
+	busy := 0.0
+	if inj := e.inj[l]; inj != nil {
+		extraBusy, delay, err := inj.SendOutcome(si, orig, src, dst, e.classBytes[sp.sCls[slot]], start)
+		if err != nil {
+			e.errs[l] = fmt.Errorf("lanes: message %d (%d->%d): %w", orig, src, dst, err)
+			return 0, 0, false
+		}
+		if math.IsNaN(extraBusy) || math.IsInf(extraBusy, 0) || extraBusy < 0 {
+			e.errs[l] = fmt.Errorf("lanes: message %d (%d->%d): fault hook returned bad busy time %g",
+				orig, src, dst, extraBusy)
+			return 0, 0, false
+		}
+		busy = extraBusy
+		arrival += delay
+	}
+	if math.IsNaN(arrival) || math.IsInf(arrival, 0) {
+		e.errs[l] = fmt.Errorf("lanes: message %d (%d->%d): non-finite arrival time %g from network or fault hook",
+			orig, src, dst, arrival)
+		return 0, 0, false
+	}
+	return arrival, busy, true
+}
+
+// runStd replays one communication step of lane l's standard slot,
+// replicating runPaperReference (sim/reference_test.go): the
 // minimum-clock sender (random tie-break, randomness consumed only on
 // genuine ties) chooses between its next send and its earliest pending
-// receive, receive winning start-time ties; then every processor drains
-// its remaining receives in index order. Selection runs on the
-// tournament tree — a root-to-leaf descent and one leaf update per
-// commit — whose tie counts and index order reproduce the reference
-// scan's tie list exactly.
+// receive, receive winning start-time ties unless SendPriority is set;
+// then every processor drains its remaining receives in index order.
+// Selection runs on the tournament tree — a root-to-leaf descent and
+// one leaf update per commit — whose tie counts and index order
+// reproduce the reference scan's tie list exactly.
 func (e *Engine) runStd(sp *stepPlan, si, l int) {
 	p := e.p
 	lp := l * p
@@ -527,17 +797,15 @@ func (e *Engine) runStd(sp *stepPlan, si, l int) {
 	fr := e.frStd[lp : lp+p : lp+p]
 	head := e.head
 	copy(head, sp.off[:p])
-	clear(e.rHead[:sp.nRuns])
-	clear(e.rFill[:sp.nRuns])
+	e.resetRecv(sp)
 	hRun, hKey := e.hRun, e.hKey
-	for q := 0; q < p; q++ {
-		hRun[q] = -1
-	}
 	seq := int32(0)
 	rng := e.rngStd[l]
 	o := e.o[l]
-	inj := e.inj[l]
-	lc := l * e.classes
+	net := e.net[l]
+	hooked := net != nil || e.inj[l] != nil
+	sendFirst := e.sendFirst
+	nl := e.lanes
 
 	// Seed the selection tree with the clocks of processors with
 	// unsent messages; the rest stay +Inf.
@@ -564,61 +832,44 @@ func (e *Engine) runStd(sp *stepPlan, si, l int) {
 		proc := tt.Nth(k)
 
 		startSend := ct[proc]
-		if f := fs[proc]; f > startSend {
-			startSend = f
-		}
+		raise(&startSend, fs[proc])
 		startRecv := math.Inf(1)
 		if hRun[proc] >= 0 {
 			startRecv = ct[proc]
-			if f := fr[proc]; f > startRecv {
-				startRecv = f
-			}
-			if a := hKey[proc]; a > startRecv {
-				startRecv = a
-			}
+			raise(&startRecv, fr[proc])
+			raise(&startRecv, hKey[proc])
 		}
 		leaf := math.Inf(1) // proc's new tree leaf: clock, or +Inf once exhausted
-		if startSend < startRecv {
+		if startSend < startRecv || sendFirst && startSend == startRecv {
 			slot := head[proc]
 			head[proc] = slot + 1
 			c := int(sp.sCls[slot])
+			ci := c*nl + l
 			dst := int(sp.sDst[slot])
-			arrival := startSend + e.adTab[lc+c]
+			arrival := startSend + e.adTab[ci]
+			if net != nil {
+				arrival = net.Arrival(proc, dst, e.classBytes[c], startSend+o)
+			}
 			busy := 0.0
-			if inj != nil {
-				orig := int(sp.sOrig[slot])
-				extraBusy, delay, err := inj.SendOutcome(si, orig, proc, dst, e.classBytes[c], startSend)
-				if err != nil {
-					e.errs[l] = fmt.Errorf("lanes: message %d (%d->%d): %w", orig, proc, dst, err)
-					return
-				}
-				if math.IsNaN(extraBusy) || math.IsInf(extraBusy, 0) || extraBusy < 0 {
-					e.errs[l] = fmt.Errorf("lanes: message %d (%d->%d): fault hook returned bad busy time %g",
-						orig, proc, dst, extraBusy)
-					return
-				}
-				busy = extraBusy
-				arrival += delay
-				if math.IsNaN(arrival) || math.IsInf(arrival, 0) {
-					e.errs[l] = fmt.Errorf("lanes: message %d (%d->%d): non-finite arrival time %g from fault hook",
-						orig, proc, dst, arrival)
+			if hooked {
+				var ok bool
+				if arrival, busy, ok = e.sendHooks(sp, si, l, slot, proc, startSend, arrival); !ok {
 					return
 				}
 			}
 			e.push(sp, sp.sRun[slot], dst, arrival, seq, int32(c))
 			seq++
 			ct[proc] = startSend + o + busy
-			fs[proc] = startSend + e.ivLikeTab[lc+c]
-			fr[proc] = startSend + e.ivUnlikeTab[lc+c]
-			if int32(slot)+1 < sp.off[proc+1] {
+			fs[proc] = startSend + e.ivLikeTab[ci]
+			fr[proc] = startSend + e.ivUnlikeTab[ci]
+			if slot+1 < sp.off[proc+1] {
 				leaf = ct[proc]
 			}
 		} else {
-			c := int(e.popRun(sp, hRun[proc]))
-			e.rebuildHead(sp, proc)
+			ci := int(e.pop(sp, proc))*nl + l
 			ct[proc] = startRecv + o
-			fs[proc] = startRecv + e.ivUnlikeTab[lc+c]
-			fr[proc] = startRecv + e.ivLikeTab[lc+c]
+			fs[proc] = startRecv + e.ivUnlikeTab[ci]
+			fr[proc] = startRecv + e.ivLikeTab[ci]
 			leaf = ct[proc]
 		}
 		tt.Update(proc, leaf)
@@ -627,35 +878,31 @@ func (e *Engine) runStd(sp *stepPlan, si, l int) {
 	for q := 0; q < p; q++ {
 		for hRun[q] >= 0 {
 			start := ct[q]
-			if f := fr[q]; f > start {
-				start = f
-			}
-			if a := hKey[q]; a > start {
-				start = a
-			}
-			c := int(e.popRun(sp, hRun[q]))
-			e.rebuildHead(sp, q)
+			raise(&start, fr[q])
+			raise(&start, hKey[q])
+			ci := int(e.pop(sp, q))*nl + l
 			ct[q] = start + o
-			fs[q] = start + e.ivUnlikeTab[lc+c]
-			fr[q] = start + e.ivLikeTab[lc+c]
+			fs[q] = start + e.ivUnlikeTab[ci]
+			fr[q] = start + e.ivLikeTab[ci]
 		}
 	}
 }
 
 // push appends an arrival to its receive run. A sender's start times
 // only grow, so within a run arrivals are nondecreasing unless fault
-// delays or mixed byte classes reorder them — then the entry is
-// inserted in (arrival, seq) order, which keeps every run sorted and
-// makes the run-head merge pop exactly what a (key, seq) heap would.
-// The receiver's head cache needs at most one compare: the new entry
-// only matters if it heads its own run and beats the cached key (on a
-// key tie the cache keeps the earlier push, as the seq order demands).
+// delays, network routes or mixed byte classes reorder them — then the
+// entry is inserted in (arrival, seq) order, which keeps every run
+// sorted. A run whose head changed (it was empty, or the new entry
+// went to its front) is sifted up its receiver's heap, so the heap
+// root is always the receiver's earliest (arrival, seq) pending
+// message — exactly what a (key, seq) receive heap would pop.
 func (e *Engine) push(sp *stepPlan, run int32, dst int, arrival float64, seq, cls int32) {
 	b := sp.runBase[run]
 	f := e.rFill[run]
 	h := e.rHead[run]
-	atHead := f == h
-	if f > h && e.qKey[b+f-1] > arrival {
+	empty := f == h
+	atHead := empty
+	if !empty && e.qKey[b+f-1] > arrival {
 		pos := h
 		for e.qKey[b+pos] <= arrival {
 			pos++
@@ -669,99 +916,152 @@ func (e *Engine) push(sp *stepPlan, run int32, dst int, arrival float64, seq, cl
 		e.qKey[b+f], e.qSeq[b+f], e.qCls[b+f] = arrival, seq, cls
 	}
 	e.rFill[run] = f + 1
-	if atHead {
-		e.rKey[run], e.rSeq[run] = arrival, seq
-		if e.hRun[dst] < 0 || arrival < e.hKey[dst] {
-			e.hRun[dst], e.hKey[dst] = run, arrival
-		}
+	if !atHead {
+		return
 	}
+	e.rKey[run], e.rSeq[run] = arrival, seq
+	hb := sp.runIdx[dst]
+	i := e.hpos[run]
+	if empty {
+		i = e.hn[dst]
+		e.hn[dst] = i + 1
+	}
+	e.siftUp(hb, i, run)
+	root := e.hp[hb]
+	e.hRun[dst], e.hKey[dst] = root, e.rKey[root]
 }
 
-// popRun consumes run r's head entry, returning its byte class, and
-// refreshes the run's cached head so rebuildHead never has to chase
-// pointers into the arrival buffer.
-func (e *Engine) popRun(sp *stepPlan, r int32) int32 {
+// pop consumes receiver q's earliest pending arrival — the head of its
+// heap's root run — and returns its byte class, restoring the heap and
+// the receiver's head cache.
+func (e *Engine) pop(sp *stepPlan, q int) int32 {
+	hb := sp.runIdx[q]
+	r := e.hp[hb]
 	b := sp.runBase[r]
 	h := e.rHead[r]
 	c := e.qCls[b+h]
 	h++
 	e.rHead[r] = h
+	n := e.hn[q]
 	if h < e.rFill[r] {
 		e.rKey[r], e.rSeq[r] = e.qKey[b+h], e.qSeq[b+h]
+		e.siftDown(hb, n, r)
+	} else {
+		n--
+		e.hn[q] = n
+		if n > 0 {
+			e.siftDown(hb, n, e.hp[hb+n])
+		}
+	}
+	if n == 0 {
+		e.hRun[q] = -1
+	} else {
+		root := e.hp[hb]
+		e.hRun[q], e.hKey[q] = root, e.rKey[root]
 	}
 	return c
 }
 
-// rebuildHead rescans receiver q's runs after a pop to restore the
-// head cache: the earliest (arrival, seq) among the run heads. The
-// per-run cached keys keep the scan inside a few contiguous cache
-// lines instead of striding across the arrival buffer.
-func (e *Engine) rebuildHead(sp *stepPlan, q int) {
-	prun, headK, headS := int32(-1), 0.0, int32(0)
-	rHead, rFill := e.rHead, e.rFill
-	rKey, rSeq := e.rKey, e.rSeq
-	for r := sp.runIdx[q]; r < sp.runIdx[q+1]; r++ {
-		if rHead[r] == rFill[r] {
-			continue
-		}
-		if k := rKey[r]; prun < 0 || k < headK || (k == headK && rSeq[r] < headS) {
-			headK, headS, prun = k, rSeq[r], r
-		}
-	}
-	e.hRun[q], e.hKey[q] = prun, headK
+// before orders two runs by their heads' (arrival, seq); seqs are
+// unique within a step, so the order is strict and total.
+func (e *Engine) before(a, b int32) bool {
+	ka, kb := e.rKey[a], e.rKey[b]
+	return ka < kb || ka == kb && e.rSeq[a] < e.rSeq[b]
 }
 
-// runWC replays one communication step of one lane under the
-// worst-case strategy, replicating runReference
-// (worstcase/reference_test.go) through the same incremental candidate
-// cache the session's tournament core uses: after a commit only the
-// committed processor's candidates — and, for a send, the destination's
-// receive candidate — can change, so only those are recomputed; the
-// scan takes the leftmost strictly smallest cached start (receive
-// winning ties within a processor). A processor stays in
-// a commit burst while its refreshed key is strictly below every other
+// siftUp places run r, whose head key just fell (or which just joined
+// the heap at slot i), in the heap at hp[hb:].
+func (e *Engine) siftUp(hb, i, r int32) {
+	hp := e.hp
+	for i > 0 {
+		parent := (i - 1) / 2
+		pr := hp[hb+parent]
+		if !e.before(r, pr) {
+			break
+		}
+		hp[hb+i] = pr
+		e.hpos[pr] = i
+		i = parent
+	}
+	hp[hb+i] = r
+	e.hpos[r] = i
+}
+
+// siftDown places run r at the root of the n-entry heap at hp[hb:] and
+// sinks it to its place.
+func (e *Engine) siftDown(hb, n, r int32) {
+	hp := e.hp
+	i := int32(0)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && e.before(hp[hb+c+1], hp[hb+c]) {
+			c++
+		}
+		child := hp[hb+c]
+		if !e.before(child, r) {
+			break
+		}
+		hp[hb+i] = child
+		e.hpos[child] = i
+		i = c
+	}
+	hp[hb+i] = r
+	e.hpos[r] = i
+}
+
+// slot is the per-lane state one worst-case-core replay works on: the
+// worst-case slot (gated, flat network) or, under GlobalOrder, the
+// standard slot (ungated, the lane's network, SendPriority's tie).
+type slot struct {
+	ct, fs, fr []float64
+	net        Network
+	gated      bool // the messages-to-receive gate of Section 4.2
+	sendFirst  bool // a send wins a start-time tie within one processor
+}
+
+// runWC replays one communication step of lane l on the worst-case
+// core, replicating runReference (worstcase/reference_test.go) — or,
+// with the gate off, runGlobalOrderReference (sim/reference_test.go) —
+// through the same incremental candidate cache the session's
+// tournament core uses: after a commit only the committed processor's
+// candidates — and, for a send, the destination's receive candidate —
+// can change, so only those are recomputed; the scan takes the
+// leftmost strictly smallest cached start. A processor stays in a
+// commit burst while its refreshed key is strictly below every other
 // key (other keys never rise in between: a push can only lower the
-// destination's). Deadlocks are broken by releasing a random blocked
-// sender — one RNG draw per break, unconditionally, like both session
-// loops.
-func (e *Engine) runWC(sp *stepPlan, si, l int) {
+// destination's). Gated deadlocks are broken by releasing a random
+// blocked sender — one RNG draw per break, unconditionally, like both
+// session loops; ungated, every processor with unsent messages has a
+// candidate, so the run never deadlocks and draws nothing.
+func (e *Engine) runWC(sp *stepPlan, si, l int, v slot) {
 	p := e.p
-	lp := l * p
-	ct := e.ctWC[lp : lp+p : lp+p]
-	fs := e.fsWC[lp : lp+p : lp+p]
-	fr := e.frWC[lp : lp+p : lp+p]
+	ct, fs, fr := v.ct, v.fs, v.fr
 	head := e.head
 	toRecv, forced := e.toRecv, e.forced
 	key, kind := e.candKey, e.candKind
 	cand, pend := e.mask, e.pend
 	copy(pend, sp.sendMask)
 	copy(head, sp.off[:p])
-	clear(e.rHead[:sp.nRuns])
-	clear(e.rFill[:sp.nRuns])
-	hRun := e.hRun
-	for q := 0; q < p; q++ {
-		hRun[q] = -1
-	}
+	e.resetRecv(sp)
 	seq := int32(0)
 	rng := e.rngWC[l]
 	o := e.o[l]
-	inj := e.inj[l]
-	lc := l * e.classes
+	hooked := v.net != nil || e.inj[l] != nil
+	nl := e.lanes
 
 	// Initial candidates: receive buffers are empty, so only processors
-	// with sends and no pending receives are eligible.
-	for w := range cand {
-		cand[w] = 0
-	}
+	// with sends (and, gated, no pending receives) are eligible.
+	clear(cand)
 	for q := 0; q < p; q++ {
 		toRecv[q] = sp.inCnt[q]
 		forced[q] = 0
 		key[q] = math.Inf(1)
-		if head[q] < sp.off[q+1] && toRecv[q] == 0 {
+		if head[q] < sp.off[q+1] && (!v.gated || toRecv[q] == 0) {
 			key[q] = ct[q]
-			if f := fs[q]; f > key[q] {
-				key[q] = f
-			}
+			raise(&key[q], fs[q])
 			kind[q] = candSend
 			cand[q>>6] |= 1 << (q & 63)
 		}
@@ -807,7 +1107,7 @@ func (e *Engine) runWC(sp *stepPlan, si, l int) {
 				}
 			}
 			forced[release]++
-			e.refreshWC(sp, lp, release)
+			e.refreshWC(sp, &v, release)
 			continue
 		}
 		// Burst on best: keys of other processors never rise between
@@ -817,51 +1117,45 @@ func (e *Engine) runWC(sp *stepPlan, si, l int) {
 		for {
 			start := key[best]
 			if kind[best] == candSend {
-				if toRecv[best] != 0 {
+				if v.gated && toRecv[best] != 0 {
 					forced[best]--
 				}
 				slot := head[best]
 				head[best] = slot + 1
 				c := int(sp.sCls[slot])
+				ci := c*nl + l
 				dst := int(sp.sDst[slot])
-				arrival := start + e.adTab[lc+c]
+				arrival := start + e.adTab[ci]
+				if v.net != nil {
+					arrival = v.net.Arrival(best, dst, e.classBytes[c], start+o)
+				}
 				busy := 0.0
-				if inj != nil {
-					orig := int(sp.sOrig[slot])
-					extraBusy, delay, err := inj.SendOutcome(si, orig, best, dst, e.classBytes[c], start)
-					if err != nil {
-						e.errs[l] = fmt.Errorf("lanes: message %d (%d->%d): %w", orig, best, dst, err)
-						return
-					}
-					arrival += delay
-					busy = extraBusy
-					if math.IsNaN(arrival) || math.IsInf(arrival, 0) || math.IsNaN(busy) || math.IsInf(busy, 0) || busy < 0 {
-						e.errs[l] = fmt.Errorf("lanes: message %d (%d->%d): bad fault charge (busy %g, arrival %g)",
-							orig, best, dst, busy, arrival)
+				if hooked {
+					var ok bool
+					if arrival, busy, ok = e.sendHooks(sp, si, l, slot, best, start, arrival); !ok {
 						return
 					}
 				}
 				e.push(sp, sp.sRun[slot], dst, arrival, seq, int32(c))
 				seq++
 				ct[best] = start + o + busy
-				fs[best] = start + e.ivLikeTab[lc+c]
-				fr[best] = start + e.ivUnlikeTab[lc+c]
+				fs[best] = start + e.ivLikeTab[ci]
+				fr[best] = start + e.ivUnlikeTab[ci]
 				if head[best] == sp.off[best+1] {
 					pend[best>>6] &^= 1 << (best & 63)
 				}
-				e.refreshWC(sp, lp, best)
-				e.refreshWC(sp, lp, dst)
+				e.refreshWC(sp, &v, best)
+				e.refreshWC(sp, &v, dst)
 				if k := key[dst]; k < min2 {
 					min2 = k
 				}
 			} else {
-				c := int(e.popRun(sp, hRun[best]))
-				e.rebuildHead(sp, best)
+				ci := int(e.pop(sp, best))*nl + l
 				toRecv[best]--
 				ct[best] = start + o
-				fs[best] = start + e.ivUnlikeTab[lc+c]
-				fr[best] = start + e.ivLikeTab[lc+c]
-				e.refreshWC(sp, lp, best)
+				fs[best] = start + e.ivUnlikeTab[ci]
+				fr[best] = start + e.ivLikeTab[ci]
+				e.refreshWC(sp, &v, best)
 			}
 			if key[best] >= min2 {
 				break // rescan applies the exact leftmost tie rule
@@ -870,29 +1164,22 @@ func (e *Engine) runWC(sp *stepPlan, si, l int) {
 	}
 }
 
-// refreshWC recomputes processor q's worst-case candidate (key, kind,
-// live bit) from the clocks, floors and the receiver head cache. lp is
-// the lane's base offset into the worst-case state arrays.
-func (e *Engine) refreshWC(sp *stepPlan, lp, q int) {
+// refreshWC recomputes processor q's candidate (key, kind, live bit)
+// from the slot's clocks and floors and the receiver head cache.
+func (e *Engine) refreshWC(sp *stepPlan, v *slot, q int) {
 	startSend := math.Inf(1)
-	if e.head[q] < sp.off[q+1] && (e.toRecv[q] == 0 || e.forced[q] > 0) {
-		startSend = e.ctWC[lp+q]
-		if f := e.fsWC[lp+q]; f > startSend {
-			startSend = f
-		}
+	if e.head[q] < sp.off[q+1] && (!v.gated || e.toRecv[q] == 0 || e.forced[q] > 0) {
+		startSend = v.ct[q]
+		raise(&startSend, v.fs[q])
 	}
 	startRecv := math.Inf(1)
 	if e.hRun[q] >= 0 {
-		startRecv = e.ctWC[lp+q]
-		if f := e.frWC[lp+q]; f > startRecv {
-			startRecv = f
-		}
-		if a := e.hKey[q]; a > startRecv {
-			startRecv = a
-		}
+		startRecv = v.ct[q]
+		raise(&startRecv, v.fr[q])
+		raise(&startRecv, e.hKey[q])
 	}
 	k, kd := startRecv, candRecv
-	if startSend < k {
+	if startSend < k || v.sendFirst && startSend == k {
 		k, kd = startSend, candSend
 	}
 	e.candKey[q], e.candKind[q] = k, kd

@@ -1,27 +1,31 @@
 package lanes_test
 
-// The lane engine's contract is bit-identity: every lane must finish at
-// exactly the totals a scalar predictor replay produces for the same
-// configuration. The corpus stresses every divergence source the
-// schedulers have — tie-break RNG consumption (symmetric patterns),
-// worst-case deadlock releases (cyclic rings), rendezvous and
-// no-cross-gap machines, mixed message sizes (byte classes), fault
-// retransmits, jitter, stragglers, degradation windows, and lanes that
-// lose a message and are masked out mid-run.
+// The lane engine's contract is bit-identity: every lane must read out
+// exactly what the session oracle (sessionReplay, oracle_test.go)
+// produces for the same configuration, in every mode. The corpus
+// stresses every divergence source the schedulers have — tie-break RNG
+// consumption (symmetric patterns), worst-case deadlock releases
+// (cyclic rings), rendezvous and no-cross-gap machines, mixed message
+// sizes (byte classes), fault retransmits, jitter, stragglers,
+// degradation windows, and lanes that lose a message and are masked
+// out mid-run.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"loggpsim/internal/blockops"
+	"loggpsim/internal/cache"
 	"loggpsim/internal/cost"
 	"loggpsim/internal/faults"
 	"loggpsim/internal/ge"
 	"loggpsim/internal/lanes"
 	"loggpsim/internal/layout"
 	"loggpsim/internal/loggp"
+	"loggpsim/internal/network"
 	"loggpsim/internal/predictor"
 	"loggpsim/internal/program"
 	"loggpsim/internal/trace"
@@ -89,55 +93,168 @@ func plans() []faults.Plan {
 	}
 }
 
+// mode is one cell of the configuration grid the lanes answer to: the
+// predictor.Config mode fields it sets, and, for a contention-fabric
+// mode, a constructor the lanes and the oracle each call for their own
+// fabric instance (a fabric is stateful, so no two replays may share
+// one).
+type mode struct {
+	name   string
+	set    func(c *predictor.Config)
+	fabric func(p int, m loggp.Params) lanes.Network
+}
+
+func modes() []mode {
+	none := func(*predictor.Config) {}
+	fabric := func(topo func(p int) (network.Topology, error)) func(int, loggp.Params) lanes.Network {
+		return func(p int, m loggp.Params) lanes.Network {
+			tp, err := topo(p)
+			if err != nil {
+				panic(err)
+			}
+			f, err := network.NewFabric(tp, m.L/3, m.G)
+			if err != nil {
+				panic(err)
+			}
+			return f
+		}
+	}
+	mesh := func(p int) (network.Topology, error) {
+		r := int(math.Sqrt(float64(p)))
+		for p%r != 0 {
+			r--
+		}
+		return network.NewMesh(r, p/r)
+	}
+	return []mode{
+		{"paper", none, nil},
+		{"send-priority", func(c *predictor.Config) { c.SendPriority = true }, nil},
+		{"global-order", func(c *predictor.Config) { c.GlobalOrder = true }, nil},
+		{"send-priority+global-order", func(c *predictor.Config) { c.SendPriority, c.GlobalOrder = true, true }, nil},
+		{"overlap", func(c *predictor.Config) { c.Overlap = true }, nil},
+		{"cache", func(c *predictor.Config) { c.CacheBytes, c.MissFixed, c.MissPerByte = 1<<12, 0.5, 0.005 }, nil},
+		{"collect-steps", func(c *predictor.Config) { c.CollectSteps = true }, nil},
+		{"ring-fabric", none, fabric(network.NewRing)},
+		{"mesh-fabric", none, fabric(mesh)},
+	}
+}
+
+// laneConfig maps a scalar configuration's mode fields onto the lane
+// engine, as the predictor does.
+func laneConfig(pr *program.Program, c predictor.Config) lanes.Config {
+	lc := lanes.Config{
+		Cost:         c.Cost,
+		SendPriority: c.SendPriority,
+		GlobalOrder:  c.GlobalOrder,
+		Overlap:      c.Overlap,
+		CollectSteps: c.CollectSteps,
+	}
+	if c.CacheBytes > 0 {
+		lc.Charges = cache.Warm(pr, c.CacheBytes, c.MissFixed, c.MissPerByte).Charges
+	}
+	return lc
+}
+
+// bitsDiffer reports whether two readouts differ in any bit.
+func bitsDiffer(a, b float64) bool { return math.Float64bits(a) != math.Float64bits(b) }
+
+// checkLane holds lane l of an engine run to the oracle's replay of the
+// same configuration: a loss on exactly the same lanes, otherwise every
+// readout bit for bit. It reports whether the lane was lost.
+func checkLane(t *testing.T, what string, eng *lanes.Engine, l int, res lanes.Result, want *predictor.Prediction, refErr error) bool {
+	t.Helper()
+	if refErr != nil {
+		var le *faults.LossError
+		if !errors.As(refErr, &le) {
+			t.Fatalf("%s: session replay failed: %v", what, refErr)
+		}
+		if res.Err == nil || !errors.As(res.Err, &le) {
+			t.Fatalf("%s: session replay lost a message (%v); lane returned %v, %+v", what, refErr, res.Err, res)
+		}
+		return true
+	}
+	if res.Err != nil {
+		t.Fatalf("%s: session replay succeeded but lane failed: %v", what, res.Err)
+	}
+	for _, f := range []struct {
+		name      string
+		lane, ref float64
+	}{
+		{"Total", res.Total, want.Total}, {"TotalWorst", res.TotalWorst, want.TotalWorst},
+		{"Comp", res.Comp, want.Comp}, {"Comm", res.Comm, want.Comm}, {"CommWorst", res.CommWorst, want.CommWorst},
+	} {
+		if bitsDiffer(f.lane, f.ref) {
+			t.Fatalf("%s: %s diverges from session replay: lane %v, replay %v", what, f.name, f.lane, f.ref)
+		}
+	}
+	comp := eng.CompPerProc(l)
+	if len(comp) != len(want.CompPerProc) {
+		t.Fatalf("%s: %d per-processor computation times, replay has %d", what, len(comp), len(want.CompPerProc))
+	}
+	for q := range comp {
+		if bitsDiffer(comp[q], want.CompPerProc[q]) {
+			t.Fatalf("%s: CompPerProc[%d] = %v, replay %v", what, q, comp[q], want.CompPerProc[q])
+		}
+	}
+	prof := eng.Profile(l)
+	if (prof == nil) != (want.PerStep == nil) || len(prof) != len(want.PerStep) {
+		t.Fatalf("%s: %d profile steps, replay %d", what, len(prof), len(want.PerStep))
+	}
+	for s := range prof {
+		w := want.PerStep[s]
+		if bitsDiffer(prof[s].Comp, w.Comp) || bitsDiffer(prof[s].CommAdvance, w.CommAdvance) || bitsDiffer(prof[s].Finish, w.Finish) {
+			t.Fatalf("%s: profile step %d = %+v, replay %+v", what, s, prof[s], w)
+		}
+	}
+	return false
+}
+
 // TestLanesMatchScalarPredictor fans every corpus program across lanes
-// covering the machine × seed × fault-plan grid in one engine run, then
-// replays each lane scalar through the predictor and demands exact
-// equality — totals bitwise, losses on exactly the same lanes.
+// covering the machine × seed × fault-plan grid in one engine run, for
+// every mode of the grid, then replays each lane scalar through the
+// session oracle (sessionReplay) and demands exact equality — every
+// readout bitwise, losses on exactly the same lanes.
 func TestLanesMatchScalarPredictor(t *testing.T) {
 	model := cost.DefaultAnalytic()
 	for name, pr := range corpus(t) {
 		t.Run(name, func(t *testing.T) {
-			var ls []lanes.Lane
-			for mi, m := range machines(pr.P) {
-				for si, seed := range []int64{1, 42, 999} {
-					plan := plans()[(mi+si)%len(plans())]
-					// Scale a couple of parameters so lanes disagree on the
-					// LogGP vector, not just on seeds and faults.
-					m := m
-					m.L *= 1 + 0.1*float64(si)
-					m.Gap *= 1 + 0.05*float64(mi)
-					ls = append(ls, lanes.Lane{Params: m, Seed: seed, Faults: plan})
-				}
-			}
-			var eng lanes.Engine
-			results, err := eng.Run(pr, lanes.Config{Cost: model}, ls)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := predictor.NewEvaluator()
 			lost := 0
-			for l, res := range results {
-				var pred predictor.Prediction
-				cfg := predictor.Config{Params: ls[l].Params, Cost: model, Seed: ls[l].Seed, Faults: ls[l].Faults}
-				refErr := e.PredictInto(&pred, pr, cfg)
-				if refErr != nil {
-					var le *faults.LossError
-					if !errors.As(refErr, &le) {
-						t.Fatalf("lane %d: scalar reference failed: %v", l, refErr)
+			for _, md := range modes() {
+				var ls []lanes.Lane
+				for mi, m := range machines(pr.P) {
+					for si, seed := range []int64{1, 42, 999} {
+						plan := plans()[(mi+si)%len(plans())]
+						// Scale a couple of parameters so lanes disagree on the
+						// LogGP vector, not just on seeds and faults.
+						m := m
+						m.L *= 1 + 0.1*float64(si)
+						m.Gap *= 1 + 0.05*float64(mi)
+						ln := lanes.Lane{Params: m, Seed: seed, Faults: plan}
+						if md.fabric != nil {
+							ln.Network = md.fabric(pr.P, m)
+						}
+						ls = append(ls, ln)
 					}
-					if res.Err == nil || !errors.As(res.Err, &le) {
-						t.Fatalf("lane %d: scalar lost a message (%v); lane returned %v, %g/%g",
-							l, refErr, res.Err, res.Total, res.TotalWorst)
+				}
+				base := predictor.Config{Cost: model}
+				md.set(&base)
+				var eng lanes.Engine
+				results, err := eng.Run(pr, laneConfig(pr, base), ls)
+				if err != nil {
+					t.Fatalf("%s: %v", md.name, err)
+				}
+				var ref sessionReplay
+				for l, res := range results {
+					var want predictor.Prediction
+					cfg := base
+					cfg.Params, cfg.Seed, cfg.Faults = ls[l].Params, ls[l].Seed, ls[l].Faults
+					if md.fabric != nil {
+						cfg.Network = md.fabric(pr.P, ls[l].Params)
 					}
-					lost++
-					continue
-				}
-				if res.Err != nil {
-					t.Fatalf("lane %d: scalar succeeded but lane failed: %v", l, res.Err)
-				}
-				if res.Total != pred.Total || res.TotalWorst != pred.TotalWorst {
-					t.Fatalf("lane %d: totals diverge from scalar replay:\nscalar %g / %g\nlane   %g / %g",
-						l, pred.Total, pred.TotalWorst, res.Total, res.TotalWorst)
+					refErr := ref.PredictInto(&want, pr, cfg)
+					if checkLane(t, fmt.Sprintf("%s lane %d", md.name, l), &eng, l, res, &want, refErr) {
+						lost++
+					}
 				}
 			}
 			if name == "rings" && lost == 0 {
@@ -162,20 +279,16 @@ func TestLanesTieBreakMatchesScalar(t *testing.T) {
 	for l := range ls {
 		ls[l] = lanes.Lane{Params: m, Seed: int64(l + 1)}
 	}
-	results, err := lanes.Run(pr, lanes.Config{Cost: model}, ls)
+	var eng lanes.Engine
+	results, err := eng.Run(pr, lanes.Config{Cost: model}, ls)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := predictor.NewEvaluator()
+	var ref sessionReplay
 	for l, res := range results {
-		var pred predictor.Prediction
-		if err := e.PredictInto(&pred, pr, predictor.Config{Params: m, Cost: model, Seed: ls[l].Seed}); err != nil {
-			t.Fatal(err)
-		}
-		if res.Err != nil || res.Total != pred.Total || res.TotalWorst != pred.TotalWorst {
-			t.Fatalf("seed %d: lane %g / %g (err %v), scalar %g / %g",
-				ls[l].Seed, res.Total, res.TotalWorst, res.Err, pred.Total, pred.TotalWorst)
-		}
+		var want predictor.Prediction
+		refErr := ref.PredictInto(&want, pr, predictor.Config{Params: m, Cost: model, Seed: ls[l].Seed})
+		checkLane(t, fmt.Sprintf("seed %d", ls[l].Seed), &eng, l, res, &want, refErr)
 	}
 }
 
@@ -277,5 +390,44 @@ func TestLostLanePreservesLossError(t *testing.T) {
 	}
 	if fmt.Sprint(le) == "" {
 		t.Fatal("empty loss error")
+	}
+}
+
+// blockCost prices an operation at its block size in microseconds, so a
+// test can place each processor's first send at a chosen time.
+type blockCost struct{}
+
+func (blockCost) Cost(_ blockops.Op, b int) float64 { return float64(b) }
+func (blockCost) Name() string                      { return "block" }
+
+// TestLanesBreakArrivalTiesBySequence pins the run-head heap's tie
+// rule: equal arrivals at one receiver are received in push order. On
+// the machine below a message of k bytes sent at s arrives at
+// s + 6 + (k-1)/2, and a received 9-byte message holds the receiver's
+// next receive off for 4µs, a 1-byte one for 2µs. Processor 0 sends
+// nothing and receives, in the drain phase: from 2 (sent at 11, 1 byte,
+// arrives 17), from 1 (sent at 10, 9 bytes, arrives 20, pushed first)
+// and from 3 (sent at 14, 1 byte, arrives 20, pushed last). Receiving
+// 1 before 3 finishes processor 0 at 25; a heap that ignores the push
+// order surfaces 3 first once 2's run empties, finishing at 23.
+func TestLanesBreakArrivalTiesBySequence(t *testing.T) {
+	pr := program.New(4)
+	s := pr.AddStep()
+	s.AddOp(1, blockops.Op1, 10)
+	s.AddOp(2, blockops.Op1, 11)
+	s.AddOp(3, blockops.Op1, 14)
+	s.Comm.Add(1, 0, 9).Add(2, 0, 1).Add(3, 0, 1)
+	m := loggp.Params{L: 5, O: 1, Gap: 2, G: 0.5, P: 4}
+	var eng lanes.Engine
+	results, err := eng.Run(pr, lanes.Config{Cost: blockCost{}}, []lanes.Lane{{Params: m, Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want predictor.Prediction
+	var ref sessionReplay
+	refErr := ref.PredictInto(&want, pr, predictor.Config{Params: m, Cost: blockCost{}, Seed: 1})
+	checkLane(t, "arrival ties", &eng, 0, results[0], &want, refErr)
+	if results[0].Total != 25 || results[0].TotalWorst != 25 {
+		t.Fatalf("totals %g / %g, want 25 / 25", results[0].Total, results[0].TotalWorst)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"loggpsim/internal/layout"
 	"loggpsim/internal/loggp"
 	"loggpsim/internal/program"
+	"loggpsim/internal/trace"
 )
 
 func geProgram(t *testing.T, n, b, procs int) *program.Program {
@@ -172,5 +173,38 @@ func TestPredictIntoReusesOutputSlices(t *testing.T) {
 	if len(out.CompPerProc) != small.P {
 		t.Fatalf("CompPerProc kept %d entries for a %d-processor program",
 			len(out.CompPerProc), small.P)
+	}
+}
+
+// BenchmarkPredictLargeP times one reused evaluator on single-step
+// high-in-degree patterns: all-to-all, where every receiver merges
+// arrivals from P-1 senders, and butterfly exchanges, at P=64 and P=256.
+func BenchmarkPredictLargeP(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		pt   *trace.Pattern
+	}{
+		{"alltoall/P64", trace.AllToAll(64, 512)},
+		{"alltoall/P256", trace.AllToAll(256, 512)},
+		{"butterfly/P64", trace.Butterfly(6, 512)},
+		{"butterfly/P256", trace.Butterfly(8, 512)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			pr := program.New(bc.pt.P)
+			pr.AddStep().Comm = bc.pt
+			cfg := Config{Params: loggp.MeikoCS2(bc.pt.P), Cost: model, Seed: 1}
+			e := NewEvaluator()
+			var out Prediction
+			if err := e.PredictInto(&out, pr, cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := e.PredictInto(&out, pr, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

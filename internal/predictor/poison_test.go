@@ -50,7 +50,7 @@ func TestFailedPredictionDoesNotRepoolEvaluator(t *testing.T) {
 			t.Fatalf("lossy prediction failed with %v, want *faults.LossError", err)
 		}
 	}
-	if e := evalPool.Get().(*Evaluator); e.sim != nil || e.wc != nil {
+	if e := evalPool.Get().(*Evaluator); e.eng != nil {
 		t.Fatal("pool returned a used evaluator after a failed prediction; it must have been dropped")
 	}
 
@@ -64,7 +64,7 @@ func TestFailedPredictionDoesNotRepoolEvaluator(t *testing.T) {
 	}
 	if !raceEnabled {
 		e := evalPool.Get().(*Evaluator)
-		if e.sim == nil || e.wc == nil {
+		if e.eng == nil {
 			t.Fatal("pool lost the evaluator of a successful prediction")
 		}
 		evalPool.Put(e)
@@ -94,7 +94,7 @@ func TestPanickedPredictionDoesNotRepoolEvaluator(t *testing.T) {
 			Seed:   3,
 		})
 	}()
-	if e := evalPool.Get().(*Evaluator); e.sim != nil || e.wc != nil {
+	if e := evalPool.Get().(*Evaluator); e.eng != nil {
 		t.Fatal("pool returned a used evaluator after a panicked prediction")
 	}
 }

@@ -2,10 +2,17 @@
 // walks the control flow of an oblivious block program (package
 // program), charges each computation phase from a basic-operation cost
 // model (package cost), and replays each communication phase under the
-// LogGP model with the standard simulation algorithm (package sim) and
-// the overestimation algorithm (package worstcase). Per-processor clocks
-// and gap state carry across the alternating steps, so pipelining across
-// waves is predicted, not barrier-synchronized.
+// LogGP model with the standard simulation algorithm (Figure 2) and the
+// overestimation algorithm (Section 4.2). Per-processor clocks and gap
+// state carry across the alternating steps, so pipelining across waves
+// is predicted, not barrier-synchronized.
+//
+// A prediction is one lane of the program-level engine (package lanes),
+// the same engine that advances a Monte-Carlo envelope's samples in
+// lockstep: the predictor maps its Config onto one lane and reads the
+// lane back into a Prediction, and holds no scheduler of its own. The
+// session loop it ran before (sim and worstcase sessions, one step at
+// a time) is the engine's test oracle.
 //
 // Besides the two total running times it reports the paper's Figure 8
 // and Figure 9 decompositions: the communication time (per processor,
@@ -23,10 +30,9 @@ import (
 	"loggpsim/internal/cache"
 	"loggpsim/internal/cost"
 	"loggpsim/internal/faults"
+	"loggpsim/internal/lanes"
 	"loggpsim/internal/loggp"
 	"loggpsim/internal/program"
-	"loggpsim/internal/sim"
-	"loggpsim/internal/worstcase"
 )
 
 // Config controls a prediction.
@@ -37,8 +43,9 @@ type Config struct {
 	Cost cost.Model
 	// Seed drives the simulators' random tie-breaks.
 	Seed int64
-	// SendPriority and GlobalOrder are ablation switches passed to the
-	// standard simulator (see sim.Config).
+	// SendPriority and GlobalOrder are ablation switches of the standard
+	// algorithm, with the semantics of sim.Config's fields of the same
+	// names.
 	SendPriority bool
 	GlobalOrder  bool
 
@@ -55,7 +62,7 @@ type Config struct {
 	Ctx context.Context
 
 	// Network, when non-nil, routes the standard run's messages over an
-	// explicit contention fabric (see sim.Config.Network). The
+	// explicit contention fabric (see lanes.Lane.Network). The
 	// worst-case run keeps the flat LogGP network, so TotalWorst and
 	// CommWorst are not directly comparable in this mode.
 	Network interface {
@@ -142,23 +149,19 @@ type StepProfile struct {
 	Finish float64
 }
 
-// Evaluator owns the reusable state of one prediction pipeline: the two
-// simulator sessions (standard and worst-case) and every scratch buffer
-// the replay loop needs. Sweeps that evaluate hundreds of candidate
-// programs keep one evaluator per worker and call PredictInto, making
-// steady-state candidate evaluation allocation-free; the package-level
-// Predict draws evaluators from a shared pool, so every existing caller
-// gets the reuse without a signature change. An Evaluator must not be
-// used concurrently from multiple goroutines.
+// Evaluator owns the reusable state of one prediction pipeline: a lane
+// engine, on which every prediction is the one-lane run, and the lane
+// and result buffers that feed it. Sweeps that evaluate hundreds of
+// candidate programs keep one evaluator per worker and call
+// PredictInto, making steady-state candidate evaluation
+// allocation-free; the package-level Predict draws evaluators from a
+// shared pool, so every existing caller gets the reuse without a
+// signature change. An Evaluator must not be used concurrently from
+// multiple goroutines.
 type Evaluator struct {
-	sim *sim.Session
-	wc  *worstcase.Session
-
-	durs, commStd, commWC []float64
-	beforeStd, beforeWC   []float64
-	afterStd, afterWC     []float64
-	stepStd               sim.Result
-	stepWC                worstcase.Result
+	eng  *lanes.Engine // nil until the first prediction
+	lane [1]lanes.Lane
+	res  [1]lanes.Result
 }
 
 // NewEvaluator returns an empty evaluator; the first prediction sizes
@@ -172,14 +175,14 @@ var evalPool = &sync.Pool{New: func() any { return NewEvaluator() }}
 
 // Predict runs the method on a program. It is equivalent to
 // NewEvaluator().Predict but reuses pooled evaluators, so concurrent
-// sweep workers pay no per-candidate session construction.
+// sweep workers pay no per-candidate engine construction.
 //
 // An evaluator whose prediction fails is poisoned, not repooled: an
 // error (a fault-hook abort, a mid-replay cancellation, a hook
-// returning a non-finite arrival) or a panic can leave its simulator
-// sessions mid-step, and handing that state to an unrelated later
-// prediction would trade an isolated failure for a wrong answer. The
-// next Predict simply constructs a fresh evaluator through the pool.
+// returning a non-finite arrival) or a panic can leave its engine
+// mid-step, and handing that state to an unrelated later prediction
+// would trade an isolated failure for a wrong answer. The next Predict
+// simply constructs a fresh evaluator through the pool.
 func Predict(pr *program.Program, cfg Config) (*Prediction, error) {
 	e := evalPool.Get().(*Evaluator)
 	p, err := e.Predict(pr, cfg)
@@ -192,7 +195,7 @@ func Predict(pr *program.Program, cfg Config) (*Prediction, error) {
 	return p, nil
 }
 
-// Predict runs the method on a program, reusing the evaluator's sessions
+// Predict runs the method on a program, reusing the evaluator's engine
 // and buffers, and returns a freshly allocated Prediction.
 func (e *Evaluator) Predict(pr *program.Program, cfg Config) (*Prediction, error) {
 	p := &Prediction{}
@@ -202,190 +205,63 @@ func (e *Evaluator) Predict(pr *program.Program, cfg Config) (*Prediction, error
 	return p, nil
 }
 
-// grow resizes buf to n entries, reusing its backing when possible, and
-// zeroes it.
-func grow(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
-}
-
-// PredictInto runs the method on a program, writing the result over
-// *out (whose slices are reused when large enough). With cache-aware
-// mode off and CollectSteps off, a steady-state call performs no heap
-// allocation: the sessions are re-aimed with Reconfigure, and every
-// scratch buffer lives on the evaluator.
+// PredictInto runs the method on a program as one lane of the
+// evaluator's lane engine, writing the result over *out (whose slices
+// are reused when large enough). With cache-aware mode off and
+// CollectSteps off, a steady-state call performs no heap allocation.
 func (e *Evaluator) PredictInto(out *Prediction, pr *program.Program, cfg Config) error {
 	if cfg.Cost == nil {
 		return fmt.Errorf("predictor: no cost model")
 	}
-	if err := pr.Validate(); err != nil {
-		return err
+	if e.eng == nil {
+		e.eng = new(lanes.Engine)
 	}
-
-	// A disabled plan yields a nil injector and nil hooks, keeping the
-	// zero-fault path identical to a build without fault support.
-	injector, err := cfg.Faults.Injector(cfg.Params)
-	if err != nil {
-		return fmt.Errorf("predictor: %w", err)
-	}
-	var fault func(step, msgIndex, src, dst, bytes int, start float64) (float64, float64, error)
-	if injector != nil {
-		fault = injector.SendOutcome
-	}
-
-	// The predictor only reads finish times and clocks, never the
-	// timelines, so both replays run in quiet mode: no timeline records,
-	// no per-step result slices (a large constant factor on sweeps that
-	// evaluate hundreds of candidate programs).
-	simCfg := sim.Config{
-		Params:       cfg.Params,
-		Seed:         cfg.Seed,
+	lcfg := lanes.Config{
+		Cost:         cfg.Cost,
+		Ctx:          cfg.Ctx,
 		SendPriority: cfg.SendPriority,
 		GlobalOrder:  cfg.GlobalOrder,
-		Network:      cfg.Network,
-		Fault:        fault,
-		NoTimeline:   true,
-	}
-	wcCfg := worstcase.Config{
-		Params: cfg.Params, Seed: cfg.Seed, Fault: fault, NoTimeline: true,
-	}
-	if e.sim == nil {
-		e.sim, err = sim.NewSession(pr.P, simCfg)
-	} else {
-		err = e.sim.Reconfigure(pr.P, simCfg)
-	}
-	if err != nil {
-		return err
-	}
-	full := e.sim
-	if e.wc == nil {
-		e.wc, err = worstcase.NewSession(pr.P, wcCfg)
-	} else {
-		err = e.wc.Reconfigure(pr.P, wcCfg)
-	}
-	if err != nil {
-		return err
-	}
-	wcFull := e.wc
-
-	p := out
-	*p = Prediction{
-		CompPerProc: grow(p.CompPerProc, pr.P),
-		Steps:       len(pr.Steps),
-		PerStep:     p.PerStep[:0],
-	}
-	if !cfg.CollectSteps {
-		p.PerStep = nil
+		Overlap:      cfg.Overlap,
+		CollectSteps: cfg.CollectSteps,
 	}
 	// Cache-aware mode: the emulator's cache model. Cache behaviour
 	// depends only on the program's touch order, not on simulated
 	// timing, so one replay serves both the standard and the worst-case
-	// run.
-	var warming *cache.Warming
+	// slot.
+	cacheWarm := 0.0
 	if cfg.CacheBytes > 0 {
-		warming = cache.Warm(pr, cfg.CacheBytes, cfg.MissFixed, cfg.MissPerByte)
-		p.CacheWarm = warming.Max
+		if err := pr.Validate(); err != nil {
+			return err
+		}
+		warming := cache.Warm(pr, cfg.CacheBytes, cfg.MissFixed, cfg.MissPerByte)
+		lcfg.Charges = warming.Charges
+		cacheWarm = warming.Max
 	}
-	e.durs = grow(e.durs, pr.P)
-	e.commStd = grow(e.commStd, pr.P)
-	e.commWC = grow(e.commWC, pr.P)
-	// Clock scratch buffers, reused across steps: pre-grown to P entries
-	// here so the ClocksInto calls below never reallocate.
-	e.beforeStd = grow(e.beforeStd, pr.P)
-	e.beforeWC = grow(e.beforeWC, pr.P)
-	e.afterStd = grow(e.afterStd, pr.P)
-	e.afterWC = grow(e.afterWC, pr.P)
-	durs, commStd, commWC := e.durs, e.commStd, e.commWC
-	beforeStd, beforeWC, afterStd, afterWC := e.beforeStd, e.beforeWC, e.afterStd, e.afterWC
-	for i, step := range pr.Steps {
-		if cfg.Ctx != nil {
-			if err := cfg.Ctx.Err(); err != nil {
-				return fmt.Errorf("predictor: step %d of %d: %w", i, len(pr.Steps), err)
-			}
-		}
-		for proc := range durs {
-			d := 0.0
-			for _, call := range step.Comp[proc] {
-				d += cfg.Cost.Cost(call.Op, call.BlockSize)
-			}
-			if injector != nil {
-				// Slowdown, jitter and straggler factors inflate the charge
-				// (never below the fault-free cost) and flow into the
-				// computation decomposition: a straggler's extra time is
-				// computation time, not waiting.
-				d = injector.PerturbCompute(i, proc, d)
-			}
-			durs[proc] = d
-			p.CompPerProc[proc] += d
-			if warming != nil {
-				durs[proc] += warming.Charges[i][proc]
-			}
-		}
-		if !cfg.Overlap {
-			if err := full.Compute(durs); err != nil {
-				return fmt.Errorf("predictor: step %d: %w", i, err)
-			}
-			if err := wcFull.Compute(durs); err != nil {
-				return fmt.Errorf("predictor: step %d: %w", i, err)
-			}
-		}
-		beforeStd, beforeWC = full.ClocksInto(beforeStd), wcFull.ClocksInto(beforeWC)
-		if err := full.CommunicateInto(&e.stepStd, step.Comm); err != nil {
-			return fmt.Errorf("predictor: step %d: %w", i, err)
-		}
-		if err := wcFull.CommunicateInto(&e.stepWC, step.Comm); err != nil {
-			return fmt.Errorf("predictor: step %d: %w", i, err)
-		}
-		if cfg.Overlap {
-			// Busy-time bound: the processor still executes its
-			// computation and the o of each of its communication
-			// operations serially.
-			in, out := step.Comm.InDegrees(), step.Comm.OutDegrees()
-			for proc := 0; proc < pr.P; proc++ {
-				busy := beforeStd[proc] + durs[proc] + float64(in[proc]+out[proc])*cfg.Params.O
-				if err := full.AdvanceTo(proc, busy); err != nil {
-					return err
-				}
-				busyWC := beforeWC[proc] + durs[proc] + float64(in[proc]+out[proc])*cfg.Params.O
-				if err := wcFull.AdvanceTo(proc, busyWC); err != nil {
-					return err
-				}
-			}
-		}
-		afterStd, afterWC = full.ClocksInto(afterStd), wcFull.ClocksInto(afterWC)
-		for proc := 0; proc < pr.P; proc++ {
-			commStd[proc] += afterStd[proc] - beforeStd[proc]
-			commWC[proc] += afterWC[proc] - beforeWC[proc]
-		}
-		if cfg.CollectSteps {
-			prof := StepProfile{Finish: full.Finish()}
-			for proc := 0; proc < pr.P; proc++ {
-				if durs[proc] > prof.Comp {
-					prof.Comp = durs[proc]
-				}
-				if adv := afterStd[proc] - beforeStd[proc]; adv > prof.CommAdvance {
-					prof.CommAdvance = adv
-				}
-			}
-			p.PerStep = append(p.PerStep, prof)
-		}
+	e.lane[0] = lanes.Lane{Params: cfg.Params, Seed: cfg.Seed, Faults: cfg.Faults, Network: cfg.Network}
+	res, err := e.eng.RunInto(e.res[:], pr, lcfg, e.lane[:])
+	if err != nil {
+		return fmt.Errorf("predictor: %w", err)
 	}
-	p.Total = full.Finish()
-	p.TotalWorst = wcFull.Finish()
-	for proc := 0; proc < pr.P; proc++ {
-		if p.CompPerProc[proc] > p.Comp {
-			p.Comp = p.CompPerProc[proc]
+	r := res[0]
+	if r.Err != nil {
+		return fmt.Errorf("predictor: %w", r.Err)
+	}
+	perStep := out.PerStep[:0]
+	*out = Prediction{
+		Total:       r.Total,
+		TotalWorst:  r.TotalWorst,
+		Comp:        r.Comp,
+		CompPerProc: append(out.CompPerProc[:0], e.eng.CompPerProc(0)...),
+		Comm:        r.Comm,
+		CommWorst:   r.CommWorst,
+		Steps:       len(pr.Steps),
+		CacheWarm:   cacheWarm,
+	}
+	if cfg.CollectSteps {
+		for _, s := range e.eng.Profile(0) {
+			perStep = append(perStep, StepProfile(s))
 		}
-		if commStd[proc] > p.Comm {
-			p.Comm = commStd[proc]
-		}
-		if commWC[proc] > p.CommWorst {
-			p.CommWorst = commWC[proc]
-		}
+		out.PerStep = perStep
 	}
 	return nil
 }

@@ -313,8 +313,8 @@ func laneSpecs(cfg Config, i, samples int) []lanes.Lane {
 // certificate's structure is summarized once and only re-priced per
 // perturbed parameter vector. The envelope is bit-identical to that of
 // the per-sample oracle in scalar_test.go, which replays the nominal
-// point and each sample through its own predictor session and
-// certificate.
+// point and each sample as its own one-lane prediction and checks it
+// against its own certificate.
 func lockstepEnvelope(cfg Config, pr *program.Program, i, b, samples int) (Envelope, error) {
 	shape, err := analyze.NewProgramShape(pr, cfg.Model)
 	if err != nil {

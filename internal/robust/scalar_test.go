@@ -2,10 +2,14 @@ package robust
 
 // The per-sample envelope oracle: the loop robust.Run ran before the
 // lockstep lane engine served envelopes. Every sample replays the whole
-// prediction through its own predictor session and checks itself
-// against a from-scratch analyze.BoundProgram certificate. It is the
-// readable specification of an envelope, and TestLockstepMatchesScalar
-// and BenchmarkEnvelopeScalar hold the lockstep path to it.
+// prediction through predictor.Evaluator — a one-lane run of the same
+// engine — and checks itself against a from-scratch
+// analyze.BoundProgram certificate. It is the readable specification of
+// an envelope: TestLockstepMatchesScalar holds lockstep runs (every
+// sample a lane of one run) to one-lane runs, and sessionReplay in
+// internal/lanes/oracle_test.go, the session loop the predictor ran
+// before it became one lane, anchors the one-lane result itself.
+// BenchmarkEnvelopeScalar times the per-sample path.
 
 import (
 	"errors"

@@ -38,7 +38,7 @@
 //     propagated via context into the predictor's per-step polling and
 //     the Monte-Carlo sampler's per-sample checks. Before a worker is
 //     committed, the request is priced with analyze.EstimateWork;
-//     requests over budget never reach a simulator session.
+//     requests over budget never reach the prediction engine.
 //
 //   - Graceful degradation. When the deadline or budget cannot fit the
 //     full simulation, the response degrades to the closed-form LogGP
@@ -83,7 +83,7 @@ import (
 // Config tunes the server. The zero value selects sane defaults.
 type Config struct {
 	// Workers bounds concurrently running predictions — and sizes the
-	// evaluator pool, one session pair per worker. Values below 1
+	// evaluator pool, one lane engine per worker. Values below 1
 	// select runtime.GOMAXPROCS(0).
 	Workers int
 	// QueueDepth bounds requests waiting for a worker beyond the ones
@@ -669,7 +669,7 @@ func (s *Server) checkoutEvaluator() *predictor.Evaluator { return <-s.evals }
 
 // repool returns a healthy evaluator; poison replaces a failed one with
 // a fresh evaluator so pool capacity is preserved while the poisoned
-// sessions go to the collector.
+// engine goes to the collector.
 func (s *Server) repool(e *predictor.Evaluator) { s.evals <- e }
 func (s *Server) poison(_ *predictor.Evaluator) { s.evals <- predictor.NewEvaluator() }
 
@@ -714,8 +714,8 @@ func (s *Server) runSimulation(resp *Response, r *Request, pr *program.Program, 
 		return okOutcome(resp)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		// The replay aborted within one step of the deadline: poison
-		// the evaluator (its sessions are mid-program) and answer with
-		// the certificate.
+		// the evaluator (its engine stopped mid-program) and answer
+		// with the certificate.
 		s.poison(e)
 		return s.degradeOutcome(resp, pr, params, s.degradeReason())
 	default:

@@ -1,8 +1,10 @@
 # Build/verify targets for the loggpsim repository. Every program-level
 # prediction (predictor, robust envelopes, predictd's simulate,
-# worstcase and envelope modes) runs on one engine, internal/lanes;
-# the sim and worstcase sessions serve single patterns, the emulator,
-# and the oracles the engine is tested against.
+# worstcase and envelope modes) runs on one engine, internal/lanes.
+# One session, sim.Session, runs both of the paper's algorithms one
+# pattern at a time (Figure 2, and Section 4.2 in its WorstCase mode,
+# which package worstcase configures); it serves single patterns, the
+# emulator, and the oracle the engine is tested against.
 #
 #   make ci      — what a CI runner executes: vet + determinism lint +
 #                  differential tests under -race + race-enabled full
@@ -19,11 +21,13 @@
 #   make diff    — differential tests under the race detector: the
 #                  tournament tree vs its linear-scan oracles, the
 #                  slice-backed cache LRU and cache.Warm vs their
-#                  container/list oracles, the indexed scheduler cores
-#                  vs the reference_test.go oracles, the lane engine
-#                  vs the session-replay oracle in every mode and the
-#                  envelope vs its per-sample oracle, and every bound
-#                  certificate vs the walk_test.go oracle
+#                  container/list oracles, sim's indexed scheduler
+#                  cores vs the reference_test.go scans, the
+#                  worst-case session vs its independent reference
+#                  session, the lane engine vs the session-replay
+#                  oracle in every mode and the envelope vs its
+#                  per-sample oracle, and every bound certificate vs
+#                  the walk_test.go oracle
 #   make bench   — figure, scheduler-core (P=64/256 stress and the
 #                  Figure-7 GE programs at P=8, standard and worst
 #                  case), predictor (steady-state reuse and the
@@ -118,22 +122,24 @@ race:
 	$(GO) test -race ./...
 
 # The indexed scheduler cores must stay bit-identical to the reference
-# scans, which live in each package's reference_test.go (DESIGN.md
-# §perf); run the differential suites under -race so a data race in the
-# session-reuse machinery cannot hide behind identical output. The
-# selection tree all four indexed cores share (eventq.Tournament) is
-# checked first against its own linear-scan oracles, including the
-# Figure-2 tie-break with a twin RNG, and so are the cache model's
-# slice-backed LRU, and cache.Warm on it, against the container/list
-# LRU they replaced (internal/cache/cache_test.go). The lane engine
-# makes the same claim against the session loop the predictor used to
-# run (sessionReplay in internal/lanes/oracle_test.go, every mode;
-# DESIGN.md §5c), envelopes against the per-sample oracle runScalar in
-# internal/robust/scalar_test.go (DESIGN.md §5h), and every bound
-# certificate — the shape pricer behind
-# PatternBounds, Check, BoundProgram and CheckProgram — against the
-# per-message walk in internal/analyze/walk_test.go (DESIGN.md §5e), so
-# their differential suites run here too.
+# scans in internal/sim/reference_test.go, and the worst-case mode to
+# the independent reference session in
+# internal/worstcase/reference_test.go, which shares no code with sim
+# (DESIGN.md §perf); run the differential suites under -race so a data
+# race in the session-reuse machinery cannot hide behind identical
+# output. The selection tree all three indexed cores share
+# (eventq.Tournament) is checked first against its own linear-scan
+# oracles, including the Figure-2 tie-break with a twin RNG, and so are
+# the cache model's slice-backed LRU, and cache.Warm on it, against the
+# container/list LRU they replaced (internal/cache/cache_test.go). The
+# lane engine makes the same claim against the session loop the
+# predictor used to run (sessionReplay in internal/lanes/oracle_test.go,
+# every mode; DESIGN.md §5c), envelopes against the per-sample oracle
+# runScalar in internal/robust/scalar_test.go (DESIGN.md §5h), and every
+# bound certificate — the shape pricer behind PatternBounds, Check,
+# BoundProgram and CheckProgram — against the per-message walk in
+# internal/analyze/walk_test.go (DESIGN.md §5e), so their differential
+# suites run here too.
 diff:
 	$(GO) test -race -run 'Tournament.*Scan' ./internal/eventq
 	$(GO) test -race -run 'MatchesListOracle' ./internal/cache
@@ -143,12 +149,14 @@ diff:
 		./internal/robust ./internal/analyze ./internal/lanes
 
 # Figure-level benchmarks (repo root), the scheduler-core stress
-# benchmarks, the predictor on one reused evaluator (the GE reuse case
-# and high-in-degree programs, where the lane engine's run-head heaps
-# carry the receives), the fault-hook overhead benchmarks, the bound certificate
-# benchmarks (predictd's analyze corpus and the Figure-7 programs), and
-# building and cache-warming the 28 Figure-7 programs. The repo's
-# recorded, repeatable numbers come from perfbench (perfbench/README.md).
+# benchmarks (sim's session in both modes, against sim's reference scans
+# and against worstcase's reference session), the predictor on one
+# reused evaluator (the GE reuse case and high-in-degree programs, where
+# the lane engine's run-head heaps carry the receives), the fault-hook
+# overhead benchmarks, the bound certificate benchmarks (predictd's
+# analyze corpus and the Figure-7 programs), and building and
+# cache-warming the 28 Figure-7 programs. The repo's recorded,
+# repeatable numbers come from perfbench (perfbench/README.md).
 bench:
 	$(GO) test -run NONE -bench . -benchmem .
 	$(GO) test -run NONE -benchmem \
@@ -176,9 +184,10 @@ bench-envelope:
 
 # Short fuzz runs of the robustness-critical state machines and
 # verifiers: the scheduler cores (sim's paper, send-priority and
-# global-order cores and the worst-case core on arbitrary patterns and
+# global-order cores and its worst-case mode on arbitrary patterns and
 # machines, P 2-16, each bit-identical to its reference_test.go oracle
-# and every timeline passing the LogGP verifier), one lane of the
+# — the worst case to worstcase's independent reference session — and
+# every timeline passing the LogGP verifier), one lane of the
 # program engine (random small programs under every mode combination,
 # seed and fault plan, bit-identical to the session-replay oracle), the
 # fault injector's

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	commviz [-pattern figure3|ring|alltoall|gather|scatter|random] [-file pattern.json]
+//	commviz [-pattern figure3|ring|alltoall|gather|scatter|random|hypercube] [-file pattern.json]
 //	        [-alg standard|worstcase|both] [-procs 10] [-bytes 112]
 //	        [-L 9] [-o 2] [-g 16] [-G 0.005] [-width 100] [-list] [-seed 1]
 //	        [-trace out.json] [-svg out.svg]
@@ -23,7 +23,7 @@ import (
 )
 
 func main() {
-	patternName := flag.String("pattern", "figure3", "built-in pattern: figure3, ring, alltoall, gather, scatter, random")
+	patternName := flag.String("pattern", "figure3", "built-in pattern: figure3, ring, alltoall, gather, scatter, random, hypercube")
 	file := flag.String("file", "", "JSON pattern file (overrides -pattern)")
 	alg := flag.String("alg", "both", "algorithm: standard, worstcase or both")
 	procs := flag.Int("procs", 10, "processors for generated patterns")
@@ -38,6 +38,11 @@ func main() {
 	svgOut := flag.String("svg", "", "write an SVG rendering of the standard run to this file")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
+	switch *alg {
+	case "standard", "worstcase", "both":
+	default:
+		fatal(fmt.Errorf("unknown algorithm %q", *alg))
+	}
 
 	pt, err := loadPattern(*file, *patternName, *procs, *bytes, *seed)
 	if err != nil {

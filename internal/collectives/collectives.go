@@ -46,13 +46,6 @@ func LinearBroadcastTime(p loggp.Params, procs, bytes int) float64 {
 	return lastSend + p.ArrivalDelay(bytes) + p.O
 }
 
-// ScatterTime equals LinearBroadcastTime for equal-size pieces: the root
-// sends P-1 distinct messages instead of one replicated payload, but the
-// LogGP cost structure is identical.
-func ScatterTime(p loggp.Params, procs, bytes int) float64 {
-	return LinearBroadcastTime(p, procs, bytes)
-}
-
 // GatherPattern returns the one-step pattern in which every non-root
 // processor sends one message to the root.
 func GatherPattern(procs, root, bytes int) *trace.Pattern {

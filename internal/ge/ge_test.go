@@ -353,82 +353,6 @@ func TestVirtualFactorErrors(t *testing.T) {
 	}
 }
 
-func TestBroadcastProgramShape(t *testing.T) {
-	g := Grid{NB: 4, B: 8}
-	lay := layout.Diagonal(3, g.NB)
-	pr, err := BuildBroadcastProgram(g, lay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// 3 steps per iteration except the last (factor only).
-	if want := 3*(g.NB-1) + 1; len(pr.Steps) != want {
-		t.Fatalf("steps = %d, want %d", len(pr.Steps), want)
-	}
-	// The operation multiset matches the wavefront program's exactly.
-	wave, err := BuildProgram(g, lay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bc, wf := pr.Summarize(), wave.Summarize()
-	if bc.Ops != wf.Ops {
-		t.Fatalf("op counts differ: broadcast %v, wavefront %v", bc.Ops, wf.Ops)
-	}
-	if bc.Flops != wf.Flops {
-		t.Fatalf("flops differ: %g vs %g", bc.Flops, wf.Flops)
-	}
-}
-
-func TestBroadcastVsWavefrontPrediction(t *testing.T) {
-	// The design-space study the method enables: neither schedule
-	// dominates. At the smallest blocks the wavefront drowns in
-	// per-block messages (two per block per wave, gap-bound) and the
-	// broadcast schedule — which deduplicates panel transfers per
-	// destination processor — wins; at moderate blocks the wavefront's
-	// pipelining wins, since the broadcast variant serializes trailing
-	// updates behind full panel exchanges.
-	model := cost.DefaultAnalytic()
-	params := loggp.MeikoCS2(8)
-	predictBoth := func(b int) (wave, bcast float64) {
-		t.Helper()
-		const n = 96
-		g, err := NewGrid(n, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lay := layout.Diagonal(8, g.NB)
-		wf, err := BuildProgram(g, lay)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bc, err := BuildBroadcastProgram(g, lay)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pw, err := predictor.Predict(wf, predictor.Config{Params: params, Cost: model, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pb, err := predictor.Predict(bc, predictor.Config{Params: params, Cost: model, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("b=%d: wavefront %.0fµs vs broadcast %.0fµs (%.2fx)",
-			b, pw.Total, pb.Total, pb.Total/pw.Total)
-		return pw.Total, pb.Total
-	}
-	wSmall, bSmall := predictBoth(8)
-	if !(bSmall < wSmall) {
-		t.Errorf("b=8: broadcast %g not below message-bound wavefront %g", bSmall, wSmall)
-	}
-	wMid, bMid := predictBoth(16)
-	if !(wMid < bMid) {
-		t.Errorf("b=16: wavefront %g not below broadcast %g", wMid, bMid)
-	}
-}
-
 func TestPredictorStepProfile(t *testing.T) {
 	g := Grid{NB: 6, B: 8}
 	pr, err := BuildProgram(g, layout.Diagonal(4, g.NB))

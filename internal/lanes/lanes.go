@@ -54,9 +54,9 @@
 // Lane results are bit-identical to the session loop the predictor ran
 // before it became one lane — sessionReplay in oracle_test.go, which
 // drives sim and worstcase sessions with every option: the cores
-// replicate the schedulers' reference loops (runPaperReference,
-// runGlobalOrderReference and runReference in the reference_test.go
-// files of sim and worstcase) decision for decision, including when
+// replicate the schedulers' reference loops (runPaperReference and
+// runGlobalOrderReference in sim's reference_test.go, the reference
+// session's run in worstcase's) decision for decision, including when
 // tie-break randomness is consumed.
 //
 // Divergence between lanes is handled two ways:

@@ -9,6 +9,7 @@ import (
 
 	"loggpsim/internal/cost"
 	"loggpsim/internal/faults"
+	"loggpsim/internal/layout"
 	"loggpsim/internal/loggp"
 	"loggpsim/internal/sweep"
 )
@@ -209,24 +210,28 @@ func TestCtxAbortsBetweenSamples(t *testing.T) {
 }
 
 // TestCtxCancelMidSweepStopsEarly cancels after the first envelope
-// completes and checks the sweep reports cancellation rather than
-// running every remaining sample.
+// completes — when the single worker asks for the second one's layout —
+// and checks the sweep reports cancellation rather than running every
+// remaining sample.
 func TestCtxCancelMidSweepStopsEarly(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1
 	cfg.Samples = 4
 	ctx, cancel := context.WithCancel(context.Background())
 	cfg.Ctx = ctx
-	done := 0
-	cfg.Options = []sweep.Option{sweep.Progress(func(d, total int) {
-		done = d
-		cancel()
-	})}
+	started := 0
+	cfg.Layout = func(nb int) layout.Layout {
+		started++
+		if started == 2 {
+			cancel()
+		}
+		return layout.Diagonal(cfg.P, nb)
+	}
 	_, err := Run(cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run = %v, want context.Canceled", err)
 	}
-	if done == len(cfg.Sizes) {
-		t.Fatalf("sweep ran all %d envelopes despite cancellation", done)
+	if started == len(cfg.Sizes) {
+		t.Fatalf("sweep started all %d envelopes despite cancellation", started)
 	}
 }

@@ -90,20 +90,15 @@ func Memoized(f Objective) (Objective, *int) {
 	}, count
 }
 
-// Sweep evaluates every candidate and returns the global minimum — the
-// paper's baseline strategy. It is SweepParallel with one worker.
-func Sweep(sizes []int, f Objective) (Result, error) {
-	return SweepParallel(sizes, f, 1)
-}
-
-// SweepParallel is Sweep fanned out over a worker pool (workers < 1
+// SweepParallel evaluates every candidate and returns the global
+// minimum — the paper's baseline strategy — on a worker pool (workers < 1
 // selects runtime.GOMAXPROCS(0)). The objective must be safe for
 // concurrent use when more than one worker is configured; duplicate
 // candidates are deduplicated by the memoizing wrapper, so each distinct
-// block size is evaluated once. The result is identical to the serial
-// Sweep at every worker count: values are collected in input order and
-// the minimum scan runs serially, so ties resolve to the earliest
-// candidate exactly as in the serial loop.
+// block size is evaluated once. The result is identical at every worker
+// count: values are collected in input order and the minimum scan runs
+// serially, so ties resolve to the earliest candidate exactly as in a
+// serial loop.
 func SweepParallel(sizes []int, f Objective, workers int) (Result, error) {
 	if len(sizes) == 0 {
 		return Result{}, ErrNoCandidates

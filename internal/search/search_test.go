@@ -26,7 +26,7 @@ func sawtooth(b int) (float64, error) {
 }
 
 func TestSweepFindsGlobalMin(t *testing.T) {
-	r, err := Sweep(sizes, sawtooth)
+	r, err := SweepParallel(sizes, sawtooth, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestMemoizedAvoidsReevaluation(t *testing.T) {
 func TestErrorsPropagate(t *testing.T) {
 	boom := errors.New("boom")
 	bad := func(int) (float64, error) { return 0, boom }
-	if _, err := Sweep(sizes, bad); !errors.Is(err, boom) {
+	if _, err := SweepParallel(sizes, bad, 1); !errors.Is(err, boom) {
 		t.Errorf("Sweep error = %v", err)
 	}
 	if _, err := Ternary(sizes, bad); !errors.Is(err, boom) {
@@ -107,7 +107,7 @@ func TestErrorsPropagate(t *testing.T) {
 }
 
 func TestEmptyAndBadInputs(t *testing.T) {
-	if _, err := Sweep(nil, convex); !errors.Is(err, ErrNoCandidates) {
+	if _, err := SweepParallel(nil, convex, 1); !errors.Is(err, ErrNoCandidates) {
 		t.Error("empty Sweep accepted")
 	}
 	if _, err := Ternary(nil, convex); !errors.Is(err, ErrNoCandidates) {
@@ -123,7 +123,7 @@ func TestEmptyAndBadInputs(t *testing.T) {
 
 func TestSingleCandidate(t *testing.T) {
 	for name, fn := range map[string]func() (Result, error){
-		"sweep":   func() (Result, error) { return Sweep([]int{16}, convex) },
+		"sweep":   func() (Result, error) { return SweepParallel([]int{16}, convex, 1) },
 		"ternary": func() (Result, error) { return Ternary([]int{16}, convex) },
 		"climb":   func() (Result, error) { return HillClimb([]int{16}, convex, 0) },
 	} {
@@ -161,7 +161,7 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 		return convex(b)
 	}
 	for _, f := range []Objective{convex, sawtooth, tied} {
-		want, err := Sweep(sizes, f)
+		want, err := SweepParallel(sizes, f, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

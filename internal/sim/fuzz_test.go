@@ -5,7 +5,6 @@ import (
 
 	"loggpsim/internal/loggp"
 	"loggpsim/internal/trace"
-	"loggpsim/internal/worstcase"
 )
 
 // patternFromBytes decodes a fuzz input into a communication pattern and
@@ -59,7 +58,7 @@ func FuzzSimulationAlgorithms(f *testing.F) {
 			t.Fatalf("standard delivered %d/%d of %d", r.Timeline.Sends(), r.Timeline.Recvs(), net)
 		}
 
-		w, err := worstcase.Run(pt, worstcase.Config{Params: params, Seed: seed})
+		w, err := Run(pt, Config{Params: params, Seed: seed, WorstCase: true})
 		if err != nil {
 			t.Fatalf("worstcase: %v", err)
 		}

@@ -130,6 +130,7 @@ func TestReconfigureMatchesNewSession(t *testing.T) {
 		{16, Config{Params: loggp.Params{L: 9, O: 2, Gap: 16, G: 0.07, P: 16}, Seed: 1}, trace.AllToAll(16, 64)},
 		{4, Config{Params: loggp.Params{L: 1, O: 1, Gap: 40, G: 0.5, P: 4}, Seed: 2}, trace.Ring(4, 300)},
 		{16, Config{Params: loggp.Params{L: 25, O: 12, Gap: 3, G: 0, P: 16}, Seed: 3, GlobalOrder: true}, trace.Butterfly(4, 128)},
+		{12, Config{Params: loggp.Params{L: 9, O: 2, Gap: 16, G: 0.07, P: 12}, Seed: 5, WorstCase: true}, trace.AllToAll(12, 64)},
 		{10, Config{Params: loggp.Params{L: 9, O: 2, Gap: 16, G: 0.07, P: 10}, Seed: 4, SendPriority: true}, trace.Figure3()},
 	}
 	sess := &Session{}
@@ -157,5 +158,43 @@ func TestResetBoundsChecked(t *testing.T) {
 	}
 	if err := sess.Reset([]float64{}); err == nil {
 		t.Fatal("Reset accepted zero processors")
+	}
+}
+
+// TestReconfigureRejectsWorstCaseOptions: the worst-case mode is the
+// time-ordered loop with its receive gate, on the flat LogGP network,
+// so each of the options that select another loop or another delivery
+// model is refused alongside it. The mode on its own is accepted
+// afterwards and runs like a fresh session.
+func TestReconfigureRejectsWorstCaseOptions(t *testing.T) {
+	params := loggp.Params{L: 9, O: 2, Gap: 16, G: 0.07, P: 4}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"SendPriority", Config{Params: params, WorstCase: true, SendPriority: true}},
+		{"GlobalOrder", Config{Params: params, WorstCase: true, GlobalOrder: true}},
+		{"Network", Config{Params: params, WorstCase: true, Network: badNetwork{}}},
+		{"Jitter", Config{Params: params, WorstCase: true, Jitter: func(int, int) float64 { return 0 }}},
+	} {
+		sess := &Session{}
+		if err := sess.Reconfigure(4, tc.cfg); err == nil {
+			t.Fatalf("Reconfigure accepted WorstCase with %s", tc.name)
+		}
+		if _, err := NewSession(4, tc.cfg); err == nil {
+			t.Fatalf("NewSession accepted WorstCase with %s", tc.name)
+		}
+		cfg := Config{Params: params, Seed: 7, WorstCase: true}
+		if err := sess.Reconfigure(4, cfg); err != nil {
+			t.Fatal(err)
+		}
+		got, err := sess.Communicate(trace.Ring(4, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.DeadlocksBroken == 0 {
+			t.Fatal("worst-case ring broke no deadlock")
+		}
+		requireIdentical(t, got, freshResult(t, 4, cfg, trace.Ring(4, 8)))
 	}
 }

@@ -71,8 +71,8 @@ func runBoth(t *testing.T, pt *trace.Pattern, cfg Config) (indexed, reference *R
 }
 
 // requireIdentical asserts two results are bit-identical: same finish,
-// same per-processor clocks, and the same operations committed in the
-// same order with the same starts.
+// same per-processor clocks, the same counts, and the same operations
+// committed in the same order with the same starts.
 func requireIdentical(t *testing.T, indexed, reference *Result) {
 	t.Helper()
 	if indexed.Finish != reference.Finish {
@@ -83,6 +83,9 @@ func requireIdentical(t *testing.T, indexed, reference *Result) {
 	}
 	if indexed.SelfMessages != reference.SelfMessages {
 		t.Fatalf("SelfMessages: indexed %d, reference %d", indexed.SelfMessages, reference.SelfMessages)
+	}
+	if indexed.DeadlocksBroken != reference.DeadlocksBroken {
+		t.Fatalf("DeadlocksBroken: indexed %d, reference %d", indexed.DeadlocksBroken, reference.DeadlocksBroken)
 	}
 	a, b := indexed.Timeline.Ops, reference.Timeline.Ops
 	if len(a) != len(b) {

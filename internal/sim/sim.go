@@ -16,11 +16,17 @@
 // each would have; the strict comparison gives receives priority on ties.
 // Afterwards every processor drains its remaining receives.
 //
+// The session also runs the overestimation algorithm of Section 4.2
+// (Config.WorstCase, configured by package worstcase): the time-ordered
+// loop of the GlobalOrder ablation, where a processor sends only after
+// receiving every message due to it and a random blocked sender is
+// released when a cyclic wait leaves nothing to commit.
+//
 // Both commit loops select off one incrementally maintained tournament
 // tree (eventq.Tournament) instead of a per-operation linear scan: the
 // Figure-2 loop keeps the sender clocks in it and draws its random
-// tie-break over the tree's tie count, the global-order ablation keeps
-// each processor's best candidate start. Both produce timelines
+// tie-break over the tree's tie count, the time-ordered loop keeps each
+// processor's best candidate start. Both produce timelines
 // bit-identical to the straightforward scans, which are kept as
 // reference paths for the differential tests. See DESIGN.md §perf.
 //
@@ -66,6 +72,10 @@ type Config struct {
 	// a conservative, globally time-ordered commit loop (ablation
 	// switch; see DESIGN.md §5).
 	GlobalOrder bool
+	// WorstCase runs the overestimation algorithm of Section 4.2 (see
+	// the package comment); Seed then drives its deadlock releases. It
+	// excludes SendPriority, GlobalOrder, Network and Jitter.
+	WorstCase bool
 	// Network, when non-nil, replaces the LogGP flat-network delivery
 	// time: a message sent at start is handed to the network at
 	// start + o, and arrives when the hook says (package network
@@ -129,6 +139,9 @@ type Result struct {
 	// the LogGP simulation skips (they are local memory transfers; the
 	// paper's §6.3 names this a deliberate source of underestimation).
 	SelfMessages int
+	// DeadlocksBroken counts the forced sends the worst-case algorithm
+	// made to escape cyclic waits; zero unless Config.WorstCase.
+	DeadlocksBroken int
 }
 
 // procState is the per-processor bookkeeping of Figure 2. States live in
@@ -144,6 +157,9 @@ type procState struct {
 	sendQ     []int // message indices in send order (session arena window)
 	sendHead  int
 	recvQ     eventq.Queue[int] // message indices keyed by arrival time
+	// The Section-4.2 gate: the step's messages not yet received, and
+	// the sends released early to break a cyclic wait.
+	toRecv, forced int
 }
 
 func (s *procState) wantsSend() bool { return s.sendHead < len(s.sendQ) }
@@ -184,6 +200,7 @@ type Session struct {
 	counts    []int
 	tt        eventq.Tournament
 	ttKind    []loggp.OpKind
+	blocked   []int
 }
 
 // NewSession returns a session over procs processors. cfg.Ready, if set,
@@ -215,6 +232,9 @@ func (s *Session) Reconfigure(procs int, cfg Config) error {
 	}
 	if err := validateReady(cfg.Ready); err != nil {
 		return err
+	}
+	if cfg.WorstCase && (cfg.SendPriority || cfg.GlobalOrder || cfg.Network != nil || cfg.Jitter != nil) {
+		return fmt.Errorf("sim: the worst-case algorithm takes no SendPriority, GlobalOrder, Network or Jitter")
 	}
 	s.cfg = cfg
 	s.cfgProcs = procs
@@ -265,6 +285,7 @@ func (s *Session) Reset(ready []float64) error {
 		st.sendQ = nil
 		st.sendHead = 0
 		st.recvQ.Clear()
+		st.toRecv, st.forced = 0, 0
 	}
 	return nil
 }
@@ -370,7 +391,7 @@ func (s *Session) CommunicateInto(r *Result, pt *trace.Pattern) error {
 	if err := s.startStep(r, pt); err != nil {
 		return err
 	}
-	if s.cfg.GlobalOrder {
+	if s.cfg.GlobalOrder || s.cfg.WorstCase {
 		s.runGlobalOrder(pt, r)
 	} else {
 		s.runPaper(pt, r)
@@ -379,8 +400,8 @@ func (s *Session) CommunicateInto(r *Result, pt *trace.Pattern) error {
 }
 
 // startStep checks pt against the session, resets r and builds the
-// step's send and receive queues: everything a communication step does
-// before its scheduler core runs.
+// step's send and receive queues and counters: everything a
+// communication step does before its scheduler core runs.
 func (s *Session) startStep(r *Result, pt *trace.Pattern) error {
 	if err := pt.Validate(); err != nil {
 		return err
@@ -430,6 +451,7 @@ func (s *Session) startStep(r *Result, pt *trace.Pattern) error {
 		s.st[i].sendQ = arena[prev:outCnt[i]]
 		prev = outCnt[i]
 		s.st[i].recvQ.Reserve(inCnt[i])
+		s.st[i].toRecv = inCnt[i]
 	}
 	return nil
 }
@@ -445,6 +467,7 @@ func (s *Session) finishStep(r *Result) error {
 	for i := range s.st {
 		s.st[i].sendQ = nil
 		s.st[i].sendHead = 0
+		s.st[i].toRecv, s.st[i].forced = 0, 0
 	}
 	if s.hookErr != nil {
 		return fmt.Errorf("%w (session state is inconsistent; Reset before reuse)", s.hookErr)
@@ -464,10 +487,14 @@ func (s *Session) finishStep(r *Result) error {
 }
 
 // commitSend performs the head send of processor src at the given start
-// time, enqueues the arrival at the destination, and advances the clock.
+// time, enqueues the arrival at the destination, and advances the clock;
+// a gated send consumes a forced release.
 func (s *Session) commitSend(pt *trace.Pattern, tl *timeline.Timeline, src int, start float64) {
 	p := s.cfg.Params
 	st := &s.st[src]
+	if s.cfg.WorstCase && st.toRecv != 0 {
+		st.forced--
+	}
 	idx := st.sendQ[st.sendHead]
 	st.sendHead++
 	m := pt.Msgs[idx]
@@ -530,16 +557,18 @@ func (s *Session) commitRecv(pt *trace.Pattern, tl *timeline.Timeline, dst int, 
 			Start: start, Arrival: arrival, MsgIndex: idx,
 		})
 	}
+	st.toRecv--
 	st.ctime = start + p.O
 	st.hasLast, st.lastKind, st.lastStart, st.lastBytes = true, loggp.Recv, start, m.Bytes
 }
 
 // candidateStarts returns the earliest start times of proc's next send
-// and next receive (+Inf when it has none pending).
+// and next receive (+Inf when it has none pending; a WorstCase send also
+// when its gate is shut).
 func (s *Session) candidateStarts(st *procState) (startSend, startRecv float64) {
 	p := s.cfg.Params
 	startSend, startRecv = math.Inf(1), math.Inf(1)
-	if st.wantsSend() {
+	if st.wantsSend() && (!s.cfg.WorstCase || st.toRecv == 0 || st.forced > 0) {
 		startSend = st.earliest(p, loggp.Send)
 	}
 	if !st.recvQ.Empty() {
@@ -616,6 +645,9 @@ func (s *Session) drainReceives(pt *trace.Pattern, r *Result) {
 // globally smallest start time (receives winning ties, then lower
 // processor index). Unlike the paper's loop it can never commit a receive
 // whose message is logically preceded by an uncommitted earlier send.
+// When nothing can commit but messages remain unsent (only the
+// WorstCase gate blocks a send), one blocked sender, drawn at random in
+// processor order, is released.
 //
 // After a commit only the committed processor's candidates — and, for a
 // send, the destination's receive candidate — can change, so the per-
@@ -634,7 +666,20 @@ func (s *Session) runGlobalOrder(pt *trace.Pattern, r *Result) {
 	for s.hookErr == nil {
 		best, bestStart := s.tt.Min()
 		if best < 0 {
-			return
+			s.blocked = s.blocked[:0]
+			for i := range s.st {
+				if s.st[i].wantsSend() {
+					s.blocked = append(s.blocked, i)
+				}
+			}
+			if len(s.blocked) == 0 {
+				return
+			}
+			release := s.blocked[s.rng.Intn(len(s.blocked))]
+			s.st[release].forced++
+			s.refreshCandidate(release)
+			r.DeadlocksBroken++
+			continue
 		}
 		if s.ttKind[best] == loggp.Send {
 			st := &s.st[best]

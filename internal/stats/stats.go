@@ -5,31 +5,8 @@ package stats
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
 )
-
-// Min returns the smallest value; it panics on an empty slice.
-func Min(xs []float64) float64 {
-	v := xs[0]
-	for _, x := range xs[1:] {
-		if x < v {
-			v = x
-		}
-	}
-	return v
-}
-
-// Max returns the largest value; it panics on an empty slice.
-func Max(xs []float64) float64 {
-	v := xs[0]
-	for _, x := range xs[1:] {
-		if x > v {
-			v = x
-		}
-	}
-	return v
-}
 
 // Mean returns the arithmetic mean; it panics on an empty slice.
 func Mean(xs []float64) float64 {
@@ -38,29 +15,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Std returns the population standard deviation; it panics on an empty
-// slice.
-func Std(xs []float64) float64 {
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
-// ArgminIdx returns the index of the smallest value; it panics on an
-// empty slice.
-func ArgminIdx(xs []float64) int {
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // Table accumulates rows and renders them fixed-width or as CSV.

@@ -25,10 +25,8 @@ import (
 
 // options collects the knobs of one Map call.
 type options struct {
-	workers  int
-	progress func(done, total int)
-	ctx      context.Context
-	limiter  *Limiter
+	workers int
+	ctx     context.Context
 }
 
 // Option configures a Map call.
@@ -48,13 +46,9 @@ func Context(ctx context.Context) Option {
 	return func(o *options) { o.ctx = ctx }
 }
 
-// Limiter is a budgeted-submission gate: a counting semaphore shared by
-// any number of sweeps (and by non-sweep work — the serve layer's
-// request workers use one too), bounding their combined concurrency. A
-// single Map call bounds its own fan-out with Workers; a process running
-// several sweeps at once — one per in-flight prediction request, say —
-// needs the bound to hold across all of them, or the offered load
-// multiplies into the worker count and memory follows.
+// Limiter is a budgeted-submission gate: a counting semaphore bounding
+// the combined concurrency of the work that shares it (the serve layer's
+// request workers hold one slot each).
 type Limiter struct {
 	slots chan struct{}
 }
@@ -67,12 +61,6 @@ func NewLimiter(n int) *Limiter {
 	}
 	return &Limiter{slots: make(chan struct{}, n)}
 }
-
-// Cap returns the limiter's concurrency budget.
-func (l *Limiter) Cap() int { return cap(l.slots) }
-
-// InUse returns the number of currently held slots.
-func (l *Limiter) InUse() int { return len(l.slots) }
 
 // Acquire blocks until a slot is free or ctx is done, returning ctx's
 // error in the latter case. A nil ctx blocks indefinitely.
@@ -94,42 +82,8 @@ func (l *Limiter) Acquire(ctx context.Context) error {
 	}
 }
 
-// TryAcquire takes a slot without blocking, reporting whether it got one.
-func (l *Limiter) TryAcquire() bool {
-	select {
-	case l.slots <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-// Release returns a slot taken by Acquire or TryAcquire.
+// Release returns a slot taken by Acquire.
 func (l *Limiter) Release() { <-l.slots }
-
-// Limit gates the sweep through a shared limiter: every worker acquires
-// a slot before claiming an item and releases it after the item
-// completes, so the combined concurrency of all work sharing the limiter
-// never exceeds its budget. Combined with Context, a cancellation that
-// arrives while a worker is waiting for a slot aborts the wait. A nil
-// limiter is ignored.
-func Limit(l *Limiter) Option {
-	return func(o *options) { o.limiter = l }
-}
-
-// Progress installs a callback invoked after each item completes, with
-// the number of finished items and the total. Calls are serialized (the
-// callback needs no locking) but may arrive out of item order.
-func Progress(fn func(done, total int)) Option {
-	return func(o *options) { o.progress = fn }
-}
-
-// Objective lifts an item-only function — the shape of search.Objective
-// and the predict callbacks of the sensitivity and scaling packages —
-// into the (index, item) shape Map expects.
-func Objective[T, R any](f func(T) (R, error)) func(int, T) (R, error) {
-	return func(_ int, item T) (R, error) { return f(item) }
-}
 
 // Seed derives a deterministic per-item seed from a base seed and an
 // item index, using a SplitMix64-style finalizer so that consecutive
@@ -218,21 +172,9 @@ func Map[T, R any](items []T, fn func(i int, item T) (R, error), opts ...Option)
 				if o.ctx != nil && o.ctx.Err() != nil {
 					return
 				}
-				if o.limiter != nil {
-					// Budgeted submission: hold a shared slot for the
-					// duration of one item. Waiting respects the sweep's
-					// context, so a cancelled sweep does not queue up for
-					// budget it will never use.
-					if err := o.limiter.Acquire(o.ctx); err != nil {
-						return
-					}
-				}
 				mu.Lock()
 				if errIdx >= 0 || next >= len(items) {
 					mu.Unlock()
-					if o.limiter != nil {
-						o.limiter.Release()
-					}
 					return
 				}
 				i := next
@@ -240,9 +182,6 @@ func Map[T, R any](items []T, fn func(i int, item T) (R, error), opts ...Option)
 				mu.Unlock()
 
 				r, err := runItem(fn, i, items[i])
-				if o.limiter != nil {
-					o.limiter.Release()
-				}
 
 				mu.Lock()
 				if err != nil {
@@ -252,9 +191,6 @@ func Map[T, R any](items []T, fn func(i int, item T) (R, error), opts ...Option)
 				} else {
 					results[i] = r
 					done++
-					if o.progress != nil {
-						o.progress(done, len(items))
-					}
 				}
 				mu.Unlock()
 			}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -115,35 +114,6 @@ func TestMapWorkersDefault(t *testing.T) {
 		if got[0] != 2 || got[1] != 3 || got[2] != 4 {
 			t.Fatalf("got %v", got)
 		}
-	}
-}
-
-func TestProgressReachesTotal(t *testing.T) {
-	var last, calls int
-	items := make([]int, 30)
-	_, err := Map(items, func(i, v int) (int, error) { return 0, nil },
-		Workers(4), Progress(func(done, total int) {
-			calls++
-			if done < 1 || done > total || total != 30 {
-				t.Errorf("progress(%d, %d) out of range", done, total)
-			}
-			if done > last {
-				last = done
-			}
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last != 30 || calls != 30 {
-		t.Fatalf("progress peaked at %d over %d calls, want 30/30", last, calls)
-	}
-}
-
-func TestObjectiveAdapter(t *testing.T) {
-	f := Objective(func(b int) (float64, error) { return float64(b) * 2, nil })
-	v, err := f(99, 21) // index must be ignored
-	if err != nil || v != 42 {
-		t.Fatalf("adapter = (%g, %v)", v, err)
 	}
 }
 
@@ -262,48 +232,6 @@ func TestMapContextCompletedSweepIgnoresLateCancel(t *testing.T) {
 	}
 }
 
-// TestLimiterBoundsCombinedConcurrency runs two sweeps sharing one
-// Limiter and asserts the number of simultaneously executing items never
-// exceeds the shared budget, even though each sweep alone has more
-// workers than that.
-func TestLimiterBoundsCombinedConcurrency(t *testing.T) {
-	const budget = 2
-	lim := NewLimiter(budget)
-	if lim.Cap() != budget {
-		t.Fatalf("Cap = %d, want %d", lim.Cap(), budget)
-	}
-	var running, peak atomic.Int32
-	fn := func(i, v int) (int, error) {
-		n := running.Add(1)
-		for {
-			p := peak.Load()
-			if n <= p || peak.CompareAndSwap(p, n) {
-				break
-			}
-		}
-		defer running.Add(-1)
-		return v, nil
-	}
-	items := make([]int, 40)
-	var wg sync.WaitGroup
-	for s := 0; s < 2; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := Map(items, fn, Workers(8), Limit(lim)); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if p := peak.Load(); p > budget {
-		t.Fatalf("peak concurrency %d exceeds shared budget %d", p, budget)
-	}
-	if lim.InUse() != 0 {
-		t.Fatalf("%d slots still held after both sweeps finished", lim.InUse())
-	}
-}
-
 // TestLimiterAcquireRespectsContext pins the deadline behaviour the
 // serve layer leans on: a request waiting for budget must give up the
 // moment its deadline expires, and an already-expired context must lose
@@ -322,34 +250,5 @@ func TestLimiterAcquireRespectsContext(t *testing.T) {
 	// Slot free, context already done: the context still wins.
 	if err := lim.Acquire(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Acquire with pre-cancelled ctx = %v, want context.Canceled", err)
-	}
-	if !lim.TryAcquire() {
-		t.Fatal("TryAcquire failed on an idle limiter")
-	}
-	if lim.TryAcquire() {
-		t.Fatal("TryAcquire succeeded past the budget")
-	}
-	lim.Release()
-}
-
-// TestMapLimitCancelledWhileWaiting cancels a sweep whose workers are
-// parked waiting for limiter budget held by someone else: the sweep must
-// return the context error instead of deadlocking.
-func TestMapLimitCancelledWhileWaiting(t *testing.T) {
-	lim := NewLimiter(1)
-	if err := lim.Acquire(nil); err != nil { // exhaust the budget
-		t.Fatal(err)
-	}
-	defer lim.Release()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := Map([]int{1, 2, 3}, func(i, v int) (int, error) { return v, nil },
-			Workers(2), Limit(lim), Context(ctx))
-		done <- err
-	}()
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("Map = %v, want context.Canceled", err)
 	}
 }

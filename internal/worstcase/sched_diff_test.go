@@ -1,9 +1,11 @@
 package worstcase
 
-// Differential tests for the worst-case scheduler core: the tournament-
-// served commit loop must be bit-identical to the reference full-rescan
-// loop of reference_test.go — including the RNG-driven choice of which blocked processor
-// releases a forced send when a cyclic pattern deadlocks.
+// Differential tests for the worst-case scheduler: the production
+// session (sim's tournament-served time-ordered loop with the receive
+// gate on) must be bit-identical to the independent reference session
+// of reference_test.go — including the RNG-driven choice of which
+// blocked processor releases a forced send when a cyclic pattern
+// deadlocks.
 
 import (
 	"fmt"
@@ -124,17 +126,22 @@ func TestIndexedWorstcaseMatchesReferenceMultiStep(t *testing.T) {
 
 	run := func(reference bool) []*Result {
 		t.Helper()
-		sess, err := NewSession(10, Config{Params: params, Seed: 42})
+		cfg := Config{Params: params, Seed: 42}
+		sess, err := NewSession(10, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		communicate := sess.CommunicateInto
+		compute, communicate := sess.Compute, sess.CommunicateInto
 		if reference {
-			communicate = sess.communicateReference
+			ref, err := newRefSession(10, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compute, communicate = ref.compute, ref.communicate
 		}
 		var out []*Result
 		for _, pt := range steps {
-			if err := sess.Compute(durs); err != nil {
+			if err := compute(durs); err != nil {
 				t.Fatal(err)
 			}
 			r := &Result{}

@@ -1,9 +1,10 @@
 package worstcase
 
-// Stress benchmarks for the worst-case commit loop: the incremental
-// tournament core against the reference full rescan, on the large-P
-// workloads and on the paper's own Figure-7 programs at P=8 (see the
-// sim package's stress benchmarks; `make bench` records both).
+// Stress benchmarks for the worst-case scheduler: the production
+// session (sim's tournament core) against the reference session's full
+// rescan, on the large-P workloads and on the paper's own Figure-7
+// programs at P=8 (see the sim package's stress benchmarks; `make bench`
+// records both).
 
 import (
 	"fmt"
@@ -18,11 +19,15 @@ import (
 
 // benchCommunicate measures repeated quiet-mode simulation of a step
 // sequence on a reused session: Reset, then CommunicateInto per step,
-// per iteration. reference swaps in the reference core of
+// per iteration. reference swaps in the reference session of
 // reference_test.go.
 func benchCommunicate(b *testing.B, cfg Config, reference bool, steps ...*trace.Pattern) {
 	b.Helper()
 	sess, err := NewSession(steps[0].P, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ref, err := newRefSession(steps[0].P, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -32,12 +37,14 @@ func benchCommunicate(b *testing.B, cfg Config, reference bool, steps ...*trace.
 		msgs += pt.NetworkMessages()
 	}
 	pass := func() {
-		if err := sess.Reset(nil); err != nil {
+		if reference {
+			ref.reset()
+		} else if err := sess.Reset(nil); err != nil {
 			b.Fatal(err)
 		}
 		for _, pt := range steps {
 			if reference {
-				err = sess.communicateReference(&r, pt)
+				err = ref.communicate(&r, pt)
 			} else {
 				err = sess.CommunicateInto(&r, pt)
 			}

@@ -10,15 +10,18 @@
 // model. Two replay algorithms are provided: the standard algorithm
 // (receive-priority, send-as-early-as-possible; the paper's Figure 2)
 // and the worst-case overestimation algorithm (receive everything before
-// sending; the paper's Section 4.2). Real executions are expected to
-// fall between the two.
+// sending; the paper's Section 4.2). Both run on one simulation session
+// (the worst case is its time-ordered loop with a receive gate), and
+// both return the same result type, whose DeadlocksBroken field counts
+// the worst case's forced sends. Real executions are expected to fall
+// between the two.
 //
 // This package is a thin facade over the implementation packages:
 //
 //	internal/loggp      LogGP parameters and gap rules
 //	internal/trace      communication patterns (message multigraphs)
-//	internal/sim        the standard simulation algorithm
-//	internal/worstcase  the overestimation algorithm
+//	internal/sim        both simulation algorithms (one session)
+//	internal/worstcase  the overestimation algorithm's entry point
 //	internal/timeline   operation records, verification, ASCII Gantt
 //	internal/program    the oblivious program representation
 //	internal/cost       basic-operation cost models and calibration
@@ -103,7 +106,8 @@ var (
 // SimConfig configures the standard simulation algorithm.
 type SimConfig = sim.Config
 
-// SimResult is the outcome of a simulated communication step.
+// SimResult is the outcome of a simulated communication step, under
+// either algorithm (WorstCaseResult is the same type).
 type SimResult = sim.Result
 
 // Simulate replays one communication step with the paper's standard
@@ -117,7 +121,8 @@ func Completion(pt *Pattern, params Params) (float64, error) { return sim.Comple
 // WorstCaseConfig configures the overestimation algorithm.
 type WorstCaseConfig = worstcase.Config
 
-// WorstCaseResult is the outcome of a worst-case simulated step.
+// WorstCaseResult is the outcome of a worst-case simulated step; its
+// DeadlocksBroken counts the forced sends that broke cyclic waits.
 type WorstCaseResult = worstcase.Result
 
 // SimulateWorstCase replays one communication step with the paper's

@@ -49,9 +49,10 @@
 #   make serve-smoke — boot the real predictd binary on an ephemeral
 #                  port and drive the robustness contract end to end:
 #                  healthy requests, 400/413 rejection, deadline
-#                  degradation to bound certificates, 429 shedding
-#                  under overload, SIGTERM drain with exit 0 (part
-#                  of ci)
+#                  and budget degradation to bound certificates (an
+#                  envelope priced per lane), 429 shedding under
+#                  overload, SIGTERM drain with exit 0, and SIGINT
+#                  stopping a running envelope (part of ci)
 #   make cluster-smoke — boot three predictd peers behind the real
 #                  predictrouter binary, replay a Zipf workload through
 #                  the router undisturbed (hit rate ≥ 0.9), then again

@@ -72,7 +72,7 @@ func main() {
 	cfg.Params = loggp.MeikoCS2(*procs)
 	cfg.Seed = *seed
 	cfg.Workers = *workers
-	cfg.Options = []sweep.Option{sweep.Context(ctx)}
+	cfg.Ctx = ctx
 	if cfg.Faults, err = faults.Parse(*faultSpec); err != nil {
 		fatal(err)
 	}
@@ -153,14 +153,14 @@ func main() {
 	if *ablations {
 		tab, err := experiments.AblationTable(cfg, 24)
 		if err != nil {
-			fatal(err)
+			bail(err)
 		}
 		emit("Ablations: GE b=24 under every model variant", tab)
 	}
 	if *sensitivities {
 		tab, err := experiments.SensitivityTable(cfg)
 		if err != nil {
-			fatal(err)
+			bail(err)
 		}
 		emit("Sensitivity: elasticity of the GE prediction to each LogGP parameter", tab)
 	}
@@ -206,9 +206,8 @@ func main() {
 				Params: cfg.Params, Model: cfg.Model, Layout: lay.mk,
 				Samples: *samples, Seed: cfg.Seed,
 				Perturb: perturb, Faults: cfg.Faults,
-				Workers: cfg.Workers, Journal: journal,
-				Scope:   "envelope/" + lay.name,
-				Options: cfg.Options,
+				Workers: cfg.Workers, Journal: journal, Ctx: cfg.Ctx,
+				Scope: "envelope/" + lay.name,
 			})
 			if err != nil {
 				bail(err)

@@ -174,7 +174,7 @@ func main() {
 			Pred *predictor.Prediction `json:"pred"`
 			Meas *machine.Result       `json:"meas,omitempty"`
 		}
-		cells, err := sweep.MapResume(journal, "gepredict/"+name, usable, func(_ int, b int) (cell, error) {
+		cells, err := sweep.MapResume(ctx, *workers, journal, "gepredict/"+name, usable, func(_ int, b int) (cell, error) {
 			g, err := ge.NewGrid(*n, b)
 			if err != nil {
 				return cell{}, err
@@ -185,7 +185,7 @@ func main() {
 				return cell{}, err
 			}
 			var c cell
-			if c.Pred, err = predictor.Predict(pr, predictor.Config{Params: params, Cost: model, Seed: *seed, Faults: plan}); err != nil {
+			if c.Pred, err = predictor.Predict(pr, predictor.Config{Params: params, Cost: model, Seed: *seed, Faults: plan, Ctx: ctx}); err != nil {
 				return cell{}, err
 			}
 			if *emulate {
@@ -197,7 +197,7 @@ func main() {
 				}
 			}
 			return c, nil
-		}, sweep.Workers(*workers), sweep.Context(ctx))
+		})
 		if err != nil {
 			bail(err)
 		}
@@ -229,9 +229,8 @@ func main() {
 				Params: params, Model: model, Layout: mk,
 				Samples: *samples, Seed: *seed,
 				Perturb: perturb, Faults: plan,
-				Workers: *workers, Journal: journal,
-				Scope:   "envelope/" + name,
-				Options: []sweep.Option{sweep.Context(ctx)},
+				Workers: *workers, Journal: journal, Ctx: ctx,
+				Scope: "envelope/" + name,
 			})
 			if err != nil {
 				bail(err)

@@ -3,9 +3,10 @@ package main
 // Scripted end-to-end tests of the real daemon: build the binary, boot
 // it on an ephemeral port, and drive it from the outside. The
 // robustness contract — healthy predictions, input rejection, oversized
-// bodies, deadline degradation to bound certificates, overload
-// shedding, and a SIGTERM drain that exits 0 — is `make serve-smoke`;
-// the result cache's worth under a Zipf replay is `make loadtest-smoke`.
+// bodies, deadline and budget degradation to bound certificates,
+// overload shedding, and a SIGTERM drain that exits 0 — is `make
+// serve-smoke`; the result cache's worth under a Zipf replay is `make
+// loadtest-smoke`.
 
 import (
 	"bufio"
@@ -170,10 +171,24 @@ func TestPredictdEndToEnd(t *testing.T) {
 		t.Fatalf("deadline degrade: status %d body %v", code, m)
 	}
 
+	// An envelope pays per lane: 256 samples of the paper's GE program
+	// price at 257 times its 6.63e6-unit replay, far over the default
+	// budget, so it answers the certificate at once instead of holding
+	// the worker until its deadline.
+	start := time.Now()
+	code, m = postJSON(t, base,
+		`{"mode":"envelope","workload":{"kind":"ge","procs":8,"n":960,"block":8},"samples":256}`)
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("over-budget envelope took %v to degrade", took)
+	}
+	if code != http.StatusOK || m["degraded"] != true || m["degrade_reason"] != "budget" || m["bounds"] == nil {
+		t.Fatalf("budget degrade: status %d body %v", code, m)
+	}
+
 	// Overload: pin the single worker with a slow request, then watch
 	// the next one shed with 429. The slow request's own deadline keeps
-	// the test bounded.
-	slow := `{"mode":"envelope","workload":{"kind":"ge","procs":8,"n":480,"block":8},"samples":64,"deadline_ms":3000}`
+	// the test bounded; its budget admits its 65 lanes (5.4e7 units).
+	slow := `{"mode":"envelope","workload":{"kind":"ge","procs":8,"n":480,"block":8},"samples":64,"deadline_ms":3000,"budget":1e9}`
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

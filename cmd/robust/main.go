@@ -19,9 +19,10 @@
 // -cpuprofile/-memprofile profile it.
 //
 // The sweep is byte-identical at any worker count. SIGINT/SIGTERM
-// cancel it gracefully; with -resume, finished block sizes are flushed
-// to the checkpoint journal and a relaunch reuses them, producing
-// byte-identical final output.
+// cancel it gracefully, a running envelope within one program step;
+// with -resume, finished block sizes are flushed to the checkpoint
+// journal and a relaunch reuses them, producing byte-identical final
+// output.
 package main
 
 import (
@@ -114,9 +115,8 @@ func main() {
 		Params: loggp.MeikoCS2(*procs), Model: cost.DefaultAnalytic(), Layout: mk,
 		Samples: *samples, Seed: *seed,
 		Perturb: perturb, Faults: plan,
-		Workers: *workers, Journal: journal,
-		Scope:   "robust/" + *layoutName,
-		Options: []sweep.Option{sweep.Context(ctx)},
+		Workers: *workers, Journal: journal, Ctx: ctx,
+		Scope: "robust/" + *layoutName,
 	})
 	if err != nil {
 		if errors.Is(err, context.Canceled) {

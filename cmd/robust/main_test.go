@@ -5,7 +5,8 @@ package main
 // check (a) it exits 130 after flushing finished block sizes to the
 // checkpoint journal, and (b) a relaunch with the same -resume flag
 // produces byte-identical output to an uninterrupted run. A second test
-// checks that the removed -scalar flag is refused.
+// checks that an interrupt stops an envelope mid-replay, and a third
+// that the removed -scalar flag is refused.
 
 import (
 	"bytes"
@@ -96,6 +97,45 @@ func TestSigintFlushesJournalAndResumeIsByteIdentical(t *testing.T) {
 	if !bytes.Equal(resumed, clean) {
 		t.Fatalf("resumed output differs from uninterrupted run:\n--- resumed ---\n%s\n--- clean ---\n%s",
 			resumed, clean)
+	}
+}
+
+// TestSigintStopsRunningEnvelope interrupts a run whose one envelope
+// replays for seconds (GE n=960 b=8, 16 samples plus the nominal lane:
+// about 5 s on a 2-vCPU Xeon) and requires exit 130 well before the
+// envelope could finish: the lane engine polls the interrupt once per
+// program step, so the replay stops where it is instead of running to
+// its end.
+func TestSigintStopsRunningEnvelope(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildBinary(t, t.TempDir())
+	var out bytes.Buffer
+	cmd := exec.Command(bin, "-n", "960", "-blocks", "8", "-samples", "16")
+	cmd.Stdout = &out
+	cmd.Stderr = &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	// The signal handler is installed at start-up and the program is
+	// built in milliseconds, so a second in the envelope is replaying.
+	time.Sleep(time.Second)
+	sent := time.Now()
+	if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	_ = cmd.Wait() // a non-zero exit is the expected outcome
+	took := time.Since(sent)
+	if code := cmd.ProcessState.ExitCode(); code != 130 {
+		t.Fatalf("interrupted run exited %d after %v, want 130:\n%s", code, took, out.String())
+	}
+	if !bytes.Contains(out.Bytes(), []byte("robust: interrupted")) {
+		t.Fatalf("interrupted run did not report the interrupt:\n%s", out.String())
+	}
+	if took > time.Second {
+		t.Fatalf("exit came %v after SIGINT: the envelope kept replaying", took)
 	}
 }
 

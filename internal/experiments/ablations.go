@@ -28,7 +28,7 @@ func AblationTable(cfg Config, b int) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := predictor.Config{Params: cfg.Params, Cost: cfg.Model, Seed: cfg.Seed}
+	base := predictor.Config{Params: cfg.Params, Cost: cfg.Model, Seed: cfg.Seed, Ctx: cfg.Ctx}
 
 	type variant struct {
 		name string
@@ -106,7 +106,7 @@ func AblationTable(cfg Config, b int) (*stats.Table, error) {
 	// evaluator (and, where applicable, its own contention fabric), so the
 	// variants fan out; the rows are assembled serially from the ordered
 	// results, with the baseline at index 0.
-	totals, err := sweep.Map(variants, func(_ int, v variant) (float64, error) {
+	totals, err := sweep.Map(cfg.Ctx, cfg.Workers, variants, func(_ int, v variant) (float64, error) {
 		pc, err := v.mk()
 		if err != nil {
 			return 0, fmt.Errorf("experiments: variant %q: %w", v.name, err)
@@ -116,7 +116,7 @@ func AblationTable(cfg Config, b int) (*stats.Table, error) {
 			return 0, fmt.Errorf("experiments: variant %q: %w", v.name, err)
 		}
 		return p.Total, nil
-	}, sweep.Workers(cfg.Workers))
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +139,7 @@ func SensitivityTable(cfg Config) (*stats.Table, error) {
 			usable = append(usable, b)
 		}
 	}
-	reports, err := sweep.Map(usable, func(_ int, b int) (*sensitivity.Report, error) {
+	reports, err := sweep.Map(cfg.Ctx, cfg.Workers, usable, func(_ int, b int) (*sensitivity.Report, error) {
 		g, err := ge.NewGrid(cfg.N, b)
 		if err != nil {
 			return nil, err
@@ -149,13 +149,13 @@ func SensitivityTable(cfg Config) (*stats.Table, error) {
 			return nil, err
 		}
 		return sensitivity.Analyze(cfg.Params, 0.1, func(p loggp.Params) (float64, error) {
-			pred, err := predictor.Predict(pr, predictor.Config{Params: p, Cost: cfg.Model, Seed: cfg.Seed})
+			pred, err := predictor.Predict(pr, predictor.Config{Params: p, Cost: cfg.Model, Seed: cfg.Seed, Ctx: cfg.Ctx})
 			if err != nil {
 				return 0, err
 			}
 			return pred.Total, nil
 		})
-	}, sweep.Workers(cfg.Workers))
+	})
 	if err != nil {
 		return nil, err
 	}

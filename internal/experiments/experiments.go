@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"loggpsim/internal/cost"
@@ -62,9 +63,11 @@ type Config struct {
 	Journal *sweep.Journal
 	// Scope namespaces the journal keys; empty means "experiments".
 	Scope string
-	// Options are extra sweep options (e.g. sweep.Context for
-	// SIGINT-driven cancellation), applied after Workers.
-	Options []sweep.Option
+	// Ctx, when non-nil, cancels the sweeps: they claim no new cell
+	// once it is done, and each prediction polls it once per program
+	// step (predictor.Config.Ctx) and stops there; the emulator's
+	// replay does not poll it. The returned error wraps ctx.Err().
+	Ctx context.Context
 }
 
 // Default returns the paper-scale configuration: a 960×960 matrix on the
@@ -141,8 +144,7 @@ func RunGE(cfg Config, makeLayout func(nb int) layout.Layout) ([]Point, error) {
 			scope += "/" + makeLayout(g.NB).Name()
 		}
 	}
-	opts := append([]sweep.Option{sweep.Workers(cfg.Workers)}, cfg.Options...)
-	return sweep.MapResume(cfg.Journal, scope, usable, func(_ int, b int) (Point, error) {
+	return sweep.MapResume(cfg.Ctx, cfg.Workers, cfg.Journal, scope, usable, func(_ int, b int) (Point, error) {
 		g, err := ge.NewGrid(cfg.N, b)
 		if err != nil {
 			return Point{}, err
@@ -153,7 +155,7 @@ func RunGE(cfg Config, makeLayout func(nb int) layout.Layout) ([]Point, error) {
 			return Point{}, err
 		}
 		pred, err := predictor.Predict(pr, predictor.Config{
-			Params: cfg.Params, Cost: cfg.Model, Seed: cfg.Seed, Faults: cfg.Faults,
+			Params: cfg.Params, Cost: cfg.Model, Seed: cfg.Seed, Faults: cfg.Faults, Ctx: cfg.Ctx,
 		})
 		if err != nil {
 			return Point{}, err
@@ -180,7 +182,7 @@ func RunGE(cfg Config, makeLayout func(nb int) layout.Layout) ([]Point, error) {
 			CacheWarm:            meas.CacheWarm * secPerMicro,
 			Misses:               meas.Misses,
 		}, nil
-	}, opts...)
+	})
 }
 
 // RunBothLayouts runs the sweep for the paper's two layouts, keyed by

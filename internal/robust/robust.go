@@ -125,7 +125,8 @@ type Config struct {
 	// independently derived seed (same probabilities, different coin
 	// flips). The zero plan disables fault injection.
 	Faults faults.Plan
-	// Workers bounds the sweep fan-out as in sweep.Workers.
+	// Workers bounds the sweep fan-out; values below 1 select
+	// runtime.GOMAXPROCS(0).
 	Workers int
 	// Journal, when non-nil, checkpoints each block size's finished
 	// envelope under Scope, so an interrupted sweep resumes without
@@ -133,17 +134,13 @@ type Config struct {
 	Journal *sweep.Journal
 	// Scope namespaces the journal keys; empty means "robust".
 	Scope string
-	// Options are extra sweep options (e.g. sweep.Context for
-	// cancellation), applied after Workers.
-	Options []sweep.Option
 	// Ctx, when non-nil, deadline-bounds the sweep at step
 	// granularity: the lane engine polls it once per program step
 	// (lanes.Config.Ctx), and each step advances all of a block size's
 	// samples and its nominal point, so a cancelled or expired context
 	// aborts within one scheduler step — no envelope finishes its
-	// replay once the deadline is gone. The returned error wraps
-	// ctx.Err(). Ctx is also installed as a sweep.Context option on the
-	// block-size fan-out.
+	// replay once the deadline is gone. The block-size fan-out claims
+	// no new size once it is done. The returned error wraps ctx.Err().
 	Ctx context.Context
 }
 
@@ -267,11 +264,7 @@ func Run(cfg Config) ([]Envelope, error) {
 	if scope == "" {
 		scope = "robust"
 	}
-	opts := append([]sweep.Option{sweep.Workers(cfg.Workers)}, cfg.Options...)
-	if cfg.Ctx != nil {
-		opts = append(opts, sweep.Context(cfg.Ctx))
-	}
-	return sweep.MapResume(cfg.Journal, scope, usable, func(i int, b int) (Envelope, error) {
+	return sweep.MapResume(cfg.Ctx, cfg.Workers, cfg.Journal, scope, usable, func(i int, b int) (Envelope, error) {
 		g, err := ge.NewGrid(cfg.N, b)
 		if err != nil {
 			return Envelope{}, err
@@ -285,7 +278,7 @@ func Run(cfg Config) ([]Envelope, error) {
 			return Envelope{}, err
 		}
 		return lockstepEnvelope(cfg, pr, i, b, samples)
-	}, opts...)
+	})
 }
 
 // laneSpecs derives the lane configurations for block-size index i:

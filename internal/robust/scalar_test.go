@@ -25,7 +25,7 @@ import (
 
 // runScalar computes Run's envelopes one sample at a time, block size
 // after block size. It honours cfg.Ctx between samples; Workers,
-// Journal, Scope and Options do not change envelopes and are ignored.
+// Journal and Scope do not change envelopes and are ignored.
 func runScalar(cfg Config) ([]Envelope, error) {
 	samples := cfg.Samples
 	if samples < 1 {

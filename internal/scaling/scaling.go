@@ -7,6 +7,7 @@
 package scaling
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -53,7 +54,7 @@ func SweepParallel(procs []int, predict func(p int) (float64, error), workers in
 	if ps[0] <= 0 {
 		return nil, fmt.Errorf("scaling: invalid processor count %d", ps[0])
 	}
-	points, err := sweep.Map(ps, func(_ int, p int) (Point, error) {
+	points, err := sweep.Map(context.TODO(), workers, ps, func(_ int, p int) (Point, error) {
 		t, err := predict(p)
 		if err != nil {
 			return Point{}, fmt.Errorf("scaling: predicting P=%d: %w", p, err)
@@ -62,7 +63,7 @@ func SweepParallel(procs []int, predict func(p int) (float64, error), workers in
 			return Point{}, fmt.Errorf("scaling: non-positive time %g at P=%d", t, p)
 		}
 		return Point{P: p, Time: t}, nil
-	}, sweep.Workers(workers))
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@
 package search
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -104,13 +105,13 @@ func SweepParallel(sizes []int, f Objective, workers int) (Result, error) {
 		return Result{}, ErrNoCandidates
 	}
 	mf, count := Memoized(f)
-	vals, err := sweep.Map(sizes, func(i, b int) (float64, error) {
+	vals, err := sweep.Map(context.TODO(), workers, sizes, func(i, b int) (float64, error) {
 		v, err := mf(b)
 		if err != nil {
 			return 0, fmt.Errorf("search: evaluating block size %d: %w", b, err)
 		}
 		return v, nil
-	}, sweep.Workers(workers))
+	})
 	if err != nil {
 		return Result{}, err
 	}

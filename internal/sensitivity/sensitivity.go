@@ -7,6 +7,7 @@
 package sensitivity
 
 import (
+	"context"
 	"fmt"
 
 	"loggpsim/internal/loggp"
@@ -87,7 +88,7 @@ func AnalyzeParallel(base loggp.Params, delta float64,
 		{"g", base.Gap, func(p *loggp.Params, v float64) { p.Gap = v }},
 		{"G", base.G, func(p *loggp.Params, v float64) { p.G = v }},
 	}
-	times, err := sweep.Map(points, func(i int, pt point) (float64, error) {
+	times, err := sweep.Map(context.TODO(), workers, points, func(i int, pt point) (float64, error) {
 		if i == 0 {
 			t, err := predict(base)
 			if err != nil {
@@ -108,7 +109,7 @@ func AnalyzeParallel(base loggp.Params, delta float64,
 			return 0, fmt.Errorf("sensitivity: perturbing %s: %w", pt.name, err)
 		}
 		return t, nil
-	}, sweep.Workers(workers))
+	})
 	if err != nil {
 		return nil, err
 	}

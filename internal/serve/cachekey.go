@@ -10,10 +10,11 @@
 // Normalization rules (the ⟺ is fuzz-tested in cachekey_test.go):
 //
 //   - Defaults are filled: empty mode is simulate, empty layout is
-//     diagonal, zero envelope samples is 32, the machine resolves to
-//     its concrete LogGP parameters (so a preset and the equivalent
-//     explicit parameters address one entry), and the fault plan's
-//     zero-meaning-default fields are set to their effective values.
+//     diagonal, zero envelope samples is defaultSamples, the machine
+//     resolves to its concrete LogGP parameters (so a preset and the
+//     equivalent explicit parameters address one entry), and the fault
+//     plan's zero-meaning-default fields are set to their effective
+//     values.
 //
 //   - Fields a mode ignores are zeroed: samples and perturbation
 //     outside envelope mode, the fault plan in analyze mode, the seed
@@ -118,10 +119,7 @@ func canonicalize(r *Request) (canonReq, error) {
 		c.Seed = r.Seed
 	}
 	if mode == ModeEnvelope {
-		c.Samples = r.Samples
-		if c.Samples < 1 {
-			c.Samples = 32 // the runEnvelope default
-		}
+		c.Samples = r.samples()
 		c.PerturbL, c.PerturbO = r.Perturb.L, r.Perturb.O
 		c.PerturbGap, c.PerturbG = r.Perturb.Gap, r.Perturb.G
 	}

@@ -66,17 +66,19 @@ type Request struct {
 	// DeadlineMS caps the request's wall-clock budget in milliseconds.
 	// Zero selects the server default; values above the server maximum
 	// are clamped to it. When the deadline cannot fit the full
-	// simulation the response degrades to the bound certificate instead
-	// of erroring (Response.Degraded).
+	// simulation or envelope the response degrades to the bound
+	// certificate instead of erroring (Response.Degraded).
 	DeadlineMS int `json:"deadline_ms,omitempty"`
-	// Budget caps the request's estimated scheduler work, in
-	// analyze.Work units. Zero selects the server default. A request
-	// priced above its budget is downgraded to the bound certificate
-	// before any worker touches it.
+	// Budget caps the request's price, in analyze.Work units: the
+	// program's one-replay estimate times the lanes the mode replays
+	// (one for simulate and worstcase, samples + 1 for an envelope).
+	// Zero selects the server default. A request priced above its
+	// budget is downgraded to the bound certificate before any worker
+	// touches it.
 	Budget float64 `json:"budget,omitempty"`
 
 	// Samples is the Monte-Carlo sample count (envelope mode); zero
-	// selects 32, the cap is Limits.MaxSamples.
+	// selects defaultSamples, the cap is Limits.MaxSamples.
 	Samples int `json:"samples,omitempty"`
 	// Perturb spreads the LogGP parameters in envelope mode (relative
 	// half-widths, robust.Perturb semantics).
@@ -123,17 +125,15 @@ type Response struct {
 	// Mode echoes the request mode.
 	Mode string `json:"mode"`
 	// Degraded reports that the service could not afford the requested
-	// computation and answered with a cheaper one instead of an error;
-	// DegradeReason says why: "deadline" (the per-request deadline
-	// expired), "budget" (the work pre-estimate exceeded the budget),
-	// "breaker" (the Monte-Carlo circuit breaker is open and an
-	// envelope request was answered single-shot), or "drain" (the
-	// server was shutting down and bound-downgraded in-flight work).
+	// computation and answered with the bound certificate instead of
+	// an error; DegradeReason says why: "deadline" (the per-request
+	// deadline expired), "budget" (the request's price exceeded the
+	// budget), or "drain" (the server was shutting down and
+	// bound-downgraded in-flight work).
 	Degraded      bool   `json:"degraded"`
 	DegradeReason string `json:"degrade_reason,omitempty"`
 
-	// Prediction carries the simulation result (simulate/worstcase, and
-	// the single-shot answer of a breaker-degraded envelope).
+	// Prediction carries the simulation result (simulate/worstcase).
 	Prediction *PredictionResult `json:"prediction,omitempty"`
 	// Bounds carries the closed-form certificate: always in analyze
 	// mode, and as the degraded answer when a deadline or budget ruled
@@ -145,8 +145,9 @@ type Response struct {
 	// Report carries the full static-analysis report (analyze mode).
 	Report *analyze.ProgramReport `json:"report,omitempty"`
 
-	// WorkUnits is the request's structural work pre-estimate
-	// (analyze.Work units) — what admission control priced it at.
+	// WorkUnits is the program's structural work pre-estimate for one
+	// replay (analyze.Work units). Admission control prices the request
+	// at WorkUnits times the lanes its mode replays (Request.Budget).
 	WorkUnits float64 `json:"work_units"`
 }
 
@@ -377,6 +378,30 @@ func (r *Request) Validate(lim Limits) error {
 		return err
 	}
 	return nil
+}
+
+// defaultSamples is an envelope's Monte-Carlo sample count when the
+// request names none. The cache key, the admission price and the run
+// all read it through samples.
+const defaultSamples = 32
+
+// samples is the envelope's Monte-Carlo sample count.
+func (r *Request) samples() int {
+	if r.Samples < 1 {
+		return defaultSamples
+	}
+	return r.Samples
+}
+
+// lanes is the number of program replays the request's mode runs: one
+// for simulate and worstcase, and for an envelope one lane per sample
+// plus robust's nominal lane. The request's price is the one-replay
+// work estimate times lanes.
+func (r *Request) lanes() int {
+	if r.Mode == ModeEnvelope {
+		return r.samples() + 1
+	}
+	return 1
 }
 
 // buildProgram constructs the request's program and applies the

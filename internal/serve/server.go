@@ -35,17 +35,17 @@
 //
 //   - Deadlines and budgets. Every evaluation runs under a per-request
 //     deadline (client-supplied, clamped to a server maximum)
-//     propagated via context into the predictor's per-step polling and
-//     the Monte-Carlo sampler's per-sample checks. Before a worker is
-//     committed, the request is priced with analyze.EstimateWork;
-//     requests over budget never reach the prediction engine.
+//     propagated via context into the lane engine, which polls it once
+//     per program step in every mode. Before a worker is committed, the
+//     request is priced: analyze.EstimateWork's one-replay estimate
+//     times the lanes the mode replays (one for simulate and worstcase,
+//     samples + 1 for an envelope). Requests over budget never reach
+//     the prediction engine.
 //
 //   - Graceful degradation. When the deadline or budget cannot fit the
-//     full simulation, the response degrades to the closed-form LogGP
-//     bound certificate (analyze.BoundProgram) instead of an error,
-//     flagged Degraded with a reason. A circuit breaker trips envelope
-//     mode down to single-shot prediction after repeated per-sample
-//     timeouts.
+//     full simulation or envelope, the response degrades to the
+//     closed-form LogGP bound certificate (analyze.BoundProgram)
+//     instead of an error, flagged Degraded with a reason.
 //
 //   - Crash containment and lifecycle. A panic inside a prediction
 //     poisons (does not repool) the affected evaluator and answers 500
@@ -95,17 +95,17 @@ type Config struct {
 	// MaxDeadline clamps client-supplied deadlines; ≤ 0 selects 60s.
 	MaxDeadline time.Duration
 	// DefaultBudget is the per-request work cap (analyze.Work units)
-	// when the request names none; ≤ 0 selects 20e6 units — the repo's
-	// heaviest stock experiment (GE n=960, b=8, P=8) prices at ~6.6e6,
-	// so interactive use never sees the default cap.
+	// when the request names none; ≤ 0 selects 20e6 units. A request
+	// prices at its one-replay estimate times the lanes it replays: a
+	// prediction of the repo's heaviest stock experiment (GE n=960,
+	// b=8, P=8) at 6.63e6, so it fits, while an envelope of it fits
+	// only up to 2 samples (3 lanes).
 	DefaultBudget float64
 	// DrainGrace is how long in-flight requests keep running after
 	// Drain begins before being bound-downgraded; ≤ 0 selects 1s.
 	DrainGrace time.Duration
 	// Limits are the hard input caps (zero fields select defaults).
 	Limits Limits
-	// Breaker tunes the Monte-Carlo circuit breaker.
-	Breaker BreakerConfig
 	// Cache tunes the result cache (zero fields select resultcache's
 	// defaults: 16 shards, 256 MiB, 64k entries, no TTL).
 	Cache resultcache.Config
@@ -168,8 +168,6 @@ type Stats struct {
 	InFlight int64 `json:"in_flight"`
 	Running  int64 `json:"running"`
 	Queued   int64 `json:"queued"`
-	// BreakerOpen reports the Monte-Carlo breaker state.
-	BreakerOpen bool `json:"breaker_open"`
 	// Draining reports that shutdown has begun.
 	Draining bool `json:"draining"`
 	// Cache is the result cache's own counter snapshot (hits, misses,
@@ -205,7 +203,7 @@ type outcome struct {
 	status     int
 	body       []byte  // encoded 200 payload, written verbatim
 	degraded   bool    // the 200 answers a downgraded computation
-	cost       float64 // the request's work units, the cache entry's cost
+	cost       float64 // the request's admission price, the cache entry's cost
 	errMsg     string
 	retryAfter bool
 	reject     bool // count this write in Stats.Rejected
@@ -219,7 +217,7 @@ func okOutcome(resp *Response) *outcome {
 	if err != nil {
 		return rejectOutcome(http.StatusInternalServerError, "encoding response: %v", err)
 	}
-	return &outcome{status: http.StatusOK, body: append(b, '\n'), degraded: resp.Degraded, cost: resp.WorkUnits}
+	return &outcome{status: http.StatusOK, body: append(b, '\n'), degraded: resp.Degraded}
 }
 
 func rejectOutcome(status int, format string, args ...any) *outcome {
@@ -233,8 +231,8 @@ func rejectOutcome(status int, format string, args ...any) *outcome {
 
 // storable reports whether the outcome may enter the cache: only full,
 // non-degraded 200s. Degradations reflect transient conditions
-// (deadline pressure, drain, budget, breaker) — caching one would
-// replay a transient forever.
+// (deadline pressure, drain, budget) — caching one would replay a
+// transient forever.
 func (o *outcome) storable() bool {
 	return o.status == http.StatusOK && !o.degraded
 }
@@ -242,13 +240,12 @@ func (o *outcome) storable() bool {
 // Server is the prediction service. Construct with NewServer, mount
 // Handler on an http.Server, call Drain on shutdown.
 type Server struct {
-	cfg     Config
-	model   cost.Model
-	lim     *sweep.Limiter // worker gate, sized off the evaluator pool
-	slots   chan struct{}  // queue + run admission tokens
-	evals   chan *predictor.Evaluator
-	breaker *breaker
-	mux     *http.ServeMux
+	cfg   Config
+	model cost.Model
+	lim   *sweep.Limiter // worker gate, sized off the evaluator pool
+	slots chan struct{}  // queue + run admission tokens
+	evals chan *predictor.Evaluator
+	mux   *http.ServeMux
 
 	cache *resultcache.Cache[cached] // nil when CacheOff
 	group flight.Group[flightKey, *outcome]
@@ -276,7 +273,6 @@ func NewServer(cfg Config) *Server {
 		lim:      sweep.NewLimiter(cfg.Workers),
 		slots:    make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 		evals:    make(chan *predictor.Evaluator, cfg.Workers),
-		breaker:  newBreaker(cfg.Breaker),
 		drainNow: make(chan struct{}),
 	}
 	if !cfg.CacheOff {
@@ -312,18 +308,17 @@ func (s *Server) Stats() Stats {
 	occ := s.occupancy.Load()
 	held, running := int64(occ>>32), int64(occ&0xffffffff)
 	st := Stats{
-		Accepted:    s.accepted.Load(),
-		Shed:        s.shed.Load(),
-		Rejected:    s.rejected.Load(),
-		Degraded:    s.degraded.Load(),
-		Panics:      s.panics.Load(),
-		Completed:   s.completed.Load(),
-		Coalesced:   s.coalesced.Load(),
-		InFlight:    held,
-		Running:     running,
-		Queued:      held - running,
-		BreakerOpen: s.breaker.isOpen(),
-		Draining:    s.draining.Load(),
+		Accepted:  s.accepted.Load(),
+		Shed:      s.shed.Load(),
+		Rejected:  s.rejected.Load(),
+		Degraded:  s.degraded.Load(),
+		Panics:    s.panics.Load(),
+		Completed: s.completed.Load(),
+		Coalesced: s.coalesced.Load(),
+		InFlight:  held,
+		Running:   running,
+		Queued:    held - running,
+		Draining:  s.draining.Load(),
 	}
 	if s.cache != nil {
 		cs := s.cache.Stats()
@@ -558,6 +553,10 @@ func (s *Server) evaluate(r *Request) *outcome {
 		mode = ModeSimulate
 	}
 	resp := &Response{Mode: mode, WorkUnits: work.Units()}
+	// One price for every mode: the one-replay estimate times the lanes
+	// the mode replays. The budget gate charges it, and a stored answer
+	// is worth it to the cache.
+	price := resp.WorkUnits * float64(r.lanes())
 
 	// Analyze-only requests are cheap by construction (closed form, no
 	// event queue): they bypass the queue so the static service stays
@@ -568,7 +567,9 @@ func (s *Server) evaluate(r *Request) *outcome {
 		if report.Bounds != nil {
 			resp.Bounds = &BoundsResult{LowerMicros: report.Bounds.Lower, UpperMicros: report.Bounds.Upper}
 		}
-		return okOutcome(resp)
+		o := okOutcome(resp)
+		o.cost = price
+		return o
 	}
 
 	// Budget gate: price the request before a worker ever sees it.
@@ -576,7 +577,7 @@ func (s *Server) evaluate(r *Request) *outcome {
 	if r.Budget > 0 {
 		budget = r.Budget
 	}
-	if resp.WorkUnits > budget {
+	if price > budget {
 		return s.degradeOutcome(resp, pr, params, "budget")
 	}
 
@@ -630,10 +631,13 @@ func (s *Server) evaluate(r *Request) *outcome {
 		s.occupancy.Add(^(occRun - 1)) // -occRun
 	}()
 
+	run := s.runSimulation
 	if mode == ModeEnvelope {
-		return s.runEnvelope(resp, r, pr, params, ctx)
+		run = s.runEnvelope
 	}
-	return s.runSimulation(resp, r, pr, params, ctx)
+	o := run(resp, r, pr, params, ctx)
+	o.cost = price
+	return o
 }
 
 // degradeReason maps an expired evaluation context to the response's
@@ -726,21 +730,9 @@ func (s *Server) runSimulation(resp *Response, r *Request, pr *program.Program, 
 	}
 }
 
-// runEnvelope executes envelope mode: the full Monte-Carlo sweep when
-// the breaker allows it, single-shot prediction when it is open.
+// runEnvelope executes envelope mode: the Monte-Carlo sweep of one
+// block size, its samples and nominal point as lanes of one run.
 func (s *Server) runEnvelope(resp *Response, r *Request, pr *program.Program, params loggp.Params, ctx context.Context) *outcome {
-	if !s.breaker.allow(time.Now()) {
-		// Breaker open: envelope downgrades to a single standard
-		// prediction — still a simulation, still seeded, just not
-		// Samples of them.
-		resp.Degraded = true
-		resp.DegradeReason = "breaker"
-		return s.runSimulation(resp, r, pr, params, ctx)
-	}
-	samples := r.Samples
-	if samples < 1 {
-		samples = 32
-	}
 	plan, _ := faults.Parse(r.Faults)
 	rcfg := robust.Config{
 		N:       r.Workload.N,
@@ -748,7 +740,7 @@ func (s *Server) runEnvelope(resp *Response, r *Request, pr *program.Program, pa
 		Sizes:   []int{r.Workload.Block},
 		Params:  params,
 		Model:   s.model,
-		Samples: samples,
+		Samples: r.samples(),
 		Seed:    r.Seed,
 		Perturb: r.Perturb,
 		Faults:  plan,
@@ -771,13 +763,9 @@ func (s *Server) runEnvelope(resp *Response, r *Request, pr *program.Program, pa
 		s.panics.Add(1)
 		return rejectOutcome(http.StatusInternalServerError, "internal error (envelope panicked; contained)")
 	case err == nil && len(envs) == 1:
-		s.breaker.success()
 		resp.Envelope = &envs[0]
 		return okOutcome(resp)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		// Per-sample timeout: feed the breaker, degrade to the bound
-		// certificate for this request.
-		s.breaker.timeout(time.Now())
 		return s.degradeOutcome(resp, pr, params, s.degradeReason())
 	case err != nil:
 		return rejectOutcome(http.StatusUnprocessableEntity, "envelope failed: %v", err)

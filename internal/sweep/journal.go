@@ -14,6 +14,7 @@ package sweep
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -136,9 +137,9 @@ func (j *Journal) Remove() error {
 // Results decoded from the journal are byte-identical to the recorded
 // run's as long as R round-trips through encoding/json (see the package
 // comment); an entry that fails to decode is recomputed.
-func MapResume[T, R any](j *Journal, scope string, items []T, fn func(i int, item T) (R, error), opts ...Option) ([]R, error) {
+func MapResume[T, R any](ctx context.Context, workers int, j *Journal, scope string, items []T, fn func(i int, item T) (R, error)) ([]R, error) {
 	if j == nil {
-		return Map(items, fn, opts...)
+		return Map(ctx, workers, items, fn)
 	}
 	wrapped := func(i int, item T) (R, error) {
 		key := fmt.Sprintf("%s/%d", scope, i)
@@ -159,5 +160,5 @@ func MapResume[T, R any](j *Journal, scope string, items []T, fn func(i int, ite
 		}
 		return r, nil
 	}
-	return Map(items, wrapped, opts...)
+	return Map(ctx, workers, items, wrapped)
 }

@@ -35,7 +35,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	items := []int{10, 20, 30, 40}
-	got, err := MapResume(j, "s", items, mkPoint, Workers(2))
+	got, err := MapResume(nil, 2, j, "s", items, mkPoint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +53,10 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	defer j2.Close()
 	var calls atomic.Int64
-	got2, err := MapResume(j2, "s", items, func(i, v int) (point, error) {
+	got2, err := MapResume(nil, 2, j2, "s", items, func(i, v int) (point, error) {
 		calls.Add(1)
 		return mkPoint(i, v)
-	}, Workers(2))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +78,12 @@ func TestJournalPartialResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("killed")
-	_, err = MapResume(j, "s", items, func(i, v int) (point, error) {
+	_, err = MapResume(nil, 1, j, "s", items, func(i, v int) (point, error) {
 		if i >= 3 {
 			return point{}, boom
 		}
 		return mkPoint(i, v)
-	}, Workers(1))
+	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -99,17 +99,17 @@ func TestJournalPartialResume(t *testing.T) {
 	}
 	defer j2.Close()
 	var ran []int
-	got, err := MapResume(j2, "s", items, func(i, v int) (point, error) {
+	got, err := MapResume(nil, 1, j2, "s", items, func(i, v int) (point, error) {
 		ran = append(ran, i)
 		return mkPoint(i, v)
-	}, Workers(1))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []int{3, 4, 5}; !reflect.DeepEqual(ran, want) {
 		t.Fatalf("resume ran items %v, want %v", ran, want)
 	}
-	clean, _ := Map(items, mkPoint, Workers(1))
+	clean, _ := Map(nil, 1, items, mkPoint)
 	if !reflect.DeepEqual(got, clean) {
 		t.Fatalf("resumed results differ from a clean run:\n%v\n%v", got, clean)
 	}
@@ -123,15 +123,15 @@ func TestJournalScopesAreIndependent(t *testing.T) {
 	}
 	defer j.Close()
 	items := []int{7, 8}
-	a, err := MapResume(j, "diagonal", items, func(i, v int) (point, error) {
+	a, err := MapResume(nil, 1, j, "diagonal", items, func(i, v int) (point, error) {
 		return point{B: v}, nil
-	}, Workers(1))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MapResume(j, "row-cyclic", items, func(i, v int) (point, error) {
+	b, err := MapResume(nil, 1, j, "row-cyclic", items, func(i, v int) (point, error) {
 		return point{B: v * 100}, nil
-	}, Workers(1))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestJournalTornTailLineIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	items := []int{1, 2, 3}
-	if _, err := MapResume(j, "s", items, mkPoint, Workers(1)); err != nil {
+	if _, err := MapResume(nil, 1, j, "s", items, mkPoint); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -173,17 +173,17 @@ func TestJournalTornTailLineIgnored(t *testing.T) {
 		t.Fatalf("journal holds %d entries after torn tail, want 2", j2.Len())
 	}
 	var ran []int
-	got, err := MapResume(j2, "s", items, func(i, v int) (point, error) {
+	got, err := MapResume(nil, 1, j2, "s", items, func(i, v int) (point, error) {
 		ran = append(ran, i)
 		return mkPoint(i, v)
-	}, Workers(1))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ran, []int{2}) {
 		t.Fatalf("resume ran %v, want just the torn item", ran)
 	}
-	clean, _ := Map(items, mkPoint)
+	clean, _ := Map(nil, 0, items, mkPoint)
 	if !reflect.DeepEqual(got, clean) {
 		t.Fatalf("results differ from clean run")
 	}
@@ -212,7 +212,7 @@ func TestJournalRecordKeepsFirstEntry(t *testing.T) {
 }
 
 func TestMapResumeNilJournal(t *testing.T) {
-	got, err := MapResume[int, point](nil, "s", []int{5}, mkPoint)
+	got, err := MapResume[int, point](nil, 0, nil, "s", []int{5}, mkPoint)
 	if err != nil || got[0].B != 5 {
 		t.Fatalf("nil journal: (%v, %v)", got, err)
 	}
@@ -232,12 +232,12 @@ func TestMapResumeWithCancelKeepsCheckpoint(t *testing.T) {
 		items[i] = i
 	}
 	var n atomic.Int64
-	_, err = MapResume(j, "s", items, func(i, v int) (point, error) {
+	_, err = MapResume(ctx, 2, j, "s", items, func(i, v int) (point, error) {
 		if n.Add(1) == 5 {
 			cancel()
 		}
 		return mkPoint(i, v)
-	}, Workers(2), Context(ctx))
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -251,11 +251,11 @@ func TestMapResumeWithCancelKeepsCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	got, err := MapResume(j2, "s", items, mkPoint, Workers(2))
+	got, err := MapResume(nil, 2, j2, "s", items, mkPoint)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, _ := Map(items, mkPoint)
+	clean, _ := Map(nil, 0, items, mkPoint)
 	if !reflect.DeepEqual(got, clean) {
 		t.Fatal("resumed results differ from a clean run")
 	}
@@ -277,7 +277,7 @@ func FuzzJournalResume(f *testing.F) {
 			s := float64(Seed(seed, i)%1000003) / 9973.0
 			return point{B: v, Total: s, Worst: s / 7}, nil
 		}
-		clean, err := Map(items, fn, Workers(1))
+		clean, err := Map(nil, 1, items, fn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +303,7 @@ func FuzzJournalResume(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer j2.Close()
-		got, err := MapResume(j2, "s", items, fn, Workers(3))
+		got, err := MapResume(nil, 3, j2, "s", items, fn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func FuzzJournalResume(f *testing.F) {
 // checkpoint — to an uninterrupted run's.
 func TestMapResumeTruncatedFinalRecordByteIdentical(t *testing.T) {
 	items := []int{7, 11, 13}
-	clean, err := Map(items, mkPoint)
+	clean, err := Map(nil, 0, items, mkPoint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestMapResumeTruncatedFinalRecordByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MapResume(j, "s", items, mkPoint, Workers(1)); err != nil {
+	if _, err := MapResume(nil, 1, j, "s", items, mkPoint); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -364,10 +364,10 @@ func TestMapResumeTruncatedFinalRecordByteIdentical(t *testing.T) {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		var ran []int
-		got, err := MapResume(j2, "s", items, func(i, v int) (point, error) {
+		got, err := MapResume(nil, 1, j2, "s", items, func(i, v int) (point, error) {
 			ran = append(ran, i)
 			return mkPoint(i, v)
-		}, Workers(1))
+		})
 		j2.Close()
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)

@@ -23,29 +23,6 @@ import (
 	"sync"
 )
 
-// options collects the knobs of one Map call.
-type options struct {
-	workers int
-	ctx     context.Context
-}
-
-// Option configures a Map call.
-type Option func(*options)
-
-// Workers sets the number of concurrent workers. Values below 1 select
-// the default, runtime.GOMAXPROCS(0).
-func Workers(n int) Option {
-	return func(o *options) { o.workers = n }
-}
-
-// Context installs a cancellation context on the sweep. When ctx is
-// cancelled the drain is bounded: workers finish the items they are
-// already evaluating, claim no new ones, and Map returns. A nil ctx is
-// ignored (the sweep runs to completion, the zero-option behaviour).
-func Context(ctx context.Context) Option {
-	return func(o *options) { o.ctx = ctx }
-}
-
 // Limiter is a budgeted-submission gate: a counting semaphore bounding
 // the combined concurrency of the work that shares it (the serve layer's
 // request workers hold one slot each).
@@ -127,6 +104,7 @@ func runItem[T, R any](fn func(i int, item T) (R, error), i int, item T) (r R, e
 // Map evaluates fn over every item on a pool of workers and returns the
 // results in input order. fn receives the item's index and value; it must
 // be safe for concurrent use when more than one worker is configured.
+// workers below 1 select runtime.GOMAXPROCS(0).
 //
 // On failure Map cancels the sweep — workers stop picking up new items —
 // and returns the error of the lowest-indexed failed item among those
@@ -135,25 +113,22 @@ func runItem[T, R any](fn func(i int, item T) (R, error), i int, item T) (r R, e
 // rather than crashing the process. Which later items still execute
 // after a failure is unspecified; their results are discarded.
 //
-// With the Context option, cancellation stops workers from claiming new
-// items; items already running finish (bounded drain). A cancelled Map
-// returns the context's error — unless some item had already failed, in
-// which case the lowest-index item error still wins, or every item had
-// already completed, in which case the full results are returned.
-func Map[T, R any](items []T, fn func(i int, item T) (R, error), opts ...Option) ([]R, error) {
-	o := options{workers: runtime.GOMAXPROCS(0)}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.workers < 1 {
-		o.workers = runtime.GOMAXPROCS(0)
+// Cancelling ctx stops workers from claiming new items; items already
+// running finish (bounded drain), so fn should watch ctx itself if an
+// item must stop sooner. A cancelled Map returns the context's error —
+// unless some item had already failed, in which case the lowest-index
+// item error still wins, or every item had already completed, in which
+// case the full results are returned. A nil ctx never cancels.
+func Map[T, R any](ctx context.Context, workers int, items []T, fn func(i int, item T) (R, error)) ([]R, error) {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	results := make([]R, len(items))
 	if len(items) == 0 {
 		return results, nil
 	}
-	if o.workers > len(items) {
-		o.workers = len(items)
+	if workers > len(items) {
+		workers = len(items)
 	}
 
 	var (
@@ -164,12 +139,12 @@ func Map[T, R any](items []T, fn func(i int, item T) (R, error), opts ...Option)
 		first  error
 	)
 	var wg sync.WaitGroup
-	wg.Add(o.workers)
-	for w := 0; w < o.workers; w++ {
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
-				if o.ctx != nil && o.ctx.Err() != nil {
+				if ctx != nil && ctx.Err() != nil {
 					return
 				}
 				mu.Lock()
@@ -200,8 +175,8 @@ func Map[T, R any](items []T, fn func(i int, item T) (R, error), opts ...Option)
 	if first != nil {
 		return nil, first
 	}
-	if o.ctx != nil && done < len(items) {
-		if err := o.ctx.Err(); err != nil {
+	if ctx != nil && done < len(items) {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}

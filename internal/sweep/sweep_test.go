@@ -14,7 +14,7 @@ func TestMapOrderedResults(t *testing.T) {
 		items[i] = i
 	}
 	for _, workers := range []int{1, 2, 8, 200} {
-		got, err := Map(items, func(i, v int) (int, error) { return v * v, nil }, Workers(workers))
+		got, err := Map(nil, workers, items, func(i, v int) (int, error) { return v * v, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -27,19 +27,19 @@ func TestMapOrderedResults(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	got, err := Map(nil, func(i, v int) (int, error) { return 0, nil })
+	got, err := Map(nil, 0, nil, func(i, v int) (int, error) { return 0, nil })
 	if err != nil || len(got) != 0 {
-		t.Fatalf("Map(nil) = (%v, %v)", got, err)
+		t.Fatalf("Map(nil, 0, nil) = (%v, %v)", got, err)
 	}
 }
 
 func TestMapEveryItemSeen(t *testing.T) {
 	var n atomic.Int64
 	items := make([]int, 57)
-	_, err := Map(items, func(i, v int) (int, error) {
+	_, err := Map(nil, 4, items, func(i, v int) (int, error) {
 		n.Add(1)
 		return 0, nil
-	}, Workers(4))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +52,13 @@ func TestMapFirstErrorSerial(t *testing.T) {
 	items := []int{0, 1, 2, 3, 4}
 	boom := errors.New("boom")
 	var calls []int
-	_, err := Map(items, func(i, v int) (int, error) {
+	_, err := Map(nil, 1, items, func(i, v int) (int, error) {
 		calls = append(calls, i)
 		if i >= 2 {
 			return 0, fmt.Errorf("item %d: %w", i, boom)
 		}
 		return v, nil
-	}, Workers(1))
+	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -78,9 +78,9 @@ func TestMapLowestIndexedErrorParallel(t *testing.T) {
 	// be item 0's (it always runs: cancellation can only stop items that
 	// were not yet claimed, and item 0 is claimed first).
 	items := make([]int, 20)
-	_, err := Map(items, func(i, v int) (int, error) {
+	_, err := Map(nil, 8, items, func(i, v int) (int, error) {
 		return 0, fmt.Errorf("item %d failed", i)
-	}, Workers(8))
+	})
 	if err == nil || err.Error() != "item 0 failed" {
 		t.Fatalf("err = %v, want item 0's", err)
 	}
@@ -89,10 +89,10 @@ func TestMapLowestIndexedErrorParallel(t *testing.T) {
 func TestMapCancelsAfterError(t *testing.T) {
 	var ran atomic.Int64
 	items := make([]int, 1000)
-	_, err := Map(items, func(i, v int) (int, error) {
+	_, err := Map(nil, 2, items, func(i, v int) (int, error) {
 		ran.Add(1)
 		return 0, errors.New("fail fast")
-	}, Workers(2))
+	})
 	if err == nil {
 		t.Fatal("expected an error")
 	}
@@ -104,10 +104,10 @@ func TestMapCancelsAfterError(t *testing.T) {
 }
 
 func TestMapWorkersDefault(t *testing.T) {
-	// Workers(0) and Workers(-3) select the GOMAXPROCS default and must
+	// Worker counts 0 and -3 select the GOMAXPROCS default and must
 	// still complete correctly.
 	for _, w := range []int{0, -3} {
-		got, err := Map([]int{1, 2, 3}, func(i, v int) (int, error) { return v + 1, nil }, Workers(w))
+		got, err := Map(nil, w, []int{1, 2, 3}, func(i, v int) (int, error) { return v + 1, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,12 +137,12 @@ func TestSeedDeterministicAndDistinct(t *testing.T) {
 func TestMapPanicBecomesPositionedError(t *testing.T) {
 	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	for _, workers := range []int{1, 4} {
-		_, err := Map(items, func(i, v int) (int, error) {
+		_, err := Map(nil, workers, items, func(i, v int) (int, error) {
 			if i == 3 {
 				panic("poisoned item")
 			}
 			return v, nil
-		}, Workers(workers))
+		})
 		var pe *PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("workers=%d: err = %v, want *PanicError", workers, err)
@@ -159,12 +159,12 @@ func TestMapPanicBecomesPositionedError(t *testing.T) {
 func TestMapPanicLowestIndexWins(t *testing.T) {
 	// Item 0 always runs; its panic must win over later items' errors.
 	items := make([]int, 16)
-	_, err := Map(items, func(i, v int) (int, error) {
+	_, err := Map(nil, 4, items, func(i, v int) (int, error) {
 		if i == 0 {
 			panic(fmt.Sprintf("item %d", i))
 		}
 		return 0, fmt.Errorf("item %d failed", i)
-	}, Workers(4))
+	})
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Index != 0 {
 		t.Fatalf("err = %v, want item 0's panic", err)
@@ -178,7 +178,7 @@ func TestMapContextCancelBoundedDrain(t *testing.T) {
 	// Item 0, the first claimed, cancels; every other item returns only
 	// after the cancellation, so no item can finish before it and each
 	// worker claims at most one item before it sees the context done.
-	_, err := Map(items, func(i, v int) (int, error) {
+	_, err := Map(ctx, 2, items, func(i, v int) (int, error) {
 		ran.Add(1)
 		if i == 0 {
 			cancel()
@@ -186,7 +186,7 @@ func TestMapContextCancelBoundedDrain(t *testing.T) {
 			<-ctx.Done()
 		}
 		return v, nil
-	}, Workers(2), Context(ctx))
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -200,13 +200,13 @@ func TestMapContextItemErrorStillWins(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	boom := errors.New("boom")
 	items := make([]int, 100)
-	_, err := Map(items, func(i, v int) (int, error) {
+	_, err := Map(ctx, 2, items, func(i, v int) (int, error) {
 		if i == 0 {
 			cancel()
 			return 0, fmt.Errorf("item 0: %w", boom)
 		}
 		return v, nil
-	}, Workers(2), Context(ctx))
+	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want item 0's error over context.Canceled", err)
 	}
@@ -218,12 +218,12 @@ func TestMapContextCompletedSweepIgnoresLateCancel(t *testing.T) {
 	var left atomic.Int64
 	left.Store(10)
 	items := make([]int, 10)
-	got, err := Map(items, func(i, v int) (int, error) {
+	got, err := Map(ctx, 2, items, func(i, v int) (int, error) {
 		if left.Add(-1) == 0 {
 			cancel()
 		}
 		return i, nil
-	}, Workers(2), Context(ctx))
+	})
 	if err != nil {
 		t.Fatalf("err = %v, want nil: all items completed", err)
 	}

@@ -48,6 +48,7 @@
 package loggpsim
 
 import (
+	"context"
 	"fmt"
 
 	"loggpsim/internal/cannon"
@@ -379,7 +380,7 @@ func OptimalBlockSizeParallel(sizes []int, strategy string, predict func(b int) 
 // lowest-indexed error is returned. See internal/sweep for the engine's
 // determinism guarantees.
 func ParallelMap[T, R any](items []T, fn func(i int, item T) (R, error), workers int) ([]R, error) {
-	return sweep.Map(items, fn, sweep.Workers(workers))
+	return sweep.Map(context.TODO(), workers, items, fn)
 }
 
 // SweepSeed derives a deterministic per-item seed from a base seed and

@@ -33,8 +33,10 @@
 #                  case), predictor (steady-state reuse and the
 #                  high-in-degree all-to-all and butterfly programs at
 #                  P=64/256), fault-hook overhead, bound-certificate,
-#                  and Figure-7 program-build and cache-warming
-#                  benchmarks, printed to stdout
+#                  and Figure-7 program-build, cache-warming,
+#                  lane-engine (one lane over the 28 programs, five
+#                  over the 14 diagonal ones) and emulator benchmarks,
+#                  printed to stdout
 #   make sweep   — serial-vs-parallel sweep benchmark pair only
 #   make bench-envelope — Figure-7 envelope throughput, scalar test
 #                  oracle vs lockstep lane engine, at samples
@@ -155,8 +157,10 @@ diff:
 # reused evaluator (the GE reuse case and high-in-degree programs, where
 # the lane engine's run-head heaps carry the receives), the fault-hook
 # overhead benchmarks, the bound certificate benchmarks (predictd's
-# analyze corpus and the Figure-7 programs), and building and
-# cache-warming the 28 Figure-7 programs. The repo's recorded,
+# analyze corpus and the Figure-7 programs), and building,
+# cache-warming and emulating the 28 Figure-7 programs and replaying
+# them on the lane engine (the sweep predictor's one lane, and the
+# envelope's five lanes over the diagonal half). The repo's recorded,
 # repeatable numbers come from perfbench (perfbench/README.md).
 bench:
 	$(GO) test -run NONE -bench . -benchmem .
@@ -169,6 +173,8 @@ bench:
 	$(GO) test -run NONE -benchmem -bench BenchmarkCertificate ./internal/analyze
 	$(GO) test -run NONE -benchmem -bench 'BenchmarkWarm|BenchmarkBuildProgram' \
 		./internal/cache ./internal/ge
+	$(GO) test -run NONE -benchmem -bench 'BenchmarkEngineFigure7$$|BenchmarkRunFigure7' \
+		./internal/lanes ./internal/machine
 
 sweep:
 	$(GO) test -run NONE -bench 'BenchmarkSweep(Serial|Parallel)|BenchmarkQuietModeSimulation' -benchmem .
@@ -203,17 +209,19 @@ bench-envelope:
 # the worst-case scheduler's forced releases; Check's certificate
 # equals the walk oracle's and both schedulers finish inside it). `go
 # test -fuzz` takes one fuzz target per invocation, hence one line
-# each.
+# each. -fuzzminimizetime caps the minimization of a newly interesting
+# input at 1s (the default is 60s), so each run spends its FUZZTIME
+# fuzzing rather than minimizing one input.
 fuzz-smoke:
-	$(GO) test -run NONE -fuzz FuzzSimulationAlgorithms -fuzztime $(FUZZTIME) ./internal/sim
-	$(GO) test -run NONE -fuzz FuzzWorstcaseScheduler -fuzztime $(FUZZTIME) ./internal/worstcase
-	$(GO) test -run NONE -fuzz FuzzLanesMatchSessions -fuzztime $(FUZZTIME) ./internal/lanes
-	$(GO) test -run NONE -fuzz FuzzSendOutcome -fuzztime $(FUZZTIME) ./internal/faults
-	$(GO) test -run NONE -fuzz FuzzJournalResume -fuzztime $(FUZZTIME) ./internal/sweep
-	$(GO) test -run NONE -fuzz FuzzCanonicalKey -fuzztime $(FUZZTIME) ./internal/serve
-	$(GO) test -run NONE -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./internal/serve
-	$(GO) test -run NONE -fuzz FuzzCacheImport -fuzztime $(FUZZTIME) ./internal/serve
-	$(GO) test -run NONE -fuzz FuzzDeadlockVerdict -fuzztime $(FUZZTIME) ./internal/analyze
+	$(GO) test -run NONE -fuzz FuzzSimulationAlgorithms -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/sim
+	$(GO) test -run NONE -fuzz FuzzWorstcaseScheduler -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/worstcase
+	$(GO) test -run NONE -fuzz FuzzLanesMatchSessions -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/lanes
+	$(GO) test -run NONE -fuzz FuzzSendOutcome -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/faults
+	$(GO) test -run NONE -fuzz FuzzJournalResume -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/sweep
+	$(GO) test -run NONE -fuzz FuzzCanonicalKey -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve
+	$(GO) test -run NONE -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve
+	$(GO) test -run NONE -fuzz FuzzCacheImport -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve
+	$(GO) test -run NONE -fuzz FuzzDeadlockVerdict -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/analyze
 
 # End-to-end smoke of the hardened prediction service: builds the real
 # cmd/predictd binary, boots it on a random port, and asserts the

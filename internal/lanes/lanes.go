@@ -31,12 +31,20 @@
 // only grow), so a push is an append (with a rare ordered insert), and
 // each receiver keeps a binary heap of its run heads keyed by (arrival,
 // sequence), so a receive costs O(log runs) however many senders
-// target the receiver. The standard core draws its minimum-clock sender
-// from eventq.Tournament, the tie-counting tree the session cores
-// select on. The worst-case core scans bitmasks of live processors,
-// and a processor that remains the strict minimum after a commit keeps
-// committing without a rescan (the common case in broadcast-shaped
-// steps), so the per-lane cost approaches the bare per-message float
+// target the receiver. A run's state (its buffer region, consumed and
+// filled counts, head arrival and sequence, heap slot) is one record,
+// and so is each queued arrival (time, sequence, byte class), so a push
+// or a pop touches one run record and one arrival record instead of a
+// row across parallel tables. The standard core draws its minimum-clock
+// sender from eventq.Tournament, the tie-counting tree the session
+// cores select on. The worst-case core scans bitmasks of live
+// processors, and a processor that remains the strict minimum after a
+// commit keeps committing without a rescan (the common case in
+// broadcast-shaped steps); a deadlock release enters such a burst at
+// once, since the released send is then the only candidate. Within a
+// burst the committer's candidate is recomputed in place and a send's
+// destination only compares its new receive start against its cached
+// key, so the per-lane cost approaches the bare per-message float
 // arithmetic.
 //
 // The modes of predictor.Config are lane-engine modes: SendPriority
@@ -192,7 +200,7 @@ type StepProfile struct {
 // four sequential streams instead of chasing a message table. A run is
 // the slice of arrivals one sender delivers to one receiver; runs are
 // grouped per receiver (runIdx[q]..runIdx[q+1]) and each owns a
-// fixed-capacity region of the step's arrival buffer at runBase[r].
+// fixed-capacity region of the step's arrival buffer (run.base).
 type stepPlan struct {
 	off      []int32 // len p+1: send-slot range per sender
 	sDst     []int32 // per slot: destination processor
@@ -202,9 +210,33 @@ type stepPlan struct {
 	inCnt    []int32
 	sendMask []uint64
 	runIdx   []int32 // len p+1: run-table range per receiver
-	runBase  []int32 // per run: base offset into the arrival buffer
 	nRuns    int
 	nmsgs    int
+}
+
+// run is one receive run: its region of the step's arrival buffer
+// (base, with head entries consumed and fill entries filled), the (key,
+// seq) of its head arrival, and its slot in the receiver's heap: every
+// field a push or a pop touches, in one 32-byte record.
+type run struct {
+	key              float64
+	base, head, fill int32
+	seq, pos         int32
+}
+
+// arrival is one queued message of a receive run: its arrival time,
+// commit sequence number and byte class.
+type arrival struct {
+	key      float64
+	seq, cls int32
+}
+
+// deriv holds one lane's LogGP derivatives for one byte class: the
+// arrival delay, and the interval to the next operation of the same
+// kind (like) and of the other kind (unlike). A commit at start sets
+// the gap floors to start + like and start + unlike.
+type deriv struct {
+	ad, like, unlike float64
 }
 
 const (
@@ -222,11 +254,9 @@ type Engine struct {
 	// to its index in classBytes, and each lane's derivatives are
 	// tabulated class-major [class*lanes + lane] when a class first
 	// appears.
-	classBytes  []int
-	classOf     map[int]int32
-	adTab       []float64 // ArrivalDelay(bytes)
-	ivLikeTab   []float64 // Interval(k, k, bytes): like consecutive ops
-	ivUnlikeTab []float64 // Interval(k, k', bytes), k != k'
+	classBytes []int
+	classOf    map[int]int32
+	dv         []deriv
 
 	// The run's configuration, per lane and shared.
 	o           []float64 // Params.O per lane
@@ -249,14 +279,13 @@ type Engine struct {
 
 	// The current step, decoded into reused scratch, and its decode
 	// scratch: per-processor send counts and cursors, the step's
-	// network messages grouped by receiver, each pattern message's run,
-	// and per-run message counts. stamp marks a sender as seen by the
-	// receiver being grouped (receiver+1), with its run in srcRun.
+	// network messages grouped by receiver, and each pattern message's
+	// run. stamp marks a sender as seen by the receiver being grouped
+	// (receiver+1), with its run in srcRun.
 	sp            stepPlan
 	cnt, fill     []int32
 	stamp, srcRun []int32
 	order, msgRun []int32
-	runCnt        []int32
 
 	// Computation-phase scratch: the step's unperturbed charge per
 	// processor, a lane's perturbed and cache-charged copies, and the
@@ -266,11 +295,11 @@ type Engine struct {
 
 	// Per-receiver run heads: receiver q's non-empty runs form a binary
 	// heap in hp[runIdx[q] : runIdx[q]+hn[q]] ordered by head (arrival,
-	// seq), hpos[r] is run r's slot in it, and hRun[q]/hKey[q] cache the
-	// root run and its arrival (hRun -1 when q has nothing pending).
-	hn, hp, hpos []int32
-	hRun         []int32
-	hKey         []float64
+	// seq), and hRun[q]/hKey[q] cache the root run and its arrival (hRun
+	// -1 when q has nothing pending).
+	hn, hp []int32
+	hRun   []int32
+	hKey   []float64
 
 	// Scheduler-core scratch: each sender's next send slot, and the
 	// worst-case core's messages-to-receive counters, forced releases,
@@ -290,16 +319,11 @@ type Engine struct {
 	ctStd, fsStd, frStd []float64
 	ctWC, fsWC, frWC    []float64
 
-	// Step-transient arrival buffer, shared by all lanes (every
-	// communication phase starts and ends with empty receive buffers,
-	// so nothing below outlives one lane-step). qKey/qSeq/qCls hold the
-	// step's receive runs; rHead/rFill are the per-run consumed and
-	// filled counts, rKey/rSeq each non-empty run's head.
-	qKey         []float64
-	qSeq, qCls   []int32
-	rHead, rFill []int32
-	rKey         []float64
-	rSeq         []int32
+	// Step-transient receive runs and their arrival buffer, shared by
+	// all lanes (every communication phase starts and ends with empty
+	// receive buffers, so neither outlives one lane-step).
+	runs  []run
+	queue []arrival
 
 	// Standard-algorithm selection tree: the tie-counting tournament
 	// over each unexhausted sender's clock (+Inf otherwise), the one the
@@ -559,20 +583,20 @@ func (e *Engine) decode(s *program.Step, si int, model cost.Model, ls []Lane) er
 			if e.stamp[src] != int32(q+1) {
 				e.stamp[src] = int32(q + 1)
 				e.srcRun[src] = nRuns
-				e.runCnt[nRuns] = 0
+				e.runs[nRuns].fill = 0
 				nRuns++
 			}
 			r := e.srcRun[src]
 			e.msgRun[idx] = r
-			e.runCnt[r]++
+			e.runs[r].fill++ // counts the run's messages until resetRecv
 		}
 	}
 	sp.runIdx[p] = nRuns
 	sp.nRuns = int(nRuns)
 	base := int32(0)
-	for r := int32(0); r < nRuns; r++ {
-		sp.runBase[r] = base
-		base += e.runCnt[r]
+	for r := range e.runs[:nRuns] {
+		e.runs[r].base = base
+		base += e.runs[r].fill
 	}
 
 	// Send slots, grouped by sender in pattern order.
@@ -596,8 +620,8 @@ func (e *Engine) decode(s *program.Step, si int, model cost.Model, ls []Lane) er
 }
 
 // class returns the byte class of a message size, tabulating every
-// lane's derivatives with the exact expressions of loggp.Params.Interval
-// and ArrivalDelay when the size is new to the run.
+// lane's derivatives (loggp.Params.ArrivalDelay and Interval) when the
+// size is new to the run.
 func (e *Engine) class(bytes int, ls []Lane) int32 {
 	if c, ok := e.classOf[bytes]; ok {
 		return c
@@ -607,15 +631,11 @@ func (e *Engine) class(bytes int, ls []Lane) int32 {
 	e.classBytes = append(e.classBytes, bytes)
 	for i := range ls {
 		m := &ls[i].Params
-		floor := max(m.O, m.Serialization(bytes))
-		like := max(m.Gap, floor)
-		unlike := like
-		if m.NoCrossGap {
-			unlike = floor
-		}
-		e.adTab = append(e.adTab, m.ArrivalDelay(bytes))
-		e.ivLikeTab = append(e.ivLikeTab, like)
-		e.ivUnlikeTab = append(e.ivUnlikeTab, unlike)
+		e.dv = append(e.dv, deriv{
+			ad:     m.ArrivalDelay(bytes),
+			like:   m.Interval(loggp.Send, loggp.Send, bytes),
+			unlike: m.Interval(loggp.Send, loggp.Recv, bytes),
+		})
 	}
 	return c
 }
@@ -649,15 +669,10 @@ func zeroed[T any](buf []T, n int) []T {
 // and its receive runs (at most one per message).
 func (e *Engine) fitSteps(n int) {
 	sp := &e.sp
-	e.order, e.msgRun, e.runCnt = fit(e.order, n), fit(e.msgRun, n), fit(e.runCnt, n)
+	e.order, e.msgRun = fit(e.order, n), fit(e.msgRun, n)
 	sp.sDst, sp.sCls = fit(sp.sDst, n), fit(sp.sCls, n)
 	sp.sRun, sp.sOrig = fit(sp.sRun, n), fit(sp.sOrig, n)
-	sp.runBase = fit(sp.runBase, n)
-	e.qKey = fit(e.qKey, n)
-	e.qSeq, e.qCls = fit(e.qSeq, n), fit(e.qCls, n)
-	e.rHead, e.rFill = fit(e.rHead, n), fit(e.rFill, n)
-	e.rKey, e.rSeq = fit(e.rKey, n), fit(e.rSeq, n)
-	e.hp, e.hpos = fit(e.hp, n), fit(e.hpos, n)
+	e.runs, e.queue, e.hp = fit(e.runs, n), fit(e.queue, n), fit(e.hp, n)
 }
 
 // prepare sizes and initializes the engine state for a run: fresh
@@ -697,7 +712,7 @@ func (e *Engine) prepare(pr *program.Program, cfg Config, ls []Lane) {
 	}
 	clear(e.classOf)
 	e.classBytes = e.classBytes[:0]
-	e.adTab, e.ivLikeTab, e.ivUnlikeTab = e.adTab[:0], e.ivLikeTab[:0], e.ivUnlikeTab[:0]
+	e.dv = e.dv[:0]
 
 	e.o = fit(e.o, e.lanes)
 	e.net = fit(e.net, e.lanes)
@@ -742,8 +757,9 @@ func (e *Engine) prepare(pr *program.Program, cfg Config, ls []Lane) {
 // resetRecv empties the step's receive runs and run-head heaps before a
 // scheduler core replays the step.
 func (e *Engine) resetRecv(sp *stepPlan) {
-	clear(e.rHead[:sp.nRuns])
-	clear(e.rFill[:sp.nRuns])
+	for r := range e.runs[:sp.nRuns] {
+		e.runs[r].head, e.runs[r].fill = 0, 0
+	}
 	clear(e.hn)
 	for q := range e.hRun {
 		e.hRun[q] = -1
@@ -795,10 +811,12 @@ func (e *Engine) runStd(sp *stepPlan, si, l int) {
 	ct := e.ctStd[lp : lp+p : lp+p]
 	fs := e.fsStd[lp : lp+p : lp+p]
 	fr := e.frStd[lp : lp+p : lp+p]
-	head := e.head
+	head, end := e.head[:p], sp.off[1:p+1]
 	copy(head, sp.off[:p])
 	e.resetRecv(sp)
-	hRun, hKey := e.hRun, e.hKey
+	hRun, hKey := e.hRun[:p], e.hKey[:p]
+	sDst, sCls, sRun := sp.sDst, sp.sCls, sp.sRun
+	dv := e.dv
 	seq := int32(0)
 	rng := e.rngStd[l]
 	o := e.o[l]
@@ -812,7 +830,7 @@ func (e *Engine) runStd(sp *stepPlan, si, l int) {
 	tt := &e.tt
 	tt.Reset(p)
 	for q := 0; q < p; q++ {
-		if sp.off[q] < sp.off[q+1] {
+		if head[q] < end[q] {
 			tt.Update(q, ct[q])
 		}
 	}
@@ -843,10 +861,10 @@ func (e *Engine) runStd(sp *stepPlan, si, l int) {
 		if startSend < startRecv || sendFirst && startSend == startRecv {
 			slot := head[proc]
 			head[proc] = slot + 1
-			c := int(sp.sCls[slot])
-			ci := c*nl + l
-			dst := int(sp.sDst[slot])
-			arrival := startSend + e.adTab[ci]
+			c := sCls[slot]
+			d := &dv[int(c)*nl+l]
+			dst := int(sDst[slot])
+			arrival := startSend + d.ad
 			if net != nil {
 				arrival = net.Arrival(proc, dst, e.classBytes[c], startSend+o)
 			}
@@ -857,19 +875,19 @@ func (e *Engine) runStd(sp *stepPlan, si, l int) {
 					return
 				}
 			}
-			e.push(sp, sp.sRun[slot], dst, arrival, seq, int32(c))
+			e.push(sp, sRun[slot], dst, arrival, seq, c)
 			seq++
 			ct[proc] = startSend + o + busy
-			fs[proc] = startSend + e.ivLikeTab[ci]
-			fr[proc] = startSend + e.ivUnlikeTab[ci]
-			if slot+1 < sp.off[proc+1] {
+			fs[proc] = startSend + d.like
+			fr[proc] = startSend + d.unlike
+			if slot+1 < end[proc] {
 				leaf = ct[proc]
 			}
 		} else {
-			ci := int(e.pop(sp, proc))*nl + l
+			d := &dv[int(e.pop(sp, proc))*nl+l]
 			ct[proc] = startRecv + o
-			fs[proc] = startRecv + e.ivUnlikeTab[ci]
-			fr[proc] = startRecv + e.ivLikeTab[ci]
+			fs[proc] = startRecv + d.unlike
+			fr[proc] = startRecv + d.like
 			leaf = ct[proc]
 		}
 		tt.Update(proc, leaf)
@@ -880,10 +898,10 @@ func (e *Engine) runStd(sp *stepPlan, si, l int) {
 			start := ct[q]
 			raise(&start, fr[q])
 			raise(&start, hKey[q])
-			ci := int(e.pop(sp, q))*nl + l
+			d := &dv[int(e.pop(sp, q))*nl+l]
 			ct[q] = start + o
-			fs[q] = start + e.ivUnlikeTab[ci]
-			fr[q] = start + e.ivLikeTab[ci]
+			fs[q] = start + d.unlike
+			fr[q] = start + d.like
 		}
 	}
 }
@@ -896,39 +914,37 @@ func (e *Engine) runStd(sp *stepPlan, si, l int) {
 // went to its front) is sifted up its receiver's heap, so the heap
 // root is always the receiver's earliest (arrival, seq) pending
 // message — exactly what a (key, seq) receive heap would pop.
-func (e *Engine) push(sp *stepPlan, run int32, dst int, arrival float64, seq, cls int32) {
-	b := sp.runBase[run]
-	f := e.rFill[run]
-	h := e.rHead[run]
+func (e *Engine) push(sp *stepPlan, r int32, dst int, key float64, seq, cls int32) {
+	rn := &e.runs[r]
+	b, h, f := rn.base, rn.head, rn.fill
+	q := e.queue
 	empty := f == h
 	atHead := empty
-	if !empty && e.qKey[b+f-1] > arrival {
-		pos := h
-		for e.qKey[b+pos] <= arrival {
+	if !empty && q[b+f-1].key > key {
+		pos := b + h
+		for q[pos].key <= key {
 			pos++
 		}
-		copy(e.qKey[b+pos+1:b+f+1], e.qKey[b+pos:b+f])
-		copy(e.qSeq[b+pos+1:b+f+1], e.qSeq[b+pos:b+f])
-		copy(e.qCls[b+pos+1:b+f+1], e.qCls[b+pos:b+f])
-		e.qKey[b+pos], e.qSeq[b+pos], e.qCls[b+pos] = arrival, seq, cls
-		atHead = pos == h
+		copy(q[pos+1:b+f+1], q[pos:b+f])
+		q[pos] = arrival{key: key, seq: seq, cls: cls}
+		atHead = pos == b+h
 	} else {
-		e.qKey[b+f], e.qSeq[b+f], e.qCls[b+f] = arrival, seq, cls
+		q[b+f] = arrival{key: key, seq: seq, cls: cls}
 	}
-	e.rFill[run] = f + 1
+	rn.fill = f + 1
 	if !atHead {
 		return
 	}
-	e.rKey[run], e.rSeq[run] = arrival, seq
+	rn.key, rn.seq = key, seq
 	hb := sp.runIdx[dst]
-	i := e.hpos[run]
+	i := rn.pos
 	if empty {
 		i = e.hn[dst]
 		e.hn[dst] = i + 1
 	}
-	e.siftUp(hb, i, run)
+	e.siftUp(hb, i, r)
 	root := e.hp[hb]
-	e.hRun[dst], e.hKey[dst] = root, e.rKey[root]
+	e.hRun[dst], e.hKey[dst] = root, e.runs[root].key
 }
 
 // pop consumes receiver q's earliest pending arrival — the head of its
@@ -937,14 +953,15 @@ func (e *Engine) push(sp *stepPlan, run int32, dst int, arrival float64, seq, cl
 func (e *Engine) pop(sp *stepPlan, q int) int32 {
 	hb := sp.runIdx[q]
 	r := e.hp[hb]
-	b := sp.runBase[r]
-	h := e.rHead[r]
-	c := e.qCls[b+h]
+	rn := &e.runs[r]
+	h := rn.head
+	c := e.queue[rn.base+h].cls
 	h++
-	e.rHead[r] = h
+	rn.head = h
 	n := e.hn[q]
-	if h < e.rFill[r] {
-		e.rKey[r], e.rSeq[r] = e.qKey[b+h], e.qSeq[b+h]
+	if h < rn.fill {
+		next := &e.queue[rn.base+h]
+		rn.key, rn.seq = next.key, next.seq
 		e.siftDown(hb, n, r)
 	} else {
 		n--
@@ -957,59 +974,60 @@ func (e *Engine) pop(sp *stepPlan, q int) int32 {
 		e.hRun[q] = -1
 	} else {
 		root := e.hp[hb]
-		e.hRun[q], e.hKey[q] = root, e.rKey[root]
+		e.hRun[q], e.hKey[q] = root, e.runs[root].key
 	}
 	return c
 }
 
 // before orders two runs by their heads' (arrival, seq); seqs are
 // unique within a step, so the order is strict and total.
-func (e *Engine) before(a, b int32) bool {
-	ka, kb := e.rKey[a], e.rKey[b]
-	return ka < kb || ka == kb && e.rSeq[a] < e.rSeq[b]
+func before(a, b *run) bool {
+	return a.key < b.key || a.key == b.key && a.seq < b.seq
 }
 
 // siftUp places run r, whose head key just fell (or which just joined
 // the heap at slot i), in the heap at hp[hb:].
 func (e *Engine) siftUp(hb, i, r int32) {
-	hp := e.hp
+	hp, runs := e.hp, e.runs
+	rn := &runs[r]
 	for i > 0 {
 		parent := (i - 1) / 2
 		pr := hp[hb+parent]
-		if !e.before(r, pr) {
+		if !before(rn, &runs[pr]) {
 			break
 		}
 		hp[hb+i] = pr
-		e.hpos[pr] = i
+		runs[pr].pos = i
 		i = parent
 	}
 	hp[hb+i] = r
-	e.hpos[r] = i
+	rn.pos = i
 }
 
 // siftDown places run r at the root of the n-entry heap at hp[hb:] and
 // sinks it to its place.
 func (e *Engine) siftDown(hb, n, r int32) {
-	hp := e.hp
+	hp, runs := e.hp, e.runs
+	rn := &runs[r]
 	i := int32(0)
 	for {
 		c := 2*i + 1
 		if c >= n {
 			break
 		}
-		if c+1 < n && e.before(hp[hb+c+1], hp[hb+c]) {
+		if c+1 < n && before(&runs[hp[hb+c+1]], &runs[hp[hb+c]]) {
 			c++
 		}
 		child := hp[hb+c]
-		if !e.before(child, r) {
+		if !before(&runs[child], rn) {
 			break
 		}
 		hp[hb+i] = child
-		e.hpos[child] = i
+		runs[child].pos = i
 		i = c
 	}
 	hp[hb+i] = r
-	e.hpos[r] = i
+	rn.pos = i
 }
 
 // slot is the per-lane state one worst-case-core replay works on: the
@@ -1038,10 +1056,13 @@ type slot struct {
 // candidate, so the run never deadlocks and draws nothing.
 func (e *Engine) runWC(sp *stepPlan, si, l int, v slot) {
 	p := e.p
-	ct, fs, fr := v.ct, v.fs, v.fr
-	head := e.head
-	toRecv, forced := e.toRecv, e.forced
-	key, kind := e.candKey, e.candKind
+	ct, fs, fr := v.ct[:p], v.fs[:p], v.fr[:p]
+	head, end := e.head[:p], sp.off[1:p+1]
+	toRecv, forced := e.toRecv[:p], e.forced[:p]
+	key, kind := e.candKey[:p], e.candKind[:p]
+	hRun, hKey := e.hRun[:p], e.hKey[:p]
+	sDst, sCls, sRun := sp.sDst, sp.sCls, sp.sRun
+	dv := e.dv
 	cand, pend := e.mask, e.pend
 	copy(pend, sp.sendMask)
 	copy(head, sp.off[:p])
@@ -1049,8 +1070,11 @@ func (e *Engine) runWC(sp *stepPlan, si, l int, v slot) {
 	seq := int32(0)
 	rng := e.rngWC[l]
 	o := e.o[l]
-	hooked := v.net != nil || e.inj[l] != nil
+	net := v.net
+	hooked := net != nil || e.inj[l] != nil
+	gated, sendFirst := v.gated, v.sendFirst
 	nl := e.lanes
+	inf := math.Inf(1)
 
 	// Initial candidates: receive buffers are empty, so only processors
 	// with sends (and, gated, no pending receives) are eligible.
@@ -1058,8 +1082,8 @@ func (e *Engine) runWC(sp *stepPlan, si, l int, v slot) {
 	for q := 0; q < p; q++ {
 		toRecv[q] = sp.inCnt[q]
 		forced[q] = 0
-		key[q] = math.Inf(1)
-		if head[q] < sp.off[q+1] && (!v.gated || toRecv[q] == 0) {
+		key[q] = inf
+		if head[q] < end[q] && (!gated || toRecv[q] == 0) {
 			key[q] = ct[q]
 			raise(&key[q], fs[q])
 			kind[q] = candSend
@@ -1070,7 +1094,7 @@ func (e *Engine) runWC(sp *stepPlan, si, l int, v slot) {
 	for {
 		// Scan: leftmost strict minimum key over live candidates, with
 		// the runner-up bounding the burst.
-		best, bestK, min2 := -1, math.Inf(1), math.Inf(1)
+		best, bestK, min2 := -1, inf, inf
 		for w, mw := range cand {
 			for m := mw; m != 0; m &= m - 1 {
 				q := w<<6 | bits.TrailingZeros64(m)
@@ -1084,9 +1108,12 @@ func (e *Engine) runWC(sp *stepPlan, si, l int, v slot) {
 			}
 		}
 		if best < 0 {
-			// No candidate: every processor with messages left is blocked
-			// on unreceived messages — release one at random (index-order
-			// list, one draw even for a single blocked sender).
+			// No candidate, so no processor has a receive pending: every
+			// processor with messages left is blocked on unreceived
+			// messages. Release one at random (index-order list, one draw
+			// even for a single blocked sender); its send is then the only
+			// candidate, so it enters its burst without a rescan, min2
+			// staying +Inf.
 			blocked := 0
 			for _, mw := range pend {
 				blocked += bits.OnesCount64(mw)
@@ -1095,39 +1122,40 @@ func (e *Engine) runWC(sp *stepPlan, si, l int, v slot) {
 				break
 			}
 			k := rng.Intn(blocked)
-			release := -1
 		rel:
 			for w, mw := range pend {
 				for m := mw; m != 0; m &= m - 1 {
 					if k == 0 {
-						release = w<<6 | bits.TrailingZeros64(m)
+						best = w<<6 | bits.TrailingZeros64(m)
 						break rel
 					}
 					k--
 				}
 			}
-			forced[release]++
-			e.refreshWC(sp, &v, release)
-			continue
+			forced[best]++
+			key[best] = ct[best]
+			raise(&key[best], fs[best])
+			kind[best] = candSend
+			cand[best>>6] |= 1 << (best & 63)
 		}
 		// Burst on best: keys of other processors never rise between
 		// best's commits (a push only lowers the destination's), so
 		// best remains the leftmost strict minimum while its refreshed
-		// key stays strictly below min2.
+		// key stays strictly below min2, which bounds every other key.
 		for {
 			start := key[best]
 			if kind[best] == candSend {
-				if v.gated && toRecv[best] != 0 {
+				if gated && toRecv[best] != 0 {
 					forced[best]--
 				}
 				slot := head[best]
 				head[best] = slot + 1
-				c := int(sp.sCls[slot])
-				ci := c*nl + l
-				dst := int(sp.sDst[slot])
-				arrival := start + e.adTab[ci]
-				if v.net != nil {
-					arrival = v.net.Arrival(best, dst, e.classBytes[c], start+o)
+				c := sCls[slot]
+				d := &dv[int(c)*nl+l]
+				dst := int(sDst[slot])
+				arrival := start + d.ad
+				if net != nil {
+					arrival = net.Arrival(best, dst, e.classBytes[c], start+o)
 				}
 				busy := 0.0
 				if hooked {
@@ -1136,56 +1164,58 @@ func (e *Engine) runWC(sp *stepPlan, si, l int, v slot) {
 						return
 					}
 				}
-				e.push(sp, sp.sRun[slot], dst, arrival, seq, int32(c))
+				e.push(sp, sRun[slot], dst, arrival, seq, c)
 				seq++
 				ct[best] = start + o + busy
-				fs[best] = start + e.ivLikeTab[ci]
-				fr[best] = start + e.ivUnlikeTab[ci]
-				if head[best] == sp.off[best+1] {
+				fs[best] = start + d.like
+				fr[best] = start + d.unlike
+				if slot+1 == end[best] {
 					pend[best>>6] &^= 1 << (best & 63)
 				}
-				e.refreshWC(sp, &v, best)
-				e.refreshWC(sp, &v, dst)
-				if k := key[dst]; k < min2 {
-					min2 = k
+				// The push can only lower dst's receive start and leaves
+				// its send start alone, so dst's candidate becomes that
+				// receive exactly when it beats the cached key under the
+				// within-processor tie rule.
+				rs := ct[dst]
+				raise(&rs, fr[dst])
+				raise(&rs, hKey[dst])
+				if k := key[dst]; rs < k || rs == k && !sendFirst {
+					key[dst], kind[dst] = rs, candRecv
+					cand[dst>>6] |= 1 << (dst & 63)
+					if rs < min2 {
+						min2 = rs
+					}
 				}
 			} else {
-				ci := int(e.pop(sp, best))*nl + l
+				d := &dv[int(e.pop(sp, best))*nl+l]
 				toRecv[best]--
 				ct[best] = start + o
-				fs[best] = start + e.ivUnlikeTab[ci]
-				fr[best] = start + e.ivLikeTab[ci]
-				e.refreshWC(sp, &v, best)
+				fs[best] = start + d.unlike
+				fr[best] = start + d.like
 			}
-			if key[best] >= min2 {
+			// Refresh best's candidate: its earliest receive, unless its
+			// next send (gate open) starts sooner or ties under
+			// SendPriority.
+			k, kd := inf, candRecv
+			if hRun[best] >= 0 {
+				k = ct[best]
+				raise(&k, fr[best])
+				raise(&k, hKey[best])
+			}
+			if head[best] < end[best] && (!gated || toRecv[best] == 0 || forced[best] > 0) {
+				ks := ct[best]
+				raise(&ks, fs[best])
+				if ks < k || sendFirst && ks == k {
+					k, kd = ks, candSend
+				}
+			}
+			key[best], kind[best] = k, kd
+			if k >= min2 {
+				if k == inf {
+					cand[best>>6] &^= 1 << (best & 63)
+				}
 				break // rescan applies the exact leftmost tie rule
 			}
 		}
-	}
-}
-
-// refreshWC recomputes processor q's candidate (key, kind, live bit)
-// from the slot's clocks and floors and the receiver head cache.
-func (e *Engine) refreshWC(sp *stepPlan, v *slot, q int) {
-	startSend := math.Inf(1)
-	if e.head[q] < sp.off[q+1] && (!v.gated || e.toRecv[q] == 0 || e.forced[q] > 0) {
-		startSend = v.ct[q]
-		raise(&startSend, v.fs[q])
-	}
-	startRecv := math.Inf(1)
-	if e.hRun[q] >= 0 {
-		startRecv = v.ct[q]
-		raise(&startRecv, v.fr[q])
-		raise(&startRecv, e.hKey[q])
-	}
-	k, kd := startRecv, candRecv
-	if startSend < k || v.sendFirst && startSend == k {
-		k, kd = startSend, candSend
-	}
-	e.candKey[q], e.candKind[q] = k, kd
-	if math.IsInf(k, 1) {
-		e.mask[q>>6] &^= 1 << (q & 63)
-	} else {
-		e.mask[q>>6] |= 1 << (q & 63)
 	}
 }

@@ -292,18 +292,22 @@ func TestLanesTieBreakMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestEngineReuse runs the same engine across different programs and
-// lane counts; storage reuse must not leak state between runs.
+// TestEngineReuse runs the same engine across different programs, lane
+// counts and machines; storage reuse must not leak state between runs.
+// The rings program returns on each of the four machines at unchanged
+// message sizes, so a byte class tabulated for one run's lanes must not
+// serve the next run's.
 func TestEngineReuse(t *testing.T) {
 	model := cost.DefaultAnalytic()
 	prs := corpus(t)
 	var eng lanes.Engine
-	for _, name := range []string{"rings", "random", "rings", "empty", "symmetric", "rings"} {
+	for run, name := range []string{"rings", "random", "rings", "empty", "symmetric", "rings", "ge", "rings"} {
 		pr := prs[name]
 		n := 3 + len(name)%4
 		ls := make([]lanes.Lane, n)
+		m := machines(pr.P)[run%4]
 		for i := range ls {
-			ls[i] = lanes.Lane{Params: loggp.MeikoCS2(pr.P), Seed: int64(i + 1)}
+			ls[i] = lanes.Lane{Params: m, Seed: int64(i + 1)}
 		}
 		reused, err := eng.Run(pr, lanes.Config{Cost: model}, ls)
 		if err != nil {

@@ -2,11 +2,12 @@ package sim
 
 // Session-reuse tests: a Reset (or Reconfigure) session must be
 // indistinguishable from a freshly constructed one — no leakage of
-// clocks, gap state (hasLast/lastStart/lastBytes), queued messages or
-// RNG position between candidates — including across patterns of
+// clocks, gap floors, cached message-size derivatives, queued messages
+// or RNG position between candidates — including across patterns of
 // different processor counts and message counts.
 
 import (
+	"reflect"
 	"testing"
 
 	"loggpsim/internal/loggp"
@@ -143,6 +144,60 @@ func TestReconfigureMatchesNewSession(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireIdentical(t, got, freshResult(t, sh.procs, sh.cfg, sh.pt))
+	}
+}
+
+// TestReconfigureRederivesMessageSizes re-aims a session that has
+// replayed a multi-step program of one message size at a machine with
+// other o, g and G, no cross-operation gap and a rendezvous threshold
+// below that size, and replays the program again: every step and the
+// final clocks must equal a fresh session's bit for bit, in the paper
+// mode and in WorstCase, so no derivative of the first machine outlives
+// Reconfigure.
+func TestReconfigureRederivesMessageSizes(t *testing.T) {
+	const p, bytes = 8, 512
+	durs := []float64{0, 3, 1, 4, 1, 5, 9, 2}
+	program := func(t *testing.T, sess *Session) ([]*Result, []float64) {
+		t.Helper()
+		var out []*Result
+		for _, pt := range []*trace.Pattern{trace.AllToAll(p, bytes), trace.Ring(p, bytes), trace.Butterfly(3, bytes)} {
+			if err := sess.Compute(durs); err != nil {
+				t.Fatal(err)
+			}
+			r, err := sess.Communicate(pt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, r)
+		}
+		return out, sess.Clocks()
+	}
+	other := loggp.Params{L: 9, O: 3, Gap: 60, G: 0.04, P: p, NoCrossGap: true, S: 256}
+	for _, worst := range []bool{false, true} {
+		sess, err := NewSession(p, Config{Params: loggp.MeikoCS2(p), Seed: 5, WorstCase: worst})
+		if err != nil {
+			t.Fatal(err)
+		}
+		program(t, sess)
+		cfg := Config{Params: other, Seed: 5, WorstCase: worst}
+		if err := sess.Reconfigure(p, cfg); err != nil {
+			t.Fatal(err)
+		}
+		got, gotClocks := program(t, sess)
+		fresh, err := NewSession(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantClocks := program(t, fresh)
+		for i := range want {
+			requireIdentical(t, got[i], want[i])
+		}
+		if !reflect.DeepEqual(gotClocks, wantClocks) {
+			t.Fatalf("worst case %v: clocks after Reconfigure %v, fresh session %v", worst, gotClocks, wantClocks)
+		}
+		if worst && want[1].DeadlocksBroken == 0 {
+			t.Fatal("worst-case ring broke no deadlock")
+		}
 	}
 }
 

@@ -30,6 +30,14 @@
 // bit-identical to the straightforward scans, which are kept as
 // reference paths for the differential tests. See DESIGN.md §perf.
 //
+// Each processor carries two gap floors, the earliest start of its next
+// send and of its next receive that its last operation allows (that
+// operation's start plus loggp.Params.Interval). They are set once at
+// commit from the message size's arrival delay and like/unlike
+// intervals, which the session derives again only when the size differs
+// from the last one committed, so evaluating a candidate is a
+// comparison of the clock with a floor.
+//
 // A Session chains multiple alternating computation and communication
 // steps — the paper's restricted program class — carrying both the
 // per-processor clocks and the gap state (a network-interface constraint
@@ -149,14 +157,14 @@ type Result struct {
 // shared arena sized from the pattern, so a step's setup costs no
 // steady-state allocation.
 type procState struct {
-	ctime     float64 // current simulation time
-	hasLast   bool
-	lastKind  loggp.OpKind
-	lastStart float64
-	lastBytes int
-	sendQ     []int // message indices in send order (session arena window)
-	sendHead  int
-	recvQ     eventq.Queue[int] // message indices keyed by arrival time
+	ctime float64 // current simulation time
+	// The gap floors the last operation leaves: its start plus
+	// loggp.Params.Interval to a next send and to a next receive, set
+	// at commit; zero before the first operation.
+	floorSend, floorRecv float64
+	sendQ                []int // message indices in send order (session arena window)
+	sendHead             int
+	recvQ                eventq.Queue[int] // message indices keyed by arrival time
 	// The Section-4.2 gate: the step's messages not yet received, and
 	// the sends released early to break a cyclic wait.
 	toRecv, forced int
@@ -164,16 +172,24 @@ type procState struct {
 
 func (s *procState) wantsSend() bool { return s.sendHead < len(s.sendQ) }
 
-// earliest returns the earliest legal start for an operation of the given
-// kind, not considering message arrival.
-func (s *procState) earliest(p loggp.Params, kind loggp.OpKind) float64 {
-	t := s.ctime
-	if s.hasLast {
-		if c := s.lastStart + p.Interval(s.lastKind, kind, s.lastBytes); c > t {
-			t = c
-		}
+// earliest returns the earliest legal start for an operation behind
+// the given gap floor (floorSend or floorRecv), not considering message
+// arrival. Clocks are non-negative, so the zero floor of a processor
+// that has not operated yet leaves its clock.
+func (s *procState) earliest(floor float64) float64 {
+	if floor > s.ctime {
+		return floor
 	}
-	return t
+	return s.ctime
+}
+
+// sizeDeriv holds the machine's LogGP derivatives for one message size:
+// the arrival delay, and the interval from an operation on such a
+// message to the next operation of the same kind (like) and of the
+// other kind (unlike).
+type sizeDeriv struct {
+	bytes            int // 0 when nothing is cached (sizes are at least 1)
+	ad, like, unlike float64
 }
 
 // Session simulates a program of alternating computation and
@@ -194,6 +210,10 @@ type Session struct {
 	// receives it so fault decisions can vary across a program's
 	// communication steps.
 	step int
+
+	// dv caches the derivatives of the last message size committed;
+	// Reconfigure clears it, since they depend on the machine.
+	dv sizeDeriv
 
 	// Step scratch, reused across Communicate calls.
 	sendArena []int
@@ -238,6 +258,7 @@ func (s *Session) Reconfigure(procs int, cfg Config) error {
 	}
 	s.cfg = cfg
 	s.cfgProcs = procs
+	s.dv = sizeDeriv{}
 	s.resize(procs)
 	if s.rng == nil {
 		s.rng = rand.New(rand.NewSource(cfg.Seed))
@@ -278,10 +299,7 @@ func (s *Session) Reset(ready []float64) error {
 		if ready != nil {
 			st.ctime = ready[i]
 		}
-		st.hasLast = false
-		st.lastKind = 0
-		st.lastStart = 0
-		st.lastBytes = 0
+		st.floorSend, st.floorRecv = 0, 0
 		st.sendQ = nil
 		st.sendHead = 0
 		st.recvQ.Clear()
@@ -486,11 +504,25 @@ func (s *Session) finishStep(r *Result) error {
 	return nil
 }
 
+// deriv returns the derivatives of a message size, computing them only
+// when the size differs from the last one committed.
+func (s *Session) deriv(bytes int) *sizeDeriv {
+	if s.dv.bytes != bytes {
+		p := &s.cfg.Params
+		s.dv = sizeDeriv{
+			bytes:  bytes,
+			ad:     p.ArrivalDelay(bytes),
+			like:   p.Interval(loggp.Send, loggp.Send, bytes),
+			unlike: p.Interval(loggp.Send, loggp.Recv, bytes),
+		}
+	}
+	return &s.dv
+}
+
 // commitSend performs the head send of processor src at the given start
 // time, enqueues the arrival at the destination, and advances the clock;
 // a gated send consumes a forced release.
 func (s *Session) commitSend(pt *trace.Pattern, tl *timeline.Timeline, src int, start float64) {
-	p := s.cfg.Params
 	st := &s.st[src]
 	if s.cfg.WorstCase && st.toRecv != 0 {
 		st.forced--
@@ -504,9 +536,10 @@ func (s *Session) commitSend(pt *trace.Pattern, tl *timeline.Timeline, src int, 
 			Start: start, MsgIndex: idx,
 		})
 	}
-	arrival := start + p.ArrivalDelay(m.Bytes)
+	d := s.deriv(m.Bytes)
+	arrival := start + d.ad
 	if s.cfg.Network != nil {
-		arrival = s.cfg.Network.Arrival(m.Src, m.Dst, m.Bytes, start+p.O)
+		arrival = s.cfg.Network.Arrival(m.Src, m.Dst, m.Bytes, start+s.cfg.Params.O)
 	}
 	if s.cfg.Jitter != nil {
 		// A NaN must propagate into arrival (to be rejected below) rather
@@ -540,14 +573,13 @@ func (s *Session) commitSend(pt *trace.Pattern, tl *timeline.Timeline, src int, 
 		}
 	}
 	s.st[m.Dst].recvQ.Push(arrival, idx)
-	st.ctime = start + p.O + busy
-	st.hasLast, st.lastKind, st.lastStart, st.lastBytes = true, loggp.Send, start, m.Bytes
+	st.ctime = start + s.cfg.Params.O + busy
+	st.floorSend, st.floorRecv = start+d.like, start+d.unlike
 }
 
 // commitRecv performs the earliest pending receive of processor dst at
 // the given start time and advances the clock.
 func (s *Session) commitRecv(pt *trace.Pattern, tl *timeline.Timeline, dst int, start float64) {
-	p := s.cfg.Params
 	st := &s.st[dst]
 	arrival, idx := st.recvQ.Pop()
 	m := pt.Msgs[idx]
@@ -558,22 +590,22 @@ func (s *Session) commitRecv(pt *trace.Pattern, tl *timeline.Timeline, dst int, 
 		})
 	}
 	st.toRecv--
-	st.ctime = start + p.O
-	st.hasLast, st.lastKind, st.lastStart, st.lastBytes = true, loggp.Recv, start, m.Bytes
+	d := s.deriv(m.Bytes)
+	st.ctime = start + s.cfg.Params.O
+	st.floorSend, st.floorRecv = start+d.unlike, start+d.like
 }
 
 // candidateStarts returns the earliest start times of proc's next send
 // and next receive (+Inf when it has none pending; a WorstCase send also
 // when its gate is shut).
 func (s *Session) candidateStarts(st *procState) (startSend, startRecv float64) {
-	p := s.cfg.Params
 	startSend, startRecv = math.Inf(1), math.Inf(1)
 	if st.wantsSend() && (!s.cfg.WorstCase || st.toRecv == 0 || st.forced > 0) {
-		startSend = st.earliest(p, loggp.Send)
+		startSend = st.earliest(st.floorSend)
 	}
 	if !st.recvQ.Empty() {
 		arrival, _ := st.recvQ.Peek()
-		startRecv = max(st.earliest(p, loggp.Recv), arrival)
+		startRecv = max(st.earliest(st.floorRecv), arrival)
 	}
 	return startSend, startRecv
 }
@@ -635,7 +667,7 @@ func (s *Session) drainReceives(pt *trace.Pattern, r *Result) {
 		st := &s.st[proc]
 		for !st.recvQ.Empty() {
 			arrival, _ := st.recvQ.Peek()
-			start := max(st.earliest(s.cfg.Params, loggp.Recv), arrival)
+			start := max(st.earliest(st.floorRecv), arrival)
 			s.commitRecv(pt, r.Timeline, proc, start)
 		}
 	}

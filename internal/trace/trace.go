@@ -236,35 +236,54 @@ func (pt *Pattern) HasCycle() bool {
 // with no incidental bystanders, which is what the static analyzer
 // prints when it refuses to certify a pattern deadlock-free.
 func (pt *Pattern) FindCycle() []int {
-	// Deduplicated adjacency (multi-edges add nothing to cycle finding).
-	adj := make([][]int, pt.P)
-	seen := make(map[[2]int]bool, len(pt.Msgs))
+	p := pt.P
+	// Deduplicated adjacency (multi-edges add nothing to cycle finding)
+	// in first-occurrence order: the network messages' destinations
+	// grouped by source in message order (a counting sort into one
+	// arena), then each source's repeats dropped against a stamp per
+	// destination.
+	work := make([]int, 4*p+1)
+	off, next, stamp := work[:p+1], work[p+1:2*p+1], work[2*p+1:3*p+1]
 	for _, m := range pt.Msgs {
-		if m.Src == m.Dst {
-			continue
+		if m.Src != m.Dst {
+			off[m.Src+1]++
 		}
-		k := [2]int{m.Src, m.Dst}
-		if !seen[k] {
-			seen[k] = true
-			adj[m.Src] = append(adj[m.Src], m.Dst)
+	}
+	for s := 0; s < p; s++ {
+		off[s+1] += off[s]
+	}
+	copy(next, off[:p])
+	arena := make([]int, off[p])
+	for _, m := range pt.Msgs {
+		if m.Src != m.Dst {
+			arena[next[m.Src]] = m.Dst
+			next[m.Src]++
 		}
+	}
+	adj := make([][]int, p)
+	for s := 0; s < p; s++ {
+		out := arena[off[s]:off[s]] // compacts in place: writes trail reads
+		for _, v := range arena[off[s]:off[s+1]] {
+			if stamp[v] != s+1 {
+				stamp[v] = s + 1
+				out = append(out, v)
+			}
+		}
+		adj[s] = out
 	}
 	// Shortest cycle through each start vertex via BFS; the global
 	// minimum over starts is a shortest cycle of the graph. O(P·(P+E))
 	// on deduplicated edges — patterns are small next to simulation.
 	var best []int
-	dist := make([]int, pt.P)
-	parent := make([]int, pt.P)
-	queue := make([]int, 0, pt.P)
-	for s := 0; s < pt.P; s++ {
+	dist, parent, queue := next, stamp, work[3*p+1:] // the sort is done with next and stamp
+	for s := 0; s < p; s++ {
 		for i := range dist {
 			dist[i], parent[i] = -1, -1
 		}
 		dist[s] = 0
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		queue[0] = s
+		for head, tail := 0, 1; head < tail; head++ {
+			u := queue[head]
 			if best != nil && dist[u]+1 >= len(best) {
 				continue // cannot improve on the best cycle found so far
 			}
@@ -286,7 +305,8 @@ func (pt *Pattern) FindCycle() []int {
 				}
 				if dist[v] == -1 {
 					dist[v], parent[v] = dist[u]+1, u
-					queue = append(queue, v)
+					queue[tail] = v
+					tail++
 				}
 			}
 		}

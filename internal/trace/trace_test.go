@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -86,6 +88,103 @@ func TestHasCycle(t *testing.T) {
 				t.Fatalf("HasCycle() = %v, want %v", got, tt.want)
 			}
 		})
+	}
+}
+
+// findCycleMap is FindCycle with the map-based edge dedup it had before
+// the counting sort: the oracle for TestFindCycleMatchesMapOracle.
+func findCycleMap(pt *Pattern) []int {
+	adj := make([][]int, pt.P)
+	seen := make(map[[2]int]bool, len(pt.Msgs))
+	for _, m := range pt.Msgs {
+		if m.Src == m.Dst {
+			continue
+		}
+		k := [2]int{m.Src, m.Dst}
+		if !seen[k] {
+			seen[k] = true
+			adj[m.Src] = append(adj[m.Src], m.Dst)
+		}
+	}
+	var best []int
+	dist := make([]int, pt.P)
+	parent := make([]int, pt.P)
+	queue := make([]int, 0, pt.P)
+	for s := 0; s < pt.P; s++ {
+		for i := range dist {
+			dist[i], parent[i] = -1, -1
+		}
+		dist[s] = 0
+		queue = append(queue[:0], s)
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			if best != nil && dist[u]+1 >= len(best) {
+				continue
+			}
+			for _, v := range adj[u] {
+				if v == s {
+					cyc := make([]int, 0, dist[u]+1)
+					for w := u; w != -1; w = parent[w] {
+						cyc = append(cyc, w)
+					}
+					for i, j := 0, len(cyc)-1; i < j; i, j = i+1, j-1 {
+						cyc[i], cyc[j] = cyc[j], cyc[i]
+					}
+					if best == nil || len(cyc) < len(best) {
+						best = cyc
+					}
+					continue
+				}
+				if dist[v] == -1 {
+					dist[v], parent[v] = dist[u]+1, u
+					queue = append(queue, v)
+				}
+			}
+		}
+		if len(best) == 2 {
+			break
+		}
+	}
+	return best
+}
+
+// TestFindCycleMatchesMapOracle holds FindCycle's witness to the map
+// version's on random patterns of up to 64 processors: mostly forward
+// edges with a few back edges, so both acyclic patterns and cycles of
+// many lengths occur, plus self messages and repeated edges. The
+// witness depends on each source's first-occurrence edge order, so any
+// reordering of the adjacency shows.
+func TestFindCycleMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cyclic := 0
+	for i := 0; i < 2000; i++ {
+		p := 1 + rng.Intn(64)
+		pt := New(p)
+		for n := rng.Intn(4 * p); n > 0; n-- {
+			src, dst := rng.Intn(p), rng.Intn(p)
+			switch r := rng.Intn(10); {
+			case r == 0:
+				pt.AddLocal(src, 8)
+			case r == 1 && len(pt.Msgs) > 0:
+				m := pt.Msgs[rng.Intn(len(pt.Msgs))]
+				pt.Add(m.Src, m.Dst, 8)
+			case r < 9 && src > dst:
+				pt.Add(dst, src, 8)
+			default:
+				pt.Add(src, dst, 8)
+			}
+		}
+		got, want := pt.FindCycle(), findCycleMap(pt)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("pattern %d (P=%d, %d msgs): FindCycle %v, map oracle %v", i, p, len(pt.Msgs), got, want)
+		}
+		if want != nil {
+			cyclic++
+		}
+	}
+	if cyclic < 200 || cyclic > 1800 {
+		t.Fatalf("%d of 2000 random patterns are cyclic; the generator should mix both kinds", cyclic)
 	}
 }
 

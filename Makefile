@@ -119,8 +119,10 @@ lint-sarif:
 	$(GO) build -o $(LOGGPVET) ./cmd/loggpvet
 	$(LOGGPVET) -sarif bin/lint.sarif ./...
 
-# The concurrent paths (internal/sweep, search.Memoized, the parallel
-# sweeps in experiments/sensitivity/scaling) must stay race-clean.
+# The concurrent paths (internal/sweep, search.SweepParallel, the
+# parallel sweeps in experiments/sensitivity/scaling, predictd's
+# concurrent cache misses and their same-key stores) must stay
+# race-clean.
 race:
 	$(GO) test -race ./...
 

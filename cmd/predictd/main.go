@@ -9,8 +9,7 @@
 //	predictd [-addr :8080] [-workers 0] [-queue -1] [-deadline 5s]
 //	         [-max-deadline 60s] [-budget 0] [-drain-grace 1s]
 //	         [-drain-timeout 10s] [-cache-off] [-cache-bytes 268435456]
-//	         [-cache-entries 65536] [-cache-ttl 0] [-cache-shards 16]
-//	         [-pprof]
+//	         [-cache-entries 65536] [-cache-shards 16] [-pprof]
 //
 // Endpoints:
 //
@@ -22,10 +21,10 @@
 //	GET  /debug/pprof/...  runtime profiles, only with -pprof
 //
 // Identical prediction requests are answered from a content-addressed
-// result cache (every prediction is deterministic, so entries never go
-// stale; the TTL is purely a memory bound) and concurrent identical
-// misses coalesce onto one evaluation. -cache-off restores the
-// evaluate-every-request flow.
+// result cache: every prediction is deterministic, so entries never go
+// stale, and only -cache-bytes and -cache-entries bound it. A miss
+// evaluates on its own request's goroutine. -cache-off evaluates every
+// request.
 //
 // On SIGINT/SIGTERM the server stops admitting work, lets in-flight
 // requests run for the drain grace, bound-downgrades the rest, and
@@ -57,10 +56,9 @@ func main() {
 	budget := flag.Float64("budget", 0, "default per-request work budget in analyze.Work units (0 = server default)")
 	drainGrace := flag.Duration("drain-grace", time.Second, "how long in-flight requests keep running after a shutdown signal before degrading to bound certificates")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "hard cap on the whole shutdown")
-	cacheOff := flag.Bool("cache-off", false, "disable the result cache and request coalescing (every request evaluates)")
+	cacheOff := flag.Bool("cache-off", false, "disable the result cache (every request evaluates)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "result cache byte budget (0 = 256 MiB default, negative = unbounded)")
 	cacheEntries := flag.Int("cache-entries", 0, "result cache entry budget (0 = 65536 default, negative = unbounded)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "result cache entry lifetime as a memory bound (0 = never expire; entries cannot go stale)")
 	cacheShards := flag.Int("cache-shards", 0, "result cache shard count, rounded up to a power of two (0 = 16)")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default; profiles expose internals)")
 	flag.Parse()
@@ -84,7 +82,6 @@ func main() {
 		Cache: resultcache.Config{
 			MaxBytes:   *cacheBytes,
 			MaxEntries: *cacheEntries,
-			TTL:        *cacheTTL,
 			Shards:     *cacheShards,
 		},
 		Pprof: *pprofFlag,

@@ -11,10 +11,13 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -197,8 +200,7 @@ func TestPredictdEndToEnd(t *testing.T) {
 	waitInFlight(t, base, 3*time.Second) // the slow request holds the slot
 	shed := false
 	// Every probe needs a fresh seed: a repeated body would be answered
-	// from the cache (or coalesce with an in-flight twin) instead of
-	// contending for the pinned worker slot.
+	// from the cache instead of contending for the pinned worker slot.
 	probe := `{"mode":"simulate","workload":{"kind":"ge","procs":4,"n":96,"block":8},"seed":%d}`
 	for i, start := 0, time.Now(); time.Since(start) < 3*time.Second && !shed; i++ {
 		code, _ := postJSON(t, base, fmt.Sprintf(probe, i+1))
@@ -349,6 +351,7 @@ func TestPredictdCacheReplay(t *testing.T) {
 	var on, off loadgen.Result
 	for i := 0; i < 3; i++ {
 		r := leg("cache-on", 4000)
+		t.Logf("cache-on replay %d: %.0f req/s, %d misses, hit rate %.3f", i+1, r.ReqPerSec, r.Misses, r.HitRate)
 		if r.HitRate < 0.9 {
 			t.Errorf("cache-on hit rate %.3f below 0.9", r.HitRate)
 		}
@@ -372,7 +375,9 @@ func TestPredictdCacheReplay(t *testing.T) {
 }
 
 // TestPredictdRejectsBadFlags keeps startup failures honest: a bad
-// listen address must exit non-zero with a diagnostic, not hang.
+// listen address must exit non-zero with a diagnostic, not hang, and
+// the removed -cache-ttl flag must be refused rather than silently
+// accepted.
 func TestPredictdRejectsBadFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binary")
@@ -384,5 +389,68 @@ func TestPredictdRejectsBadFlags(t *testing.T) {
 	}
 	if !bytes.Contains(out, []byte("predictd:")) {
 		t.Fatalf("no diagnostic on stderr:\n%s", out)
+	}
+	out, err = exec.Command(bin, "-addr", "127.0.0.1:0", "-cache-ttl", "1m").CombinedOutput()
+	if err == nil || !bytes.Contains(out, []byte("flag provided but not defined")) {
+		t.Fatalf("-cache-ttl accepted (err %v):\n%s", err, out)
+	}
+}
+
+// corpusLine is one line of the serve golden corpus
+// (internal/serve/testdata/golden.jsonl): a canonical request and the
+// SHA-256 of its 200 body. internal/serve's TestGoldenCorpus drives the
+// same file in process and regenerates it under -update.
+type corpusLine struct {
+	Request json.RawMessage `json:"request"`
+	SHA256  string          `json:"sha256"`
+}
+
+func readCorpus(t *testing.T) []corpusLine {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "internal", "serve", "testdata", "golden.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []corpusLine
+	for i, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var c corpusLine
+		if err := json.Unmarshal(line, &c); err != nil {
+			t.Fatalf("golden.jsonl line %d: %v", i+1, err)
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// TestPredictdGoldenCorpus drives the serve golden corpus through the
+// real binary: every answer must be a 200 whose body hashes to its
+// entry, exactly as in process.
+func TestPredictdGoldenCorpus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	corpus := readCorpus(t)
+	bin := buildBinary(t, t.TempDir())
+	var errBuf syncBuffer
+	// A deadline generous enough that no answer degrades on a slow run.
+	base, cmd, _ := daemon(t, bin, &errBuf, "-deadline", "5m", "-max-deadline", "5m")
+	defer func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	}()
+	for i, c := range corpus {
+		resp, err := http.Post(base+"/predict", "application/json", bytes.NewReader(c.Request))
+		if err != nil {
+			t.Fatalf("line %d: %v", i+1, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("line %d: %v", i+1, err)
+		}
+		sum := sha256.Sum256(body)
+		if resp.StatusCode != http.StatusOK || hex.EncodeToString(sum[:]) != c.SHA256 {
+			t.Errorf("line %d %s: status %d, body hash moved", i+1, c.Request, resp.StatusCode)
+		}
 	}
 }

@@ -12,10 +12,13 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -159,12 +162,13 @@ func waitOK(url string, timeout time.Duration) error {
 
 // startPeers boots n cache-on predictd peers, each with a queue deep
 // enough to keep the closed-loop replay inside admission (shedding is
-// serve-smoke's subject), and stops them when the test ends.
-func startPeers(t *testing.T, bin string, n int) []*proc {
+// serve-smoke's subject) and with any further flags in args, and stops
+// them when the test ends.
+func startPeers(t *testing.T, bin string, n int, args ...string) []*proc {
 	t.Helper()
 	peers := make([]*proc, n)
 	for i := range peers {
-		p, err := startProc(bin, "127.0.0.1:0", "-queue", "64")
+		p, err := startProc(bin, "127.0.0.1:0", append([]string{"-queue", "64"}, args...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -522,6 +526,74 @@ func readRouterStats(t *testing.T, routerBase string) routerStats {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// corpusLine is one line of the serve golden corpus
+// (internal/serve/testdata/golden.jsonl): a canonical request and the
+// SHA-256 of its 200 body. internal/serve's TestGoldenCorpus drives the
+// same file in process and regenerates it under -update.
+type corpusLine struct {
+	Request json.RawMessage `json:"request"`
+	SHA256  string          `json:"sha256"`
+}
+
+func readCorpus(t *testing.T) []corpusLine {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "internal", "serve", "testdata", "golden.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []corpusLine
+	for i, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var c corpusLine
+		if err := json.Unmarshal(line, &c); err != nil {
+			t.Fatalf("golden.jsonl line %d: %v", i+1, err)
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// TestPredictrouterGoldenCorpus drives the serve golden corpus through
+// predictrouter in front of three predictd peers: every answer must be
+// a 200 whose body hashes to its entry, exactly as in one process.
+func TestPredictrouterGoldenCorpus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binaries")
+	}
+	corpus := readCorpus(t)
+	dir := t.TempDir()
+	routerBin := build(t, dir, "predictrouter.bin", ".")
+	predictdBin := build(t, dir, "predictd.bin", "loggpsim/cmd/predictd")
+	// A deadline generous enough that no answer degrades on a slow run.
+	peers := startPeers(t, predictdBin, 3, "-deadline", "5m", "-max-deadline", "5m")
+	var urls []string
+	for _, p := range peers {
+		urls = append(urls, p.base)
+	}
+	router, err := startProc(routerBin, "127.0.0.1:0", "-peers", strings.Join(urls, ","))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.stop(t)
+	if err := waitOK(router.base+"/readyz", 10*time.Second); err != nil {
+		t.Fatalf("router never became ready: %v", err)
+	}
+	for i, c := range corpus {
+		resp, err := http.Post(router.base+"/predict", "application/json", bytes.NewReader(c.Request))
+		if err != nil {
+			t.Fatalf("line %d: %v", i+1, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("line %d: %v", i+1, err)
+		}
+		sum := sha256.Sum256(body)
+		if resp.StatusCode != http.StatusOK || hex.EncodeToString(sum[:]) != c.SHA256 {
+			t.Errorf("line %d %s: status %d, body hash moved", i+1, c.Request, resp.StatusCode)
+		}
+	}
 }
 
 // TestPredictrouterRejectsBadFlags keeps startup failures honest: a

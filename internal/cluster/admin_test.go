@@ -13,8 +13,8 @@ import (
 	"loggpsim/internal/serve"
 )
 
-// newServePeer boots a real serve.Server — cache, coalescing, handoff
-// endpoints and all — behind an httptest listener. The admin flows are
+// newServePeer boots a real serve.Server — cache, handoff endpoints
+// and all — behind an httptest listener. The admin flows are
 // only honest against the real thing: join prewarm and drain handoff
 // talk to /cache/export and /cache/import, which fakes don't have.
 func newServePeer(t *testing.T) *httptest.Server {

@@ -54,9 +54,10 @@ The simulators OWN virtual time: every timestamp is derived from the
 cost model and the event order. Reading the wall clock there is a
 category error — it injects a value that differs every run into code
 whose whole contract is bit-identical replay. The service layer is
-exempt (deadlines, TTLs and Retry-After are genuinely real time), which
-is why this is a separate rule from globalrand rather than one
-"nondeterministic source" family.`,
+exempt (deadlines, Retry-After and Server-Timing are genuinely real
+time), which is why this is a separate rule from globalrand rather
+than one "nondeterministic source" family. The result cache is not
+exempt: it stores deterministic answers and has no use for the clock.`,
 	},
 	{
 		Name:  "nonfinite",
@@ -157,9 +158,8 @@ packages down is reported at the boundary call, with the full chain:
     (stats/stats.go:12:10)
 
 Entry-point packages are declared in the policy table (the scheduler
-cores, evaluators, sweep, faults, eventq, and resultcache key
-construction — the latter with the wall clock sanctioned, since its
-TTLs are real time while its keys must stay pure). The call graph is
+cores, evaluators, sweep, faults, eventq, and the result cache, whose
+keys must stay pure and whose store keeps no clock). The call graph is
 conservative: static calls only — paths through function values,
 interface methods, and goroutines are not tracked (DESIGN.md §5j), so
 a report is always a real syntactic path, and silence is not a proof.`,

@@ -32,10 +32,6 @@ type Policy struct {
 	// forbidden source (wall clock, global RNG, environment reads,
 	// escaping map iteration) anywhere in the module.
 	PurityEntry bool
-	// PuritySanctionsWallClock exempts the wall clock from the purity
-	// contract (the service-layer packages: TTLs and deadlines are real
-	// time even though their payloads must stay deterministic).
-	PuritySanctionsWallClock bool
 }
 
 // The three named profiles plus the repo-wide floor. See the package
@@ -57,7 +53,7 @@ var (
 	// servicePolicy: the prediction-service layer — answers with the
 	// schedulers' numbers, so iteration order, finiteness, and owned
 	// randomness still apply, but the wall clock is legitimate
-	// (deadlines, TTLs, Retry-After).
+	// (deadlines, Retry-After, Server-Timing).
 	servicePolicy = Policy{
 		MapRange: true, OwnedRand: true, NonFinite: true,
 		CtxPoll: true, PoolPoison: true, FloatOrder: true,
@@ -70,15 +66,6 @@ var (
 // serve/cache paths, where a swallowed error turns into a wrong or
 // missing response instead of a crash).
 func errDrop(p Policy) Policy { p.ErrDrop = true; return p }
-
-// purityService marks a service-layer package as a purity entry point
-// with the wall clock sanctioned (cache TTLs are real time; cache KEYS
-// must still be pure).
-func purityService(p Policy) Policy {
-	p.PurityEntry = true
-	p.PuritySanctionsWallClock = true
-	return p
-}
 
 // policies is the per-package policy table, keyed by module-relative
 // import path ("internal/sim", "cmd/predictd", "." for the module
@@ -113,15 +100,16 @@ var policies = map[string]Policy{
 	// salt), with no map order, wall clock, or global randomness.
 	"internal/ring": schedulerPolicy,
 
-	// Prediction service and its supporting machinery. resultcache is
-	// additionally a purity entry point: its canonical key construction
-	// addresses cache entries, so any nondeterminism there silently
-	// splits one entry into many — but its TTL clock is sanctioned wall
-	// time.
+	// Prediction service and its supporting machinery. resultcache
+	// carries the full scheduler contract (wall clock included, both
+	// directly and through calls, as a purity entry point) plus the
+	// discarded-error rule: its canonical key construction addresses
+	// cache entries, so any nondeterminism there silently splits one
+	// entry into many, and a store of deterministic answers has no use
+	// for real time.
 	"internal/serve":       errDrop(servicePolicy),
 	"internal/cluster":     errDrop(servicePolicy),
-	"internal/resultcache": purityService(errDrop(servicePolicy)),
-	"internal/flight":      errDrop(servicePolicy),
+	"internal/resultcache": errDrop(schedulerPolicy),
 	"internal/loadgen":     servicePolicy,
 	"cmd/predictd":         errDrop(servicePolicy),
 	"cmd/predictrouter":    errDrop(servicePolicy),

@@ -227,9 +227,6 @@ func analyzePurity(p *Pass, pol Policy) (*PackageFacts, []Finding) {
 		for _, fi := range fns {
 			for _, kind := range sortedKinds(fi.taints) {
 				t := fi.taints[kind]
-				if kind == "wallclock" && pol.PuritySanctionsWallClock {
-					continue
-				}
 				direct := t.local && len(t.Chain) == 1
 				if !t.boundary && !(direct && kind == "env") {
 					// Direct wallclock/globalrand/mapiter inside an entry

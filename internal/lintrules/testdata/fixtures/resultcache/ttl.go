@@ -1,19 +1,18 @@
 // Purity scope fixture for the cache layer: resultcache is a purity
-// entry point — its canonical keys must be pure — but with the wall
-// clock sanctioned (TTLs and eviction clocks are real time).
+// entry point with no sanctioned source — its canonical keys must be
+// pure, and a store of deterministic answers needs no clock.
 package resultcache
 
 import "lintfixtures/util"
 
-// ExpiresAt reaches the wall clock through a helper: sanctioned here,
-// where the same chain from a scheduler package is an error.
-// // ok purity
+// ExpiresAt reaches the wall clock through a helper: an error here, as
+// the same chain is from a scheduler package. One finding.
 func ExpiresAt() float64 {
-	return util.WallElapsed()
+	return util.WallElapsed() // want purity
 }
 
-// SeedFromGlobal reaches the global generator through a helper: the
-// wall-clock sanction does not extend to randomness. One finding.
+// SeedFromGlobal reaches the global generator through a helper. One
+// finding.
 func SeedFromGlobal(n int) int {
 	return util.Draw(n) // want purity
 }

@@ -1,9 +1,9 @@
 // Package loadgen replays a reproducible, Zipf-skewed prediction
 // workload against a running predictd instance (or a predictrouter in
 // front of several) and measures what the result cache is worth:
-// request throughput, latency percentiles, the hit/miss/coalesced
-// split, and — because every prediction is deterministic — whether
-// repeated servings of one request stayed byte-identical.
+// request throughput, latency percentiles, the hit/miss split, and —
+// because every prediction is deterministic — whether repeated
+// servings of one request stayed byte-identical.
 //
 // The workload is a function of (Universe, Skew, Seed) only: the
 // request universe is generated from an owned rand source and the
@@ -115,15 +115,13 @@ type Result struct {
 	// from the first full serving of the same request — any nonzero
 	// value is a correctness failure.
 	Mismatches int `json:"mismatches"`
-	// Hits/Misses/Coalesced are X-Cache header counts; Unlabeled are
-	// responses without the header (every response on a cache-off
-	// server).
+	// Hits/Misses are X-Cache header counts; Unlabeled are responses
+	// without the header (every response on a cache-off server).
 	Hits      int `json:"hits"`
 	Misses    int `json:"misses"`
-	Coalesced int `json:"coalesced"`
 	Unlabeled int `json:"unlabeled"`
-	// HitRate is (Hits+Coalesced)/Requests: the fraction of requests
-	// that were answered without a fresh evaluation.
+	// HitRate is Hits/Requests: the fraction of requests that were
+	// answered without a fresh evaluation.
 	HitRate float64 `json:"hit_rate"`
 	// Throughput and latency of the whole leg.
 	DurationMS float64 `json:"duration_ms"`
@@ -259,8 +257,6 @@ func Run(cfg Config) (Result, error) {
 					res.Hits++
 				case "miss":
 					res.Misses++
-				case "coalesced":
-					res.Coalesced++
 				default:
 					res.Unlabeled++
 				}
@@ -300,7 +296,7 @@ func Run(cfg Config) (Result, error) {
 		res.ReqPerSec = float64(res.Requests) / (res.DurationMS / 1000)
 	}
 	if res.Requests > 0 {
-		res.HitRate = float64(res.Hits+res.Coalesced) / float64(res.Requests)
+		res.HitRate = float64(res.Hits) / float64(res.Requests)
 	}
 	sort.Float64s(latencies)
 	res.P50MS = percentile(latencies, 0.50)

@@ -1,15 +1,14 @@
 // Package resultcache is the content-addressed result cache behind the
-// prediction service: a sharded in-process LRU+TTL store keyed by
+// prediction service: a sharded in-process LRU store keyed by
 // canonical content hashes (see key.go).
 //
 // Why a result cache is safe here at all: every prediction layer in
 // this repository is deterministic by construction — hash-seeded
 // faults, worker-count-independent sweeps, bit-identical lane replays —
 // so a response is a pure function of its canonical request. There is
-// no staleness: an entry can never be wrong, only absent. That inverts
-// the usual role of the TTL — it is a memory-pressure knob (how long
-// cold entries may occupy RAM), not a correctness knob, and the default
-// of "never expire" is sound.
+// no staleness: an entry can never be wrong, only absent. So the cache
+// is plain memoization with no expiry: memory is bounded by bytes and
+// entries, and nothing in it reads the clock.
 //
 // Design:
 //
@@ -31,20 +30,18 @@
 //     would cost the most simulator time (a deterministic, list-ordered
 //     variant of GreedyDual-style policies).
 //
-//   - No coalescing here. The cache is a store: Get, Put, Export and
-//     Stats. Concurrent misses for one key are coalesced by the caller
-//     (internal/serve keys its own flight.Group with the cache key plus
-//     the request's deadline and budget, so a follower never inherits
-//     a degradation it did not ask for); whether an outcome is stored
-//     is the caller's decision (Meta.Store), so degraded results can be
-//     shared with coalesced requests without being cached.
+//   - A store, nothing more. The cache offers Get, Put, Export and
+//     Stats; it never computes a value. Whether an outcome is stored is
+//     the caller's decision (Meta.Store), so degraded results are
+//     answered without being cached. Concurrent misses for one key each
+//     compute and Put; a same-key Put refreshes the entry in place, so
+//     the cache still holds one entry.
 package resultcache
 
 import (
 	"container/list"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Config tunes a Cache. The zero value selects the defaults.
@@ -58,11 +55,6 @@ type Config struct {
 	// MaxEntries bounds the entry count; zero selects 65536. Negative
 	// disables the entry bound.
 	MaxEntries int
-	// TTL is how long an entry may be served after it was stored. Zero
-	// means entries never expire — sound, because entries are content-
-	// addressed results of deterministic computations; the TTL only
-	// bounds how long cold entries occupy memory.
-	TTL time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -104,11 +96,10 @@ type Stats struct {
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	// Stores counts retained values; Evictions capacity-pressure
-	// removals; Expired TTL removals; Oversize values too large for a
-	// shard's byte budget (never stored).
+	// removals; Oversize values too large for a shard's byte budget
+	// (never stored).
 	Stores    int64 `json:"stores"`
 	Evictions int64 `json:"evictions"`
-	Expired   int64 `json:"expired"`
 	Oversize  int64 `json:"oversize"`
 	// Entries and Bytes are current totals; Shards the per-shard
 	// occupancy, indexed by shard number.
@@ -126,12 +117,10 @@ type ShardStats struct {
 // Cache is a sharded content-addressed result cache. Construct with
 // New; all methods are safe for concurrent use.
 type Cache[V any] struct {
-	cfg    Config
 	mask   uint64
 	shards []shard[V]
-	now    func() time.Time // test seam; time.Now in production
 
-	hits, misses, stores, evictions, expired, oversize atomic.Int64
+	hits, misses, stores, evictions, oversize atomic.Int64
 }
 
 type shard[V any] struct {
@@ -144,11 +133,10 @@ type shard[V any] struct {
 }
 
 type entry[V any] struct {
-	key     Key
-	val     V
-	size    int64
-	cost    float64
-	expires int64 // unixnano; 0 = never
+	key  Key
+	val  V
+	size int64
+	cost float64
 }
 
 // evictSample is how many LRU-tail entries eviction considers before
@@ -161,10 +149,8 @@ const evictSample = 4
 func New[V any](cfg Config) *Cache[V] {
 	cfg = cfg.withDefaults()
 	c := &Cache[V]{
-		cfg:    cfg,
 		mask:   uint64(cfg.Shards - 1),
 		shards: make([]shard[V], cfg.Shards),
-		now:    time.Now,
 	}
 	perBytes := cfg.MaxBytes
 	if perBytes > 0 {
@@ -197,11 +183,10 @@ func (c *Cache[V]) shardFor(key Key) *shard[V] {
 	return &c.shards[idx]
 }
 
-// Get returns the value stored for key, if present and unexpired.
+// Get returns the value stored for key, if present.
 func (c *Cache[V]) Get(key Key) (V, bool) {
 	var zero V
 	s := c.shardFor(key)
-	now := c.now().UnixNano()
 	s.mu.Lock()
 	el, ok := s.index[key]
 	if !ok {
@@ -209,16 +194,8 @@ func (c *Cache[V]) Get(key Key) (V, bool) {
 		c.misses.Add(1)
 		return zero, false
 	}
-	e := el.Value.(*entry[V])
-	if e.expires != 0 && now >= e.expires {
-		s.remove(el, e)
-		s.mu.Unlock()
-		c.expired.Add(1)
-		c.misses.Add(1)
-		return zero, false
-	}
 	s.lru.MoveToFront(el)
-	v := e.val
+	v := el.Value.(*entry[V]).val
 	s.mu.Unlock()
 	c.hits.Add(1)
 	return v, true
@@ -240,28 +217,23 @@ func (c *Cache[V]) Put(key Key, v V, meta Meta) {
 		c.oversize.Add(1)
 		return
 	}
-	var expires int64
-	if c.cfg.TTL > 0 {
-		expires = c.now().Add(c.cfg.TTL).UnixNano()
-	}
 	s.mu.Lock()
 	if el, ok := s.index[key]; ok {
 		// Deterministic computations make a same-key overwrite a
 		// same-value overwrite; refresh the entry in place.
 		e := el.Value.(*entry[V])
 		s.bytes += size - e.size
-		e.val, e.size, e.cost, e.expires = v, size, meta.Cost, expires
+		e.val, e.size, e.cost = v, size, meta.Cost
 		s.lru.MoveToFront(el)
 	} else {
-		e := &entry[V]{key: key, val: v, size: size, cost: meta.Cost, expires: expires}
+		e := &entry[V]{key: key, val: v, size: size, cost: meta.Cost}
 		s.index[key] = s.lru.PushFront(e)
 		s.bytes += size
 	}
-	evicted, expired := s.evictOver(c.now().UnixNano())
+	evicted := s.evictOver()
 	s.mu.Unlock()
 	c.stores.Add(1)
 	c.evictions.Add(evicted)
-	c.expired.Add(expired)
 }
 
 // remove unlinks el/e from the shard. Callers hold the shard lock.
@@ -271,10 +243,10 @@ func (s *shard[V]) remove(el *list.Element, e *entry[V]) {
 	s.bytes -= e.size
 }
 
-// evictOver brings the shard back under its budgets, preferring expired
-// entries and then the cheapest-to-recompute of a small LRU-tail
-// sample. Callers hold the shard lock.
-func (s *shard[V]) evictOver(now int64) (evicted, expired int64) {
+// evictOver brings the shard back under its budgets, evicting the
+// cheapest-to-recompute of a small LRU-tail sample each time. Callers
+// hold the shard lock.
+func (s *shard[V]) evictOver() (evicted int64) {
 	for (s.maxBytes > 0 && s.bytes > s.maxBytes) ||
 		(s.maxEntries > 0 && s.lru.Len() > s.maxEntries) {
 		var victim *list.Element
@@ -282,10 +254,6 @@ func (s *shard[V]) evictOver(now int64) (evicted, expired int64) {
 		sampled := 0
 		for el := s.lru.Back(); el != nil && sampled < evictSample; el = el.Prev() {
 			e := el.Value.(*entry[V])
-			if e.expires != 0 && now >= e.expires {
-				victim = el
-				break
-			}
 			// Strictly-smaller keeps ties on the least recently used.
 			if victim == nil || e.cost < victimCost {
 				victim, victimCost = el, e.cost
@@ -293,17 +261,12 @@ func (s *shard[V]) evictOver(now int64) (evicted, expired int64) {
 			sampled++
 		}
 		if victim == nil {
-			return evicted, expired // empty shard; nothing to do
+			return evicted // empty shard; nothing to do
 		}
-		e := victim.Value.(*entry[V])
-		s.remove(victim, e)
-		if e.expires != 0 && now >= e.expires {
-			expired++
-		} else {
-			evicted++
-		}
+		s.remove(victim, victim.Value.(*entry[V]))
+		evicted++
 	}
-	return evicted, expired
+	return evicted
 }
 
 // Entry is one exported cache entry (see Export).
@@ -314,20 +277,18 @@ type Entry[V any] struct {
 	Cost float64
 }
 
-// Export snapshots up to limit live entries (limit <= 0 means all),
+// Export snapshots up to limit entries (limit <= 0 means all),
 // interleaved across shards by recency rank: every shard's most recent
-// live entry in shard index order, then every shard's second, and so
-// on. A limit therefore keeps the hottest entries of every shard, and
-// the result is a deterministic function of the cache state and
-// recency order. Expired entries are skipped and take no rank. Export
-// does not touch recency or the hit/miss counters — it is an
+// entry in shard index order, then every shard's second, and so on. A
+// limit therefore keeps the hottest entries of every shard, and the
+// result is a deterministic function of the cache state and recency
+// order. Export does not touch recency or the hit/miss counters — it is an
 // observation, used by the cluster handoff pass to stream a draining
 // peer's hot set to its successors.
 func (c *Cache[V]) Export(limit int) []Entry[V] {
 	if limit <= 0 {
 		limit = int(^uint(0) >> 1)
 	}
-	now := c.now().UnixNano()
 	// No shard can contribute more than limit entries, so each shard's
 	// walk stops there; its lock is held only for its own walk.
 	ranked := make([][]Entry[V], len(c.shards))
@@ -337,9 +298,6 @@ func (c *Cache[V]) Export(limit int) []Entry[V] {
 		s.mu.Lock()
 		for el := s.lru.Front(); el != nil && len(ranked[i]) < limit; el = el.Next() {
 			e := el.Value.(*entry[V])
-			if e.expires != 0 && now >= e.expires {
-				continue
-			}
 			ranked[i] = append(ranked[i], Entry[V]{Key: e.key, Val: e.val, Size: e.size, Cost: e.cost})
 		}
 		s.mu.Unlock()
@@ -366,7 +324,6 @@ func (c *Cache[V]) Stats() Stats {
 		Misses:    c.misses.Load(),
 		Stores:    c.stores.Load(),
 		Evictions: c.evictions.Load(),
-		Expired:   c.expired.Load(),
 		Oversize:  c.oversize.Load(),
 		Shards:    make([]ShardStats, len(c.shards)),
 	}

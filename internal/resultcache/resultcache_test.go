@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 func keyOf(parts ...string) Key {
@@ -93,25 +92,6 @@ func TestCostAwareEvictionPrefersCheapEntries(t *testing.T) {
 		if _, ok := c.Get(k); !ok {
 			t.Fatal("expensive entry evicted while a cheap one was in the sample")
 		}
-	}
-}
-
-func TestTTLExpiresLazily(t *testing.T) {
-	c := New[int](Config{TTL: time.Minute})
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-	k := keyOf("t")
-	c.Put(k, 7, Meta{Size: 1, Cost: 1, Store: true})
-	if _, ok := c.Get(k); !ok {
-		t.Fatal("fresh entry missing")
-	}
-	now = now.Add(2 * time.Minute)
-	if _, ok := c.Get(k); ok {
-		t.Fatal("expired entry served")
-	}
-	st := c.Stats()
-	if st.Expired != 1 || st.Entries != 0 {
-		t.Fatalf("stats after expiry %+v", st)
 	}
 }
 
@@ -268,18 +248,5 @@ func TestExportInterleavesShardsByRecency(t *testing.T) {
 			t.Errorf("Export(%d)[%d] = %s (shard %d), want %s (shard %d)",
 				shards, i, e.Key, shardOf(e.Key), want[i], shardOf(want[i]))
 		}
-	}
-}
-
-func TestExportSkipsExpiredEntries(t *testing.T) {
-	c := New[string](Config{Shards: 1, TTL: time.Minute})
-	now := time.Unix(0, 0)
-	c.now = func() time.Time { return now }
-	c.Put(keyOf("stale"), "old", Meta{Size: 3, Cost: 1, Store: true})
-	now = now.Add(2 * time.Minute)
-	c.Put(keyOf("fresh"), "new", Meta{Size: 3, Cost: 1, Store: true})
-	got := c.Export(0)
-	if len(got) != 1 || got[0].Val != "new" {
-		t.Fatalf("Export = %+v, want only the fresh entry", got)
 	}
 }

@@ -7,18 +7,15 @@
 // size curve, and a local hill climb for sawtooth-shaped curves where
 // unimodality only holds approximately. The exhaustive sweep can fan out
 // over a worker pool (SweepParallel) with results identical to the
-// serial loop; the heuristics are inherently sequential but share the
-// concurrency-safe memoization, so a heuristic and a sweep may probe one
-// objective from concurrent goroutines.
+// serial loop; the heuristics are inherently sequential and memoize
+// their probes serially.
 package search
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
-	"loggpsim/internal/flight"
 	"loggpsim/internal/sweep"
 )
 
@@ -41,72 +38,54 @@ type Result struct {
 // ErrNoCandidates is returned when the candidate list is empty.
 var ErrNoCandidates = errors.New("search: no candidate block sizes")
 
-// Memoized wraps an objective with a cache so repeated probes of the
-// same block size cost nothing; the returned counter reports distinct
-// evaluations. The wrapper is safe for concurrent use: simultaneous
-// probes of the same block size run the underlying objective once
-// (coalesced through a flight.Group, the repository's shared
-// singleflight core), the late arrivals blocking until the in-flight
-// evaluation finishes and then sharing its result. A failed evaluation
-// is not cached (matching the serial behaviour), so a later probe
-// retries; its error is still delivered to every goroutine that was
-// waiting on it. Read the counter only after all evaluations have
-// completed.
-func Memoized(f Objective) (Objective, *int) {
-	var g flight.Group[int, float64]
-	var mu sync.Mutex
-	vals := map[int]float64{}
-	count := new(int)
-	return func(b int) (float64, error) {
-		mu.Lock()
-		v, ok := vals[b]
-		mu.Unlock()
-		if ok {
-			return v, nil
-		}
-		v, err, _ := g.Do(b, func() (float64, error) {
-			// A just-finished flight may have stored the value between
-			// this probe's memo miss and its winning leadership; only
-			// the leader looks, so the objective still runs at most
-			// once per successful block size.
-			mu.Lock()
-			v, ok := vals[b]
-			mu.Unlock()
-			if ok {
-				return v, nil
-			}
-			v, err := f(b)
-			if err == nil {
-				mu.Lock()
-				vals[b] = v
-				*count++
-				mu.Unlock()
-			}
-			return v, err
-		})
-		if err != nil {
-			return 0, err
-		}
+// memo is the heuristics' serial memo: a repeated probe of one block
+// size costs nothing, and len(vals) counts the distinct sizes
+// evaluated. A failed evaluation is not cached, so a later probe of the
+// same size evaluates again. Not safe for concurrent use.
+type memo struct {
+	f    Objective
+	vals map[int]float64
+}
+
+func newMemo(f Objective) *memo { return &memo{f: f, vals: map[int]float64{}} }
+
+func (m *memo) eval(b int) (float64, error) {
+	if v, ok := m.vals[b]; ok {
 		return v, nil
-	}, count
+	}
+	v, err := m.f(b)
+	if err != nil {
+		return 0, err
+	}
+	m.vals[b] = v
+	return v, nil
 }
 
 // SweepParallel evaluates every candidate and returns the global
 // minimum — the paper's baseline strategy — on a worker pool (workers < 1
 // selects runtime.GOMAXPROCS(0)). The objective must be safe for
-// concurrent use when more than one worker is configured; duplicate
-// candidates are deduplicated by the memoizing wrapper, so each distinct
+// concurrent use when more than one worker is configured. Duplicate
+// candidates are dropped before the pool starts, so each distinct
 // block size is evaluated once. The result is identical at every worker
-// count: values are collected in input order and the minimum scan runs
-// serially, so ties resolve to the earliest candidate exactly as in a
-// serial loop.
+// count: the distinct sizes keep their first-occurrence order, values
+// are collected in that order and the minimum scan runs serially, so
+// ties resolve to the earliest candidate exactly as in a serial loop
+// over the input (a duplicate's value equals its first occurrence's,
+// so it can never win).
 func SweepParallel(sizes []int, f Objective, workers int) (Result, error) {
 	if len(sizes) == 0 {
 		return Result{}, ErrNoCandidates
 	}
-	mf, count := Memoized(f)
-	vals, err := sweep.Map(context.TODO(), workers, sizes, func(i, b int) (float64, error) {
-		v, err := mf(b)
+	seen := make(map[int]bool, len(sizes))
+	distinct := make([]int, 0, len(sizes))
+	for _, b := range sizes {
+		if !seen[b] {
+			seen[b] = true
+			distinct = append(distinct, b)
+		}
+	}
+	vals, err := sweep.Map(context.TODO(), workers, distinct, func(_, b int) (float64, error) {
+		v, err := f(b)
 		if err != nil {
 			return 0, fmt.Errorf("search: evaluating block size %d: %w", b, err)
 		}
@@ -115,13 +94,12 @@ func SweepParallel(sizes []int, f Objective, workers int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	best := Result{Best: -1}
+	best := Result{Best: -1, Evaluations: len(distinct)}
 	for i, v := range vals {
 		if best.Best < 0 || v < best.Value {
-			best.Best, best.Value = sizes[i], v
+			best.Best, best.Value = distinct[i], v
 		}
 	}
-	best.Evaluations = *count
 	return best, nil
 }
 
@@ -133,16 +111,16 @@ func Ternary(sizes []int, f Objective) (Result, error) {
 	if len(sizes) == 0 {
 		return Result{}, ErrNoCandidates
 	}
-	mf, count := Memoized(f)
+	m := newMemo(f)
 	lo, hi := 0, len(sizes)-1
 	for hi-lo > 2 {
 		m1 := lo + (hi-lo)/3
 		m2 := hi - (hi-lo)/3
-		v1, err := mf(sizes[m1])
+		v1, err := m.eval(sizes[m1])
 		if err != nil {
 			return Result{}, err
 		}
-		v2, err := mf(sizes[m2])
+		v2, err := m.eval(sizes[m2])
 		if err != nil {
 			return Result{}, err
 		}
@@ -154,7 +132,7 @@ func Ternary(sizes []int, f Objective) (Result, error) {
 	}
 	best := Result{Best: -1}
 	for i := lo; i <= hi; i++ {
-		v, err := mf(sizes[i])
+		v, err := m.eval(sizes[i])
 		if err != nil {
 			return Result{}, err
 		}
@@ -162,7 +140,7 @@ func Ternary(sizes []int, f Objective) (Result, error) {
 			best.Best, best.Value = sizes[i], v
 		}
 	}
-	best.Evaluations = *count
+	best.Evaluations = len(m.vals)
 	return best, nil
 }
 
@@ -177,9 +155,9 @@ func HillClimb(sizes []int, f Objective, startIdx int) (Result, error) {
 	if startIdx < 0 || startIdx >= len(sizes) {
 		return Result{}, fmt.Errorf("search: start index %d outside [0,%d)", startIdx, len(sizes))
 	}
-	mf, count := Memoized(f)
+	m := newMemo(f)
 	cur := startIdx
-	curVal, err := mf(sizes[cur])
+	curVal, err := m.eval(sizes[cur])
 	if err != nil {
 		return Result{}, err
 	}
@@ -189,7 +167,7 @@ func HillClimb(sizes []int, f Objective, startIdx int) (Result, error) {
 			if n < 0 || n >= len(sizes) {
 				continue
 			}
-			v, err := mf(sizes[n])
+			v, err := m.eval(sizes[n])
 			if err != nil {
 				return Result{}, err
 			}
@@ -198,7 +176,7 @@ func HillClimb(sizes []int, f Objective, startIdx int) (Result, error) {
 			}
 		}
 		if bestN < 0 {
-			return Result{Best: sizes[cur], Value: curVal, Evaluations: *count}, nil
+			return Result{Best: sizes[cur], Value: curVal, Evaluations: len(m.vals)}, nil
 		}
 		cur, curVal = bestN, bestV
 	}

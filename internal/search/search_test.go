@@ -3,10 +3,8 @@ package search
 import (
 	"errors"
 	"math"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 var sizes = []int{8, 10, 12, 16, 20, 24, 30, 32, 40, 48, 60, 80, 96, 120}
@@ -77,18 +75,17 @@ func TestHillClimbFindsLocalBasin(t *testing.T) {
 
 func TestMemoizedAvoidsReevaluation(t *testing.T) {
 	calls := 0
-	f := func(b int) (float64, error) {
+	m := newMemo(func(b int) (float64, error) {
 		calls++
 		return float64(b), nil
-	}
-	mf, count := Memoized(f)
+	})
 	for i := 0; i < 5; i++ {
-		if _, err := mf(8); err != nil {
+		if _, err := m.eval(8); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if calls != 1 || *count != 1 {
-		t.Fatalf("calls = %d count = %d, want 1,1", calls, *count)
+	if calls != 1 || len(m.vals) != 1 {
+		t.Fatalf("calls = %d distinct = %d, want 1,1", calls, len(m.vals))
 	}
 }
 
@@ -196,66 +193,24 @@ func TestSweepParallelDedupsDuplicates(t *testing.T) {
 	}
 }
 
-func TestMemoizedConcurrentSingleEvaluation(t *testing.T) {
-	// Many goroutines probing the same block size simultaneously must run
-	// the objective exactly once; a slow first evaluation forces the rest
-	// to actually wait on the in-flight call.
-	var calls atomic.Int64
-	gate := make(chan struct{})
-	f := func(b int) (float64, error) {
-		calls.Add(1)
-		<-gate
-		return float64(b * b), nil
-	}
-	mf, count := Memoized(f)
-	const goroutines = 16
-	var wg sync.WaitGroup
-	results := make([]float64, goroutines)
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, err := mf(7)
-			if err != nil {
-				t.Error(err)
-			}
-			results[i] = v
-		}(i)
-	}
-	// Let every goroutine reach the cache before releasing the single
-	// in-flight evaluation.
-	time.Sleep(10 * time.Millisecond)
-	close(gate)
-	wg.Wait()
-	if calls.Load() != 1 || *count != 1 {
-		t.Fatalf("objective ran %d times (count %d), want 1", calls.Load(), *count)
-	}
-	for i, v := range results {
-		if v != 49 {
-			t.Fatalf("goroutine %d got %g, want 49", i, v)
-		}
-	}
-}
-
-func TestMemoizedErrorNotCachedButShared(t *testing.T) {
-	var calls atomic.Int64
+func TestMemoizedErrorNotCached(t *testing.T) {
+	calls := 0
 	boom := errors.New("boom")
-	f := func(b int) (float64, error) {
-		if calls.Add(1) == 1 {
+	m := newMemo(func(b int) (float64, error) {
+		if calls++; calls == 1 {
 			return 0, boom
 		}
 		return float64(b), nil
-	}
-	mf, count := Memoized(f)
-	if _, err := mf(5); !errors.Is(err, boom) {
+	})
+	if _, err := m.eval(5); !errors.Is(err, boom) {
 		t.Fatalf("first call error = %v", err)
 	}
 	// The failure must not be cached: the retry re-runs the objective.
-	v, err := mf(5)
+	v, err := m.eval(5)
 	if err != nil || v != 5 {
 		t.Fatalf("retry = (%g, %v), want (5, nil)", v, err)
 	}
-	if calls.Load() != 2 || *count != 1 {
-		t.Fatalf("calls = %d count = %d, want 2 calls and 1 success", calls.Load(), *count)
+	if calls != 2 || len(m.vals) != 1 {
+		t.Fatalf("calls = %d distinct = %d, want 2 calls and 1 success", calls, len(m.vals))
 	}
 }

@@ -80,76 +80,68 @@ func TestCacheHitAcrossSpellings(t *testing.T) {
 	}
 }
 
-// TestCoalescingEvaluatesOnce is the -race coalescing soak the issue
-// asks for: 100 concurrent identical requests produce exactly one
-// evaluation; every caller gets the same full answer; followers are
-// counted and never consume admission slots (Workers 1, no queue — a
-// non-coalesced duplicate would shed with 429).
-func TestCoalescingEvaluatesOnce(t *testing.T) {
-	const n = 100
-	s := NewServer(Config{Workers: 1, QueueDepth: -1})
+// TestConcurrentIdenticalMissesStoreOneEntry runs 32 identical
+// requests at once (run it under -race). There is no coalescing: every
+// miss takes its own admission slot and evaluates, and the first
+// Workers evaluations are held until all of them are running, so their
+// same-key Puts race. Every answer is a full 200 with the same bytes,
+// labelled miss or hit, nothing is shed, and the cache ends with one
+// entry that charges one answer's bytes.
+func TestConcurrentIdenticalMissesStoreOneEntry(t *testing.T) {
+	const n, workers = 32, 4
+	s := NewServer(Config{Workers: workers, QueueDepth: n})
 	var evals atomic.Int32
+	release := make(chan struct{})
 	s.testHook = func(ctx context.Context) {
-		evals.Add(1)
-		// Hold the evaluation open until every other request has joined
-		// as a follower, so none of them can arrive late and find the
-		// value already cached (a hit, not a coalesce).
-		deadline := time.Now().Add(5 * time.Second)
-		for s.Stats().Coalesced < n-1 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
+		if evals.Add(1) == workers {
+			close(release)
+		}
+		select {
+		case <-release:
+		case <-ctx.Done():
 		}
 	}
 
 	body := fmt.Sprintf(smallGE, "simulate")
+	ws := make([]*httptest.ResponseRecorder, n)
 	var wg sync.WaitGroup
-	codes := make(chan int, n)
-	sources := make(chan string, n)
-	bodies := make(chan []byte, n)
-	for i := 0; i < n; i++ {
+	for i := range ws {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := post(t, s.Handler(), body, nil)
-			codes <- w.Code
-			sources <- w.Header().Get("X-Cache")
-			bodies <- w.Body.Bytes()
+			ws[i] = post(t, s.Handler(), body, nil)
 		}()
 	}
 	wg.Wait()
 
-	if got := evals.Load(); got != 1 {
-		t.Fatalf("%d concurrent identical requests evaluated %d times, want 1", n, got)
-	}
-	var miss, coalesced int
-	var reference []byte
-	for i := 0; i < n; i++ {
-		if c := <-codes; c != http.StatusOK {
-			t.Fatalf("request finished with status %d", c)
+	misses := 0
+	for i, w := range ws {
+		if w.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, w.Code, w.Body.String())
 		}
-		switch src := <-sources; src {
+		switch src := w.Header().Get("X-Cache"); src {
 		case "miss":
-			miss++
-		case "coalesced":
-			coalesced++
+			misses++
+		case "hit":
 		default:
-			t.Fatalf("unexpected X-Cache %q", src)
+			t.Fatalf("request %d: X-Cache %q, want miss or hit", i, src)
 		}
-		b := <-bodies
-		if reference == nil {
-			reference = b
-		} else if !bytes.Equal(reference, b) {
-			t.Fatalf("coalesced responses drifted:\n%s\n%s", reference, b)
+		if !bytes.Equal(ws[0].Body.Bytes(), w.Body.Bytes()) {
+			t.Fatalf("request %d drifted:\n%s\n%s", i, ws[0].Body.Bytes(), w.Body.Bytes())
 		}
 	}
-	if miss != 1 || coalesced != n-1 {
-		t.Fatalf("sources: %d miss / %d coalesced, want 1 / %d", miss, coalesced, n-1)
+	if got := int(evals.Load()); got != misses || misses < workers {
+		t.Fatalf("%d evaluations for %d misses, want equal and at least %d", got, misses, workers)
 	}
 	st := s.Stats()
-	if st.Accepted != 1 {
-		t.Fatalf("followers consumed admission slots: accepted = %d, want 1", st.Accepted)
+	if st.Shed != 0 || st.Accepted != int64(misses) || st.Coalesced != 0 {
+		t.Fatalf("shed %d accepted %d coalesced %d, want 0, %d, 0", st.Shed, st.Accepted, st.Coalesced, misses)
 	}
-	if st.Shed != 0 {
-		t.Fatalf("coalesced requests were shed: %+v", st)
+	if st.Cache.Entries != 1 || st.Cache.Stores != int64(misses) {
+		t.Fatalf("cache holds %d entries after %d stores, want 1 after %d", st.Cache.Entries, st.Cache.Stores, misses)
+	}
+	if e := s.cache.Export(0); len(e) != 1 || st.Cache.Bytes != e[0].Size {
+		t.Fatalf("cache charges %d bytes, want one entry's", st.Cache.Bytes)
 	}
 }
 
@@ -280,7 +272,7 @@ func TestStatszSnapshotConsistent(t *testing.T) {
 }
 
 // TestCacheOffMatchesLegacyFlow sanity-checks the baseline config: no
-// caching, no coalescing, every request evaluates — and two evaluations
+// caching, every request evaluates — and two evaluations
 // of one request answer the same bytes, because the body is a pure
 // function of the request (wall time is in Server-Timing).
 func TestCacheOffMatchesLegacyFlow(t *testing.T) {

@@ -124,21 +124,23 @@ func goldenServer() http.Handler {
 }
 
 // goldenAnswer posts one canonical request and returns the body's hash
-// and headline numbers; a non-200 or degraded answer is an error (the
-// corpus holds only requests that answer in full).
-func goldenAnswer(h http.Handler, body []byte) (string, []float64, error) {
+// and headline numbers, and the answer's X-Cache header; a non-200 or
+// degraded answer is an error (the corpus holds only requests that
+// answer in full).
+func goldenAnswer(h http.Handler, body []byte) (string, []float64, string, error) {
 	req := httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body))
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
+	src := w.Header().Get("X-Cache")
 	if w.Code != http.StatusOK {
-		return "", nil, fmt.Errorf("status %d: %s", w.Code, w.Body.String())
+		return "", nil, src, fmt.Errorf("status %d: %s", w.Code, w.Body.String())
 	}
 	var resp Response
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-		return "", nil, err
+		return "", nil, src, err
 	}
 	if resp.Degraded {
-		return "", nil, fmt.Errorf("degraded answer (%s): %s", resp.DegradeReason, w.Body.String())
+		return "", nil, src, fmt.Errorf("degraded answer (%s): %s", resp.DegradeReason, w.Body.String())
 	}
 	var totals []float64
 	switch {
@@ -150,7 +152,7 @@ func goldenAnswer(h http.Handler, body []byte) (string, []float64, error) {
 		totals = []float64{resp.Bounds.LowerMicros, resp.Bounds.UpperMicros}
 	}
 	sum := sha256.Sum256(w.Body.Bytes())
-	return hex.EncodeToString(sum[:]), totals, nil
+	return hex.EncodeToString(sum[:]), totals, src, nil
 }
 
 func readGolden(t *testing.T) []goldenEntry {
@@ -177,7 +179,12 @@ func readGolden(t *testing.T) []goldenEntry {
 }
 
 // TestGoldenCorpus drives every corpus line through one in-process
-// handler and demands the body hash recorded in the file.
+// cache-off handler and demands the body hash recorded in the file.
+// A second leg sends every line twice through one cache-on server: the
+// first answer must be a miss and the second a hit, and both must hash
+// to the entry. The binaries' tests drive the same file through the
+// predictd binary (cmd/predictd) and through predictrouter in front of
+// three predictd (cmd/predictrouter).
 func TestGoldenCorpus(t *testing.T) {
 	h := goldenServer()
 	if *update {
@@ -189,13 +196,28 @@ func TestGoldenCorpus(t *testing.T) {
 		t.Fatalf("%s holds %d entries, goldenRequests defines %d; regenerate with -update", goldenPath, len(entries), want)
 	}
 	for i, e := range entries {
-		sum, totals, err := goldenAnswer(h, e.Request)
+		sum, totals, _, err := goldenAnswer(h, e.Request)
 		if err != nil {
 			t.Errorf("line %d %s: %v", i+1, e.Request, err)
 			continue
 		}
 		if sum != e.SHA256 {
 			t.Errorf("line %d %s: body moved: totals %v, recorded %v", i+1, e.Request, totals, e.Totals)
+		}
+	}
+
+	cached := NewServer(Config{Workers: 1, DefaultDeadline: 5 * time.Minute, MaxDeadline: 5 * time.Minute}).Handler()
+	for i, e := range entries {
+		for _, want := range []string{"miss", "hit"} {
+			sum, totals, src, err := goldenAnswer(cached, e.Request)
+			switch {
+			case err != nil:
+				t.Errorf("cache-on line %d %s (%s): %v", i+1, e.Request, want, err)
+			case src != want:
+				t.Errorf("cache-on line %d %s: X-Cache %q, want %q", i+1, e.Request, src, want)
+			case sum != e.SHA256:
+				t.Errorf("cache-on line %d %s (%s): body moved: totals %v, recorded %v", i+1, e.Request, want, totals, e.Totals)
+			}
 		}
 	}
 }
@@ -216,7 +238,7 @@ func updateGolden(t *testing.T, h http.Handler) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, totals, err := goldenAnswer(h, body)
+		sum, totals, _, err := goldenAnswer(h, body)
 		if err != nil {
 			t.Fatalf("request %d %s: %v", i, body, err)
 		}

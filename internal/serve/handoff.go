@@ -70,7 +70,7 @@ type importResult struct {
 // server buffer unboundedly.
 const maxImportBytes = 64 << 20
 
-// handleCacheExport streams the cache's live entries as NDJSON in
+// handleCacheExport streams the cache's entries as NDJSON in
 // resultcache.Export order (every shard's hottest first), optionally
 // capped by ?limit=N. Each line's response is the stored body; nothing
 // is re-encoded. Deliberately served during drain.

@@ -172,8 +172,8 @@ func TestOverloadShedsImmediately(t *testing.T) {
 	go post(t, s.Handler(), fmt.Sprintf(smallGE, "simulate"), nil)
 	<-entered // the only worker is now pinned
 
-	// A distinct body (different seed): an identical one would coalesce
-	// with the pinned request instead of contending for a slot.
+	// A distinct body (different seed), so the answer is a miss that
+	// contends for a slot whatever the cache holds.
 	start := time.Now()
 	var e errorResponse
 	w := post(t, s.Handler(), `{"mode":"simulate","workload":{"kind":"ge","procs":4,"n":96,"block":8},"seed":1}`, &e)
@@ -202,8 +202,8 @@ func TestQueueDepthAdmitsThenSheds(t *testing.T) {
 		<-gate
 	}
 
-	// Distinct bodies (per-request seeds): identical ones would
-	// coalesce onto one evaluation and never fill the queue.
+	// Distinct bodies (per-request seeds), so every request is a miss
+	// that takes a slot whatever the cache holds.
 	seeded := `{"mode":"simulate","workload":{"kind":"ge","procs":4,"n":96,"block":8},"seed":%d}`
 	var wg sync.WaitGroup
 	codes := make(chan int, 4)

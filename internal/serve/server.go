@@ -8,23 +8,16 @@
 //   - Result caching. Every layer under the service is deterministic,
 //     so a non-degraded response is a pure function of the request's
 //     canonical form (cachekey.go). Each evaluation encodes its 200 body
-//     once; the bytes are stored in a sharded LRU+TTL cache
+//     once; the bytes are stored in a sharded LRU cache
 //     (internal/resultcache) keyed by content hash, and a hit writes
 //     them back verbatim. Wall time travels in the Server-Timing
 //     header, never in the body. A hit is served before admission
 //     control even looks at the request — no queue slot, no deadline,
-//     no budget check — and even while the server drains. Degraded and
-//     error responses are never cached.
-//
-//   - Request coalescing. Concurrent identical misses collapse onto
-//     one evaluation (internal/flight): the first request becomes the
-//     leader and runs the full admission/evaluation path; followers
-//     block without consuming queue or worker slots and share the
-//     leader's outcome, whatever it is. Requests that differ only in
-//     operational knobs (deadline, budget) are deliberately NOT
-//     coalesced — a follower must never receive a degradation it did
-//     not ask for — so the coalescing key is the cache key plus those
-//     knobs.
+//     no budget check — and even while the server drains. A miss
+//     evaluates on the request's own goroutine, so concurrent identical
+//     misses each take an admission slot and each evaluate; the cache
+//     still ends with one entry, since a same-key Put refreshes it in
+//     place. Degraded and error responses are never cached.
 //
 //   - Admission control. A bounded queue (QueueDepth waiting slots on
 //     top of Workers running slots) backed by a sweep.Limiter sized off
@@ -71,7 +64,6 @@ import (
 	"loggpsim/internal/analyze"
 	"loggpsim/internal/cost"
 	"loggpsim/internal/faults"
-	"loggpsim/internal/flight"
 	"loggpsim/internal/loggp"
 	"loggpsim/internal/predictor"
 	"loggpsim/internal/program"
@@ -107,12 +99,12 @@ type Config struct {
 	// Limits are the hard input caps (zero fields select defaults).
 	Limits Limits
 	// Cache tunes the result cache (zero fields select resultcache's
-	// defaults: 16 shards, 256 MiB, 64k entries, no TTL).
+	// defaults: 16 shards, 256 MiB, 64k entries).
 	Cache resultcache.Config
-	// CacheOff disables the result cache AND request coalescing,
-	// restoring the evaluate-every-request flow. It exists for the
-	// cache-replay test's baseline and for differential testing —
-	// cached and uncached responses must be byte-identical.
+	// CacheOff disables the result cache, so every request evaluates.
+	// It exists for the cache-replay test's baseline and for
+	// differential testing — cached and uncached responses must be
+	// byte-identical.
 	CacheOff bool
 	// Pprof mounts net/http/pprof under /debug/pprof/. Off by default:
 	// profiles expose internals, so the operator opts in (-pprof).
@@ -150,15 +142,16 @@ type Stats struct {
 	// Accepted counts requests admitted past the queue; Shed the ones
 	// bounced with 429; Rejected the 4xx/5xx failures; Degraded the
 	// 200s answered with a downgraded computation; Panics the contained
-	// prediction panics; Completed every request answered with a 200;
-	// Coalesced the requests that shared another request's evaluation
-	// instead of running their own.
+	// prediction panics; Completed every request answered with a 200.
 	Accepted  int64 `json:"accepted"`
 	Shed      int64 `json:"shed"`
 	Rejected  int64 `json:"rejected"`
 	Degraded  int64 `json:"degraded"`
 	Panics    int64 `json:"panics"`
 	Completed int64 `json:"completed"`
+	// Coalesced is always 0: the server no longer coalesces concurrent
+	// identical misses. It stays because the benchmark (perfbench)
+	// reads it for its serve.coalesced metric.
 	Coalesced int64 `json:"coalesced"`
 	// InFlight is the number of requests currently holding a queue or
 	// worker slot; Running the subset actually holding a worker; Queued
@@ -183,22 +176,10 @@ const (
 	occRun  uint64 = 1
 )
 
-// flightKey is the request-coalescing key: the semantic cache key plus
-// the operational knobs excluded from it. Two requests coalesce only
-// when they would be willing to accept each other's outcome — a
-// budget-degraded certificate must not be handed to a follower that
-// never set a budget.
-type flightKey struct {
-	key        resultcache.Key
-	deadlineMS int
-	budget     float64
-}
-
 // outcome is one evaluated (or cached) answer, decoupled from the
-// ResponseWriter so it can be computed once and delivered to many
-// coalesced requests. A 200 carries its encoded body, which every
-// writer and the cache share read-only; any other status carries
-// errMsg.
+// ResponseWriter so the miss path can store it before writing it. A
+// 200 carries its encoded body, which the writer and the cache share
+// read-only; any other status carries errMsg.
 type outcome struct {
 	status     int
 	body       []byte  // encoded 200 payload, written verbatim
@@ -248,7 +229,6 @@ type Server struct {
 	mux   *http.ServeMux
 
 	cache *resultcache.Cache[cached] // nil when CacheOff
-	group flight.Group[flightKey, *outcome]
 
 	draining atomic.Bool
 	drainNow chan struct{} // closed DrainGrace after drain begins
@@ -260,8 +240,8 @@ type Server struct {
 	// pin a worker (overload), outwait a deadline, or panic on demand.
 	testHook func(ctx context.Context)
 
-	accepted, shed, rejected, degraded, panics, completed, coalesced atomic.Int64
-	occupancy                                                        atomic.Uint64
+	accepted, shed, rejected, degraded, panics, completed atomic.Int64
+	occupancy                                             atomic.Uint64
 }
 
 // NewServer builds a server; the zero Config is usable.
@@ -314,7 +294,6 @@ func (s *Server) Stats() Stats {
 		Degraded:  s.degraded.Load(),
 		Panics:    s.panics.Load(),
 		Completed: s.completed.Load(),
-		Coalesced: s.coalesced.Load(),
 		InFlight:  held,
 		Running:   running,
 		Queued:    held - running,
@@ -390,9 +369,9 @@ func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...
 }
 
 // handlePredict is the main endpoint: decode and validate, serve a
-// cache hit, otherwise coalesce identical misses onto one evaluation.
-// See the package comment for the shed/deadline/degrade state machine
-// the evaluation implements.
+// cache hit, otherwise evaluate and store the answer. See the package
+// comment for the shed/deadline/degrade state machine the evaluation
+// implements.
 func (s *Server) handlePredict(w http.ResponseWriter, hr *http.Request) {
 	start := time.Now()
 	// refuse answers a request turned away before evaluation, with the
@@ -422,7 +401,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, hr *http.Request) {
 	}
 
 	if s.cache == nil {
-		// Cache and coalescing off: every request evaluates.
+		// Cache off: every request evaluates.
 		if s.draining.Load() {
 			refuse(http.StatusServiceUnavailable, "draining")
 			return
@@ -456,47 +435,29 @@ func (s *Server) handlePredict(w http.ResponseWriter, hr *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 
-	// Miss: coalesce. The leader runs the full admission + evaluation
-	// path in a flight goroutine detached from any one client's
-	// connection; followers wait here, consuming no queue or worker
-	// slot, and share whatever outcome the leader produced. The flight
-	// goroutine gets its own copy of the request, so r stays on the
-	// stack of a hit.
+	// Miss: evaluate here, on the request's own goroutine. Capture the
+	// wire-form request first: evaluate mutates it (hypercube proc
+	// rounding), and the handoff export needs the exact form whose
+	// canonical key addresses the entry. The miss works on a copy, so r
+	// stays on the stack of a hit.
 	req := r
-	ch, leader := s.group.DoChan(flightKey{key, r.DeadlineMS, r.Budget}, func() (*outcome, error) {
-		// Capture the wire-form request before evaluation: evaluate
-		// mutates it (hypercube proc rounding), and the handoff export
-		// needs the exact form whose canonical key addresses the entry.
-		reqJSON, reqErr := json.Marshal(&req)
-		o := s.evaluate(&req)
-		if o.storable() && reqErr == nil {
-			s.cache.Put(key, cached{body: o.body, req: reqJSON}, resultcache.Meta{
-				Size:  len(o.body) + len(reqJSON),
-				Cost:  o.cost,
-				Store: true,
-			})
-		}
-		return o, nil
-	})
-	src := "miss"
-	if !leader {
-		src = "coalesced"
-		s.coalesced.Add(1)
+	reqJSON, reqErr := json.Marshal(&req)
+	o := s.evaluate(&req)
+	if o.storable() && reqErr == nil {
+		s.cache.Put(key, cached{body: o.body, req: reqJSON}, resultcache.Meta{
+			Size:  len(o.body) + len(reqJSON),
+			Cost:  o.cost,
+			Store: true,
+		})
 	}
-	res := <-ch
-	if res.Err != nil {
-		// Only a panic that escaped evaluate's guard lands here.
-		refuse(http.StatusInternalServerError, "internal error (evaluation panicked)")
-		return
-	}
-	s.writeOutcome(w, res.Val, src, start)
+	s.writeOutcome(w, o, "miss", start)
 }
 
 // writeOutcome delivers an outcome to one client and accounts for it.
 // Work-level counters (accepted, shed, panics) were already bumped by
-// whoever evaluated; the per-response counters (completed, degraded,
-// rejected) belong to each request served. src, when non-empty, is
-// surfaced as the X-Cache header (hit, miss, coalesced). Every answer
+// evaluate; the per-response counters (completed, degraded, rejected)
+// belong to each request served. src, when non-empty, is surfaced as
+// the X-Cache header (hit or miss). Every answer
 // carries the handler's wall time since start as Server-Timing; a 200
 // writes the outcome's encoded body as is, with no JSON encoder.
 func (s *Server) writeOutcome(w http.ResponseWriter, o *outcome, src string, start time.Time) {
@@ -537,8 +498,8 @@ func TimingMetric(name string, start time.Time) string {
 
 // evaluate is the single evaluation path — the admission-control,
 // deadline, budget, and degradation state machine, producing an outcome
-// instead of writing one. It runs once per unique in-flight request
-// (the coalescing leader), or once per request when the cache is off.
+// instead of writing one. It runs once per cache miss, or once per
+// request when the cache is off, on the request's own goroutine.
 func (s *Server) evaluate(r *Request) *outcome {
 	pr, work, err := r.buildProgram(s.cfg.Limits)
 	if err != nil {
@@ -600,9 +561,9 @@ func (s *Server) evaluate(r *Request) *outcome {
 	// Deadline: client-supplied, clamped, defaulted — and released
 	// early when the drain grace expires, so shutdown degrades
 	// in-flight work instead of waiting out long deadlines. The base is
-	// Background, not the leader's connection context: a coalesced
-	// evaluation serves every follower and must not die with one
-	// client.
+	// Background, not the connection's context: a full answer is
+	// stored for every later request, so a client that hangs up does
+	// not cancel it.
 	d := s.cfg.DefaultDeadline
 	if r.DeadlineMS > 0 {
 		d = time.Duration(r.DeadlineMS) * time.Millisecond

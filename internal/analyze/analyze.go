@@ -348,7 +348,7 @@ func CheckProgram(pr *program.Program, params loggp.Params, model costModel) *Pr
 	// Step reports carry standalone certificates (every processor ready
 	// at time zero); ProgramReport.Bounds.PerStep has the chained ones.
 	// A program with errors certifies each sound step on its own; a
-	// sound one prices every certificate from one shape.
+	// sound one prices every certificate from one shape in one walk.
 	if len(r.Issues.Errs()) > 0 {
 		for i, s := range pr.Steps {
 			if sr := &r.StepReports[i]; s.Comm != nil && certifiable(sr, s.Comm, params) {
@@ -359,14 +359,19 @@ func CheckProgram(pr *program.Program, params loggp.Params, model costModel) *Pr
 		return r
 	}
 	if pr.P <= params.P && params.Validate() == nil {
+		// One walk prices each step's standalone certificate and, with
+		// a model, the chained program certificate.
 		pc := programShape(pr, model).Pricer()
-		pc.price(params)
-		for i := range r.StepReports {
-			b := pc.step(i)
-			r.StepReports[i].Bounds = &b
-		}
+		pc.price([]loggp.Params{params})
+		var certs []*Bounds
 		if model != nil {
-			r.Bounds = pc.program()
+			r.Bounds = &Bounds{PerStep: make([]StepBounds, len(pr.Steps))}
+			certs = []*Bounds{r.Bounds}
+		}
+		alone := make([]Bounds, len(pr.Steps))
+		pc.walk(certs, alone)
+		for i := range r.StepReports {
+			r.StepReports[i].Bounds = &alone[i]
 		}
 	}
 	return r

@@ -115,8 +115,10 @@ func PatternBounds(pt *trace.Pattern, params loggp.Params) (Bounds, error) {
 // machine at least as wide.
 func patternBounds(pt *trace.Pattern, params loggp.Params) Bounds {
 	pc := patternShape(pt).Pricer()
-	pc.price(params)
-	return pc.step(0)
+	pc.price([]loggp.Params{params})
+	var b [1]Bounds
+	pc.walk(nil, b[:])
+	return b[0]
 }
 
 // BoundProgram computes the whole-program certificate: computation

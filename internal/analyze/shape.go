@@ -1,18 +1,23 @@
-// Program shapes: the structural half of a bound certificate, computed
-// once and priced per LogGP parameter vector. Every certificate the
-// package issues — PatternBounds, Check, BoundProgram, CheckProgram and
-// the Monte-Carlo envelope's per-sample bounds — is a shape priced by a
-// Pricer; this file is the one implementation of the derivations in
-// bounds.go.
+// Program shapes: the parameter-independent half of a bound
+// certificate. Every certificate the package issues — PatternBounds,
+// Check, BoundProgram, CheckProgram and the Monte-Carlo envelope's
+// per-sample bounds — is a shape priced by a Pricer; this file is the
+// one implementation of the derivations in bounds.go.
 //
-// A shape holds the parameter-independent work: validation, the
-// per-step computation charges (the cost model is not perturbed), and a
-// byte-class decomposition of every communication step. Each distinct
-// message size maps to a class; term(k), ivx(k) and ArrivalDelay(k)
-// depend on the parameters and the size alone, so pricing evaluates
-// them once per class instead of once per message. The specification
-// is the per-message walk over a trace.Pattern in walk_test.go: every
-// pricer result must match it bit for bit.
+// A shape holds the validated program, the per-step computation charges
+// (the cost model is not perturbed) and a byte-class table: each
+// distinct message size maps to a class, and term(k), ivx(k) and
+// ArrivalDelay(k) depend on the parameters and the size alone, so
+// pricing evaluates them once per class instead of once per message.
+// The shape stores nothing per message. A Pricer walks the program
+// step by step: it lays each step out into scratch it reuses across
+// steps (the network messages by class, the receive runs, each
+// message's arrival slot and each receiver's run boundaries), then
+// prices that layout under every parameter vector of the call before it
+// moves to the next step. One walk therefore prices many vectors, and
+// pricing memory is bounded by the largest step, not the program. The
+// specification is the per-message walk over a trace.Pattern in
+// walk_test.go: every pricer result must match it bit for bit.
 package analyze
 
 import (
@@ -27,42 +32,22 @@ import (
 // ProgramShape is the parameter-independent structure of a program's
 // bound certificate. Build it once per program with NewProgramShape,
 // then price it under any number of LogGP parameter vectors through
-// Pricer. A shape is immutable after construction and safe to share;
-// each goroutine needs its own Pricer.
+// Pricer. A shape reads its program at every pricing walk, so the
+// program must not change while a shape of it is in use. A shape is
+// immutable after construction and safe to share; each goroutine needs
+// its own Pricer.
 type ProgramShape struct {
-	p          int
-	classBytes []int // class id -> message size in bytes
-	steps      []shapeStep
-}
-
-type shapeStep struct {
-	durs []float64 // per-processor summed model costs; nil without a model
-	msgs []shapeMsg
-
-	// Receive-chain sort structure. A receiver's arrivals are a union of
-	// runs, one per (sender, class) pair, and within a run the arrivals
-	// are nondecreasing under every parameter vector: the sender's send
-	// chain only grows and the arrival delay is fixed by the class. The
-	// pricer therefore scatters a step's arrivals receiver-major into
-	// per-run segments (arrSlot gives each message's slot) and sorts a
-	// receiver's arrivals by merging its presorted segments instead of
-	// comparison-sorting n arbitrary floats.
-	arrSlot []int32 // per message: slot in the step's arrival array
-	bndIdx  []int32 // len p+1: receiver q's boundaries are runBnd[bndIdx[q]:bndIdx[q+1]]
-	runBnd  []int32 // per receiver: [start, end₁, …, end_k], empty if it receives nothing
-}
-
-// shapeMsg is one network message with its size replaced by a byte
-// class; self messages are dropped at shape build (they are never
-// scheduled, so they take no part in any bound).
-type shapeMsg struct {
-	src, dst, class int32
+	pr         *program.Program
+	classBytes []int         // class id -> message size in bytes
+	classOf    map[int]int32 // message size -> class id
+	durs       []float64     // [step*P + proc] summed model costs; nil without a model
+	largest    int           // most pattern messages in one step
 }
 
 // NewProgramShape validates the program once and extracts everything a
 // bound certificate needs that does not depend on the LogGP
-// parameters: the per-step per-processor computation charges and each
-// step's network messages keyed by byte class.
+// parameters: the per-step per-processor computation charges and the
+// byte classes of its network messages.
 func NewProgramShape(pr *program.Program, model costModel) (*ProgramShape, error) {
 	if model == nil {
 		return nil, fmt.Errorf("analyze: no cost model")
@@ -77,11 +62,14 @@ func NewProgramShape(pr *program.Program, model costModel) (*ProgramShape, error
 // the shape carries no computation charges and serves standalone step
 // certificates only.
 func programShape(pr *program.Program, model costModel) *ProgramShape {
-	sb := newShapeBuilder(pr.P, len(pr.Steps))
-	for _, s := range pr.Steps {
-		var durs []float64
-		if model != nil {
-			durs = make([]float64, pr.P)
+	sh := &ProgramShape{pr: pr, classOf: make(map[int]int32)}
+	if model != nil {
+		sh.durs = make([]float64, len(pr.Steps)*pr.P)
+	}
+	lastBytes := -1
+	for i, s := range pr.Steps {
+		if sh.durs != nil {
+			durs := sh.durs[i*pr.P : (i+1)*pr.P]
 			for q := range durs {
 				d := 0.0
 				for _, call := range s.Comp[q] {
@@ -90,149 +78,109 @@ func programShape(pr *program.Program, model costModel) *ProgramShape {
 				durs[q] = d
 			}
 		}
-		sb.add(durs, s.Comm)
+		sh.largest = max(sh.largest, len(s.Comm.Msgs))
+		for _, m := range s.Comm.Msgs {
+			if m.Src == m.Dst || m.Bytes == lastBytes {
+				continue // never priced (a local transfer), or classed already
+			}
+			lastBytes = m.Bytes
+			if _, ok := sh.classOf[m.Bytes]; !ok {
+				sh.classOf[m.Bytes] = int32(len(sh.classBytes))
+				sh.classBytes = append(sh.classBytes, m.Bytes)
+			}
+		}
 	}
-	return sb.sh
+	return sh
 }
 
 // patternShape is the one-step shape of a valid pattern, with no
 // computation phase.
 func patternShape(pt *trace.Pattern) *ProgramShape {
-	sb := newShapeBuilder(pt.P, 1)
-	sb.add(nil, pt)
-	return sb.sh
-}
-
-// shapeBuilder appends steps to a shape, reusing its maps and scratch
-// across them.
-type shapeBuilder struct {
-	sh      *ProgramShape
-	classOf map[int]int32   // message size -> class id
-	runID   map[int64]int32 // (dst, src, class) -> run id within a step
-	runs    []shapeRun
-	recv    []recvRuns // per receiver
-}
-
-type shapeRun struct{ dst, n, next int32 }
-
-type recvRuns struct {
-	runs, arrivals int32
-	next, bnd      int32 // layout cursors: next free slot, next boundary entry
-}
-
-func newShapeBuilder(p, steps int) *shapeBuilder {
-	return &shapeBuilder{
-		sh:      &ProgramShape{p: p, steps: make([]shapeStep, 0, steps)},
-		classOf: make(map[int]int32),
-		runID:   make(map[int64]int32),
-		recv:    make([]recvRuns, p),
-	}
-}
-
-func (sb *shapeBuilder) add(durs []float64, pt *trace.Pattern) {
-	st := shapeStep{durs: durs, msgs: make([]shapeMsg, 0, len(pt.Msgs))}
-	for _, m := range pt.Msgs {
-		if m.Src == m.Dst {
-			continue // local transfer: never scheduled, never priced
-		}
-		c, ok := sb.classOf[m.Bytes]
-		if !ok {
-			c = int32(len(sb.sh.classBytes))
-			sb.classOf[m.Bytes] = c
-			sb.sh.classBytes = append(sb.sh.classBytes, m.Bytes)
-		}
-		st.msgs = append(st.msgs, shapeMsg{src: int32(m.Src), dst: int32(m.Dst), class: c})
-	}
-	sb.layoutRuns(&st)
-	sb.sh.steps = append(sb.sh.steps, st)
-}
-
-// layoutRuns derives a step's receive-chain sort structure: runs per
-// (dst, src, class) in first-appearance order, laid out receiver-major
-// with each receiver's runs in appearance order.
-func (sb *shapeBuilder) layoutRuns(st *shapeStep) {
-	clear(sb.runID)
-	runs, recv := sb.runs[:0], sb.recv
-	clear(recv)
-	st.arrSlot = make([]int32, len(st.msgs))
-	for i, m := range st.msgs {
-		key := int64(m.dst)<<42 | int64(m.src)<<21 | int64(m.class)
-		r, ok := sb.runID[key]
-		if !ok {
-			r = int32(len(runs))
-			sb.runID[key] = r
-			runs = append(runs, shapeRun{dst: m.dst})
-			recv[m.dst].runs++
-		}
-		runs[r].n++
-		recv[m.dst].arrivals++
-		st.arrSlot[i] = r // the run for now, the slot once runs are laid out
-	}
-	// Receiver q's arrivals start where q-1's end; its boundary list
-	// [start, end₁, …, end_k] has one entry per run plus the start.
-	st.bndIdx = make([]int32, len(recv)+1)
-	slot := int32(0)
-	for q := range recv {
-		rq := &recv[q]
-		rq.next, rq.bnd = slot, st.bndIdx[q]+1
-		slot += rq.arrivals
-		st.bndIdx[q+1] = st.bndIdx[q]
-		if rq.runs > 0 {
-			st.bndIdx[q+1] += rq.runs + 1
-		}
-	}
-	st.runBnd = make([]int32, st.bndIdx[len(recv)])
-	for q := range recv {
-		if recv[q].runs > 0 {
-			st.runBnd[st.bndIdx[q]] = recv[q].next
-		}
-	}
-	for r := range runs {
-		rq := &recv[runs[r].dst]
-		runs[r].next = rq.next
-		rq.next += runs[r].n
-		st.runBnd[rq.bnd] = rq.next
-		rq.bnd++
-	}
-	for i, r := range st.arrSlot {
-		st.arrSlot[i] = runs[r].next
-		runs[r].next++
-	}
-	sb.runs = runs
+	return programShape(&program.Program{P: pt.P, Steps: []*program.Step{{Comm: pt}}}, nil)
 }
 
 // Steps returns the number of program steps the shape summarizes.
-func (sh *ProgramShape) Steps() int { return len(sh.steps) }
+func (sh *ProgramShape) Steps() int { return len(sh.pr.Steps) }
 
 // Pricer returns a pricer over the shape with its own bound state and
-// class tables, so repeated Bound calls allocate only the returned
-// Bounds. A Pricer must not be used concurrently; shapes are shared,
-// pricers are per-goroutine.
+// step scratch, sized once for the shape's largest step, so repeated
+// pricing calls allocate only the returned Bounds. A Pricer must not
+// be used concurrently; shapes are shared, pricers are per-goroutine.
 func (sh *ProgramShape) Pricer() *Pricer {
-	n := 0
-	for i := range sh.steps {
-		n = max(n, len(sh.steps[i].msgs))
-	}
+	n, p := sh.largest, sh.pr.P
 	return &Pricer{
 		sh:       sh,
-		procs:    make([]procBound, sh.p),
-		classes:  make([]classCost, len(sh.classBytes)),
+		msgs:     make([]shapeMsg, n),
+		arrSlot:  make([]int32, n),
+		bndIdx:   make([]int32, p+1),
+		runBnd:   make([]int32, n+p),
+		order:    make([]int32, n),
+		runNext:  make([]int32, n),
+		inCnt:    make([]int32, p),
+		fill:     make([]int32, p),
+		stamp:    make([]int32, p),
+		srcRun:   make([]int32, p),
+		srcCls:   make([]int32, p),
 		arrivals: make([]float64, n),
 	}
 }
 
-// Pricer prices a ProgramShape under successive LogGP parameter
-// vectors.
+// Pricer prices a ProgramShape under LogGP parameter vectors, many per
+// walk over the program.
 type Pricer struct {
-	sh    *ProgramShape
-	procs []procBound
-	// Filled per parameter vector by price.
-	classes []classCost
-	o, gLo  float64
+	sh *ProgramShape
+
+	// The current step's layout. Its network messages (self messages
+	// dropped) with their byte classes, in pattern order; arrSlot gives
+	// each message's slot in the step's arrival array. A receiver's
+	// arrivals are a union of runs, each a stretch of one sender's
+	// same-class messages to it, and within a run the arrivals are
+	// nondecreasing under every parameter vector: the sender's send
+	// chain only grows and the arrival delay is fixed by the class. So
+	// the arrivals are scattered receiver-major into per-run segments,
+	// and a receiver's are sorted by merging its presorted segments
+	// instead of comparison-sorting n arbitrary floats. Receiver q's
+	// boundaries [start, end₁, …, end_k] are runBnd[bndIdx[q]:bndIdx[q+1]],
+	// empty if it receives nothing.
+	msgs    []shapeMsg
+	n       int // network messages in msgs
+	arrSlot []int32
+	bndIdx  []int32
+	runBnd  []int32
+
+	// Layout scratch: the messages grouped by receiver, each run's next
+	// free slot, per-receiver counts and cursors, and per sender the
+	// receiver it last sent to (stamp, as receiver+1) with the run it
+	// opened there and that run's class.
+	order, runNext        []int32
+	inCnt, fill           []int32
+	stamp, srcRun, srcCls []int32
+
+	// The parameter vectors of the current call, each with its own
+	// class table and chained processor state, and the standalone
+	// processor state CheckProgram prices single steps with.
+	vecs  []vector
+	alone []procBound
+
 	// Receive-chain scratch: one step's arrivals, receiver-major, and
 	// the merge's ping-pong buffer and boundary list.
 	arrivals, buf []float64
 	bnd           []int32
+}
+
+// shapeMsg is one network message of the step being priced, its size
+// replaced by a byte class.
+type shapeMsg struct {
+	src, dst, class int32
+}
+
+// vector is one parameter vector's pricing state: its class table and
+// the two gaps the bounds read, filled by price, and its chained
+// per-processor bounds.
+type vector struct {
+	classes []classCost
+	o, gLo  float64
+	procs   []procBound
 }
 
 // classCost holds one byte class's LogGP terms under the priced
@@ -257,79 +205,206 @@ type procBound struct {
 // Bound prices the shape under params and returns the whole-program
 // certificate: computation phases charged exactly as the predictor
 // charges them, communication phases bounded with per-processor clocks
-// and gap state chained across steps.
+// and gap state chained across steps. It is BoundAll's one-vector case.
 func (pc *Pricer) Bound(params loggp.Params) (*Bounds, error) {
-	if err := params.Validate(); err != nil {
+	bs, err := pc.BoundAll([]loggp.Params{params})
+	if err != nil {
 		return nil, err
 	}
-	if pc.sh.p > params.P {
-		return nil, fmt.Errorf("analyze: program uses %d processors but machine has P=%d", pc.sh.p, params.P)
-	}
-	pc.price(params)
-	return pc.program(), nil
+	return bs[0], nil
 }
 
-// price fills the class tables for a valid parameter vector. g' drops
-// the inter-operation gap under the NoCrossGap ablation, where unlike
+// BoundAll prices the shape under every parameter vector of ps in one
+// walk over the program and returns the certificates in order: each
+// step is laid out once and priced under all the vectors, and
+// certificate i equals Bound(ps[i]) bit for bit. A vector Bound would
+// reject fails the call with Bound's error for the first such vector,
+// before anything is priced.
+func (pc *Pricer) BoundAll(ps []loggp.Params) ([]*Bounds, error) {
+	for _, params := range ps {
+		if err := params.Validate(); err != nil {
+			return nil, err
+		}
+		if p := pc.sh.pr.P; p > params.P {
+			return nil, fmt.Errorf("analyze: program uses %d processors but machine has P=%d", p, params.P)
+		}
+	}
+	pc.price(ps)
+	steps := len(pc.sh.pr.Steps)
+	out := make([]*Bounds, len(ps))
+	per := make([]StepBounds, len(ps)*steps)
+	for v := range out {
+		out[v] = &Bounds{PerStep: per[v*steps : (v+1)*steps : (v+1)*steps]}
+	}
+	pc.walk(out, nil)
+	return out, nil
+}
+
+// price sets up one vector per parameter vector of ps, all valid:
+// fresh chained state and the class table. g' drops the
+// inter-operation gap under the NoCrossGap ablation, where unlike
 // neighbours are constrained only by o and the port drain; the upper
 // bound always pays the full gap.
-func (pc *Pricer) price(p loggp.Params) {
-	pc.o, pc.gLo = p.O, p.Gap
-	if p.NoCrossGap {
-		pc.gLo = 0
-	}
-	for c, bytes := range pc.sh.classBytes {
-		ser := p.Serialization(bytes)
-		ad := p.ArrivalDelay(bytes)
-		x := max(p.Gap, p.O, ser) - p.O
-		pc.classes[c] = classCost{term: max(pc.gLo, p.O, ser), ad: ad, ivx: x, ub: 2*x + ad + p.O}
-	}
-}
-
-// program returns the whole-program certificate under the priced
-// parameters. The shape must carry computation charges.
-func (pc *Pricer) program() *Bounds {
-	clear(pc.procs)
-	b := &Bounds{PerStep: make([]StepBounds, len(pc.sh.steps))}
-	for i := range pc.sh.steps {
-		s := &pc.sh.steps[i]
-		// Both simulators advance each clock by exactly its computation
-		// charge, so both bounds shift by it.
-		for q, d := range s.durs {
-			pc.procs[q].lo += d
-			pc.procs[q].hi += d
+func (pc *Pricer) price(ps []loggp.Params) {
+	p := pc.sh.pr.P
+	pc.vecs = fit(pc.vecs, len(ps))
+	for v, params := range ps {
+		vec := &pc.vecs[v]
+		vec.procs = fit(vec.procs, p)
+		clear(vec.procs)
+		vec.classes = fit(vec.classes, len(pc.sh.classBytes))
+		vec.o, vec.gLo = params.O, params.Gap
+		if params.NoCrossGap {
+			vec.gLo = 0
 		}
-		b.PerStep[i].Lower, b.PerStep[i].Upper = pc.communicate(s)
+		for c, bytes := range pc.sh.classBytes {
+			ser := params.Serialization(bytes)
+			ad := params.ArrivalDelay(bytes)
+			x := max(params.Gap, params.O, ser) - params.O
+			vec.classes[c] = classCost{term: max(vec.gLo, params.O, ser), ad: ad, ivx: x, ub: 2*x + ad + params.O}
+		}
 	}
-	b.Lower, b.Upper = pc.finish()
-	return b
 }
 
-// step returns step i's standalone certificate under the priced
-// parameters: every processor ready at time zero, no computation phase.
-func (pc *Pricer) step(i int) Bounds {
-	clear(pc.procs)
-	lo, hi := pc.communicate(&pc.sh.steps[i])
-	return Bounds{Lower: lo, Upper: hi}
+// fit returns buf resized to n entries, reusing its backing when it is
+// large enough; the contents are not cleared.
+func fit[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// walk lays out each step of the shape once and prices it under the
+// priced vectors: vector v's chained certificate fills certs[v] (its
+// PerStep, then the global-clock bounds). With alone non-nil it also
+// prices each step on its own under the first vector — every processor
+// ready at time zero, no computation phase — into alone[i]; certs may
+// then be empty.
+func (pc *Pricer) walk(certs []*Bounds, alone []Bounds) {
+	p := pc.sh.pr.P
+	if alone != nil {
+		pc.alone = fit(pc.alone, p)
+	}
+	for i, s := range pc.sh.pr.Steps {
+		pc.layout(s.Comm)
+		if alone != nil {
+			clear(pc.alone)
+			lo, hi := pc.communicate(&pc.vecs[0], pc.alone)
+			alone[i] = Bounds{Lower: lo, Upper: hi}
+		}
+		for v, b := range certs {
+			vec := &pc.vecs[v]
+			// Both simulators advance each clock by exactly its
+			// computation charge, so both bounds shift by it.
+			if pc.sh.durs != nil {
+				for q, d := range pc.sh.durs[i*p : (i+1)*p] {
+					vec.procs[q].lo += d
+					vec.procs[q].hi += d
+				}
+			}
+			b.PerStep[i].Lower, b.PerStep[i].Upper = pc.communicate(vec, vec.procs)
+		}
+	}
+	for v, b := range certs {
+		b.Lower, b.Upper = finish(pc.vecs[v].procs)
+	}
+}
+
+// layout derives one step's layout into the reused scratch: the network
+// messages by class, then the receive runs laid out receiver-major, each
+// receiver's runs in first-appearance order, with every message's slot
+// and every receiver's boundary list.
+func (pc *Pricer) layout(pt *trace.Pattern) {
+	sh := pc.sh
+	clear(pc.inCnt)
+	n := 0
+	lastBytes, lastCls := -1, int32(0)
+	for _, m := range pt.Msgs {
+		if m.Src == m.Dst {
+			continue // local transfer: never scheduled, never priced
+		}
+		if m.Bytes != lastBytes {
+			lastBytes, lastCls = m.Bytes, sh.classOf[m.Bytes]
+		}
+		pc.msgs[n] = shapeMsg{src: int32(m.Src), dst: int32(m.Dst), class: lastCls}
+		pc.inCnt[m.Dst]++
+		n++
+	}
+	pc.n = n
+	if n == 0 {
+		return
+	}
+	// Group the messages by receiver, in pattern order within each.
+	slot := int32(0)
+	for q, c := range pc.inCnt {
+		pc.fill[q] = slot
+		slot += c
+	}
+	for i, m := range pc.msgs[:n] {
+		pc.order[pc.fill[m.dst]] = int32(i)
+		pc.fill[m.dst]++
+	}
+	// Receiver by receiver: open a run whenever a sender's message does
+	// not extend the sender's latest run at this receiver (it has none
+	// yet, or that run has another class), count each run's messages,
+	// give the runs consecutive segments of the receiver's region, and
+	// give every message the next slot of its run.
+	clear(pc.stamp)
+	nRuns, nb, start := int32(0), int32(0), int32(0)
+	for q, c := range pc.inCnt {
+		pc.bndIdx[q] = nb
+		if c == 0 {
+			continue
+		}
+		group := pc.order[start : start+c]
+		first := nRuns
+		for _, i := range group {
+			m := pc.msgs[i]
+			if pc.stamp[m.src] != int32(q+1) || pc.srcCls[m.src] != m.class {
+				pc.stamp[m.src], pc.srcRun[m.src], pc.srcCls[m.src] = int32(q+1), nRuns, m.class
+				pc.runNext[nRuns] = 0
+				nRuns++
+			}
+			r := pc.srcRun[m.src]
+			pc.runNext[r]++   // counts the run's messages for now
+			pc.arrSlot[i] = r // the run for now, the slot below
+		}
+		pc.runBnd[nb] = start
+		nb++
+		slot := start
+		for r := first; r < nRuns; r++ {
+			slot, pc.runNext[r] = slot+pc.runNext[r], slot
+			pc.runBnd[nb] = slot
+			nb++
+		}
+		for _, i := range group {
+			r := pc.arrSlot[i]
+			pc.arrSlot[i] = pc.runNext[r]
+			pc.runNext[r]++
+		}
+		start += c
+	}
+	pc.bndIdx[len(pc.inCnt)] = nb
 }
 
 // finish returns the global-clock bounds: the session's running time is
 // the maximum processor clock.
-func (pc *Pricer) finish() (lo, hi float64) {
-	for q := range pc.procs {
-		lo = max(lo, pc.procs[q].lo)
-		hi = max(hi, pc.procs[q].hi)
+func finish(procs []procBound) (lo, hi float64) {
+	for q := range procs {
+		lo = max(lo, procs[q].lo)
+		hi = max(hi, procs[q].hi)
 	}
 	return lo, hi
 }
 
-// communicate applies one communication step to the chained bounds and
-// returns the resulting bounds on the global clock.
-func (pc *Pricer) communicate(s *shapeStep) (lo, hi float64) {
-	if len(s.msgs) == 0 {
-		return pc.finish()
+// communicate applies the laid-out step to the chained bounds procs
+// under vector vec and returns the resulting bounds on the global
+// clock.
+func (pc *Pricer) communicate(vec *vector, procs []procBound) (lo, hi float64) {
+	if pc.n == 0 {
+		return finish(procs)
 	}
-	procs := pc.procs
 	for q := range procs {
 		pq := &procs[q]
 		pq.sendAt = pq.lo
@@ -341,10 +416,10 @@ func (pc *Pricer) communicate(s *shapeStep) (lo, hi float64) {
 	// per-operation terms (the drain after a receive charges the same
 	// term as the send), and the upper bound's per-message total.
 	ubSum := 0.0
-	for i, m := range s.msgs {
-		c := &pc.classes[m.class]
+	for i, m := range pc.msgs[:pc.n] {
+		c := &vec.classes[m.class]
 		src, dst := &procs[m.src], &procs[m.dst]
-		pc.arrivals[s.arrSlot[i]] = src.sendAt + c.ad
+		pc.arrivals[pc.arrSlot[i]] = src.sendAt + c.ad
 		src.sendAt += c.term
 		src.sumTerm += c.term
 		src.maxTerm = max(src.maxTerm, c.term)
@@ -371,24 +446,24 @@ func (pc *Pricer) communicate(s *shapeStep) (lo, hi float64) {
 	// Per participant: the upper bound moves to the step's horizon and
 	// carries its gap state; the lower bound folds the three constraint
 	// families.
-	delta := max(pc.gLo, pc.o)
+	delta := max(vec.gLo, vec.o)
 	for q := range procs {
 		pq := &procs[q]
 		if !pq.busy {
 			continue
 		}
 		pq.hi, pq.carry = stepHi, pq.stepIvx
-		clock := pq.lo + pq.sumTerm - pq.maxTerm + pc.o // op-count chain
-		if bnd := s.runBnd[s.bndIdx[q]:s.bndIdx[q+1]]; len(bnd) > 0 {
+		clock := pq.lo + pq.sumTerm - pq.maxTerm + vec.o // op-count chain
+		if bnd := pc.runBnd[pc.bndIdx[q]:pc.bndIdx[q+1]]; len(bnd) > 0 {
 			t := math.Inf(-1)
 			for _, a := range pc.sortRuns(bnd) {
 				t = max(a, t+delta)
 			}
-			clock = max(clock, t+pc.o) // receive chain
+			clock = max(clock, t+vec.o) // receive chain
 		}
 		pq.lo = max(pq.lo, clock)
 	}
-	return pc.finish()
+	return finish(procs)
 }
 
 // sortRuns sorts one receiver's arrivals, the segment its boundary list

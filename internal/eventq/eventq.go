@@ -94,10 +94,12 @@ func (q *Queue[T]) down(i int) {
 // Reserve grows the queue's backing storage so that at least n values can
 // be pushed without further allocation. Pattern ingestion uses it to
 // pre-size receive queues from the message counts instead of growing the
-// heap incrementally.
+// heap incrementally. A growing Reserve at least doubles the capacity,
+// so a queue reused across ever larger rounds reallocates a logarithmic
+// number of times, not once per round.
 func (q *Queue[T]) Reserve(n int) {
 	if need := len(q.entries) + n; need > cap(q.entries) {
-		grown := make([]entry[T], len(q.entries), need)
+		grown := make([]entry[T], len(q.entries), max(need, 2*cap(q.entries)))
 		copy(grown, q.entries)
 		q.entries = grown
 	}

@@ -95,3 +95,22 @@ func TestDrainIntoAppends(t *testing.T) {
 		t.Fatal("queue not drained")
 	}
 }
+
+// A growing Reserve at least doubles the capacity, so a queue reused
+// across ever larger rounds reallocates a logarithmic number of times.
+func TestReserveGrowsGeometrically(t *testing.T) {
+	var q Queue[int]
+	q.Reserve(100)
+	first := cap(q.entries)
+	q.Reserve(first + 1)
+	if c := cap(q.entries); c < 2*first {
+		t.Fatalf("cap = %d after Reserve(%d) on a queue of capacity %d, want at least %d",
+			c, first+1, first, 2*first)
+	}
+	// A Reserve the capacity already covers keeps the storage.
+	grown := cap(q.entries)
+	q.Reserve(grown)
+	if c := cap(q.entries); c != grown {
+		t.Fatalf("cap = %d after Reserve(%d) on a queue of capacity %d", c, grown, grown)
+	}
+}

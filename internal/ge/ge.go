@@ -76,31 +76,32 @@ func OpFor(i, j, k int) blockops.Op {
 	}
 }
 
+// pivots returns the pivots whose waves are active at wave step t:
+// k in [kLo, kHi], where wave k occupies anti-diagonal t-k and
+// 0 <= k <= min(i,j) <= nb-1 bounds its blocks. Together with rows it
+// is the one definition of a wave's blocks.
+func (g Grid) pivots(t int) (kLo, kHi int) {
+	nb := g.NB
+	return max(t-2*(nb-1), 0), min(t/3, nb-1)
+}
+
+// rows returns the rows of pivot k's active blocks at wave t: block
+// (i, t-k-i) for i in [iLo, iHi], so that k <= j = t-k-i and i <= nb-1.
+func (g Grid) rows(t, k int) (iLo, iHi int) {
+	nb := g.NB
+	d := t - k // the anti-diagonal the pivot-k wave occupies
+	return max(k, d-(nb-1)), min(d-k, nb-1)
+}
+
 // active calls fn for every block active at wave t, in deterministic
 // (k, i) order: block (i,j) with pivot k = t-i-j, subject to
 // 0 <= k <= min(i,j) <= nb-1.
 func (g Grid) active(t int, fn func(i, j, k int)) {
-	nb := g.NB
-	kLo := t - 2*(nb-1)
-	if kLo < 0 {
-		kLo = 0
-	}
-	kHi := t / 3
-	if kHi > nb-1 {
-		kHi = nb - 1
-	}
+	kLo, kHi := g.pivots(t)
 	for k := kLo; k <= kHi; k++ {
-		d := t - k // the anti-diagonal the pivot-k wave occupies
-		iLo := k
-		if c := d - (nb - 1); c > iLo {
-			iLo = c
-		}
-		iHi := d - k // ensures j = d-i >= k
-		if iHi > nb-1 {
-			iHi = nb - 1
-		}
+		iLo, iHi := g.rows(t, k)
 		for i := iLo; i <= iHi; i++ {
-			fn(i, d-i, k)
+			fn(i, t-k-i, k)
 		}
 	}
 }
@@ -116,24 +117,38 @@ func BuildProgram(g Grid, lay layout.Layout) (*program.Program, error) {
 	if err := layout.Validate(lay, g.NB); err != nil {
 		return nil, err
 	}
-	pr := program.New(lay.P())
+	nb, p := g.NB, lay.P()
+	// Every block's owner, looked up once: the waves visit a block once
+	// per pivot, and Owner is an interface call.
+	own := make([]int32, nb*nb)
+	for i := 0; i < nb; i++ {
+		for j := 0; j < nb; j++ {
+			own[i*nb+j] = int32(lay.Owner(i, j))
+		}
+	}
+	pr := program.New(p)
 	pr.Steps = make([]*program.Step, 0, g.Waves())
 	bytes := blockops.BlockBytes(g.B)
-	ops := make([]int, lay.P()) // the wave's operation count per owner
+	ops := make([]int, p) // the wave's operation count per owner
 	for t := 0; t < g.Waves(); t++ {
+		kLo, kHi := g.pivots(t)
 		// Count the wave's operations per owner and its messages first,
 		// so that every list is allocated once, at its final length.
 		clear(ops)
 		msgs := 0
-		g.active(t, func(i, j, k int) {
-			ops[lay.Owner(i, j)]++
-			if j+1 < g.NB {
-				msgs++
+		for k := kLo; k <= kHi; k++ {
+			iLo, iHi := g.rows(t, k)
+			for i := iLo; i <= iHi; i++ {
+				j := t - k - i
+				ops[own[i*nb+j]]++
+				if j+1 < nb {
+					msgs++
+				}
+				if i+1 < nb {
+					msgs++
+				}
 			}
-			if i+1 < g.NB {
-				msgs++
-			}
-		})
+		}
 		s := pr.AddStep()
 		for q, n := range ops {
 			if n > 0 {
@@ -146,16 +161,20 @@ func BuildProgram(g Grid, lay layout.Layout) (*program.Program, error) {
 		// Edges between co-located blocks are intentional local
 		// transfers, not accidental self-sends.
 		s.Comm.WithLocalTransfers()
-		g.active(t, func(i, j, k int) {
-			owner := lay.Owner(i, j)
-			s.AddOpOn(owner, OpFor(i, j, k), g.B, uint64(i*g.NB+j))
-			if j+1 < g.NB {
-				s.Comm.Add(owner, lay.Owner(i, j+1), bytes)
+		for k := kLo; k <= kHi; k++ {
+			iLo, iHi := g.rows(t, k)
+			for i := iLo; i <= iHi; i++ {
+				j := t - k - i
+				owner := int(own[i*nb+j])
+				s.AddOpOn(owner, OpFor(i, j, k), g.B, uint64(i*nb+j))
+				if j+1 < nb {
+					s.Comm.Add(owner, int(own[i*nb+j+1]), bytes)
+				}
+				if i+1 < nb {
+					s.Comm.Add(owner, int(own[(i+1)*nb+j]), bytes)
+				}
 			}
-			if i+1 < g.NB {
-				s.Comm.Add(owner, lay.Owner(i+1, j), bytes)
-			}
-		})
+		}
 	}
 	return pr, nil
 }

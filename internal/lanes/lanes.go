@@ -125,6 +125,11 @@ type Lane struct {
 	// order, so a stateful fabric must serve one lane only. The
 	// worst-case slot keeps the flat LogGP network.
 	Network Network
+	// StandardOnly skips the lane's worst-case slot: the lane replays
+	// only its standard slot, so its Result leaves TotalWorst and
+	// CommWorst at zero. Its other readouts, and every other lane, are
+	// unchanged.
+	StandardOnly bool
 }
 
 // Config carries the lane-shared configuration.
@@ -261,6 +266,7 @@ type Engine struct {
 	// The run's configuration, per lane and shared.
 	o           []float64 // Params.O per lane
 	net         []Network // per lane; nil is the flat network
+	stdOnly     []bool    // Lane.StandardOnly per lane
 	rngStd      []*rand.Rand
 	rngWC       []*rand.Rand
 	inj         []*faults.Injector
@@ -402,10 +408,14 @@ func (e *Engine) RunInto(out []Result, pr *program.Program, cfg Config, ls []Lan
 		lp := l * e.p
 		for q := lp; q < lp+e.p; q++ {
 			raise(&r.Total, e.ctStd[q])
-			raise(&r.TotalWorst, e.ctWC[q])
 			raise(&r.Comp, e.comp[q])
 			raise(&r.Comm, e.commStd[q])
-			raise(&r.CommWorst, e.commWC[q])
+		}
+		if !e.stdOnly[l] {
+			for q := lp; q < lp+e.p; q++ {
+				raise(&r.TotalWorst, e.ctWC[q])
+				raise(&r.CommWorst, e.commWC[q])
+			}
 		}
 	}
 	return out, nil
@@ -480,9 +490,11 @@ func (e *Engine) step(si, l int) {
 		if e.errs[l] != nil {
 			return
 		}
-		e.runWC(sp, si, l, slot{ct: ctWC, fs: e.fsWC[lp : lp+p : lp+p], fr: e.frWC[lp : lp+p : lp+p], gated: true})
-		if e.errs[l] != nil {
-			return
+		if !e.stdOnly[l] {
+			e.runWC(sp, si, l, slot{ct: ctWC, fs: e.fsWC[lp : lp+p : lp+p], fr: e.frWC[lp : lp+p : lp+p], gated: true})
+			if e.errs[l] != nil {
+				return
+			}
 		}
 	}
 	if e.overlap {
@@ -716,6 +728,7 @@ func (e *Engine) prepare(pr *program.Program, cfg Config, ls []Lane) {
 
 	e.o = fit(e.o, e.lanes)
 	e.net = fit(e.net, e.lanes)
+	e.stdOnly = fit(e.stdOnly, e.lanes)
 	e.inj = fit(e.inj, e.lanes)
 	e.errs = fit(e.errs, e.lanes)
 	for len(e.rngStd) < e.lanes {
@@ -723,7 +736,7 @@ func (e *Engine) prepare(pr *program.Program, cfg Config, ls []Lane) {
 		e.rngWC = append(e.rngWC, nil)
 	}
 	for l, ln := range ls {
-		e.errs[l], e.inj[l], e.net[l] = nil, nil, ln.Network
+		e.errs[l], e.inj[l], e.net[l], e.stdOnly[l] = nil, nil, ln.Network, ln.StandardOnly
 		// The acceptance checks a scalar replay applies before its first
 		// step; a rejected lane fails alone, like its sample would.
 		if err := ln.Params.Validate(); err != nil {

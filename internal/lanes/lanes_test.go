@@ -264,6 +264,87 @@ func TestLanesMatchScalarPredictor(t *testing.T) {
 	}
 }
 
+// TestStandardOnlySkipsOnlyTheWorstCase runs every corpus program in
+// every mode twice over the same lane grid, the second time with every
+// other lane StandardOnly. A flagged lane must read out TotalWorst and
+// CommWorst as zero and every other readout bit for bit as before.
+// Drop decisions depend only on message identities, so a lost message
+// is lost in the standard slot first and a flagged lane fails exactly
+// as before. Every unflagged lane must be unchanged in every bit.
+func TestStandardOnlySkipsOnlyTheWorstCase(t *testing.T) {
+	model := cost.DefaultAnalytic()
+	for name, pr := range corpus(t) {
+		for _, md := range modes() {
+			laneSet := func(flag bool) []lanes.Lane {
+				var ls []lanes.Lane
+				for mi, m := range machines(pr.P) {
+					for si, seed := range []int64{1, 42, 999} {
+						m := m
+						m.L *= 1 + 0.1*float64(si)
+						ln := lanes.Lane{Params: m, Seed: seed, Faults: plans()[(mi+si)%len(plans())]}
+						if md.fabric != nil {
+							ln.Network = md.fabric(pr.P, m)
+						}
+						ln.StandardOnly = flag && len(ls)%2 == 0
+						ls = append(ls, ln)
+					}
+				}
+				return ls
+			}
+			base := predictor.Config{Cost: model}
+			md.set(&base)
+			cfg := laneConfig(pr, base)
+			var ref, eng lanes.Engine
+			want, err := ref.Run(pr, cfg, laneSet(false))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, md.name, err)
+			}
+			ls := laneSet(true)
+			got, err := eng.Run(pr, cfg, ls)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, md.name, err)
+			}
+			for l := range ls {
+				what := fmt.Sprintf("%s/%s lane %d", name, md.name, l)
+				w, g := want[l], got[l]
+				if fmt.Sprint(g.Err) != fmt.Sprint(w.Err) {
+					t.Fatalf("%s: error %v, want %v", what, g.Err, w.Err)
+				}
+				if w.Err != nil {
+					continue
+				}
+				if ls[l].StandardOnly {
+					if g.TotalWorst != 0 || g.CommWorst != 0 {
+						t.Fatalf("%s: standard-only lane reads TotalWorst %v, CommWorst %v", what, g.TotalWorst, g.CommWorst)
+					}
+					w.TotalWorst, w.CommWorst = 0, 0
+				}
+				for _, f := range []struct {
+					name     string
+					got, ref float64
+				}{
+					{"Total", g.Total, w.Total}, {"TotalWorst", g.TotalWorst, w.TotalWorst},
+					{"Comp", g.Comp, w.Comp}, {"Comm", g.Comm, w.Comm}, {"CommWorst", g.CommWorst, w.CommWorst},
+				} {
+					if bitsDiffer(f.got, f.ref) {
+						t.Fatalf("%s: %s = %v, want %v", what, f.name, f.got, f.ref)
+					}
+				}
+				for q, c := range eng.CompPerProc(l) {
+					if bitsDiffer(c, ref.CompPerProc(l)[q]) {
+						t.Fatalf("%s: CompPerProc[%d] = %v, want %v", what, q, c, ref.CompPerProc(l)[q])
+					}
+				}
+				for si, st := range eng.Profile(l) {
+					if st != ref.Profile(l)[si] {
+						t.Fatalf("%s: profile step %d = %+v, want %+v", what, si, st, ref.Profile(l)[si])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestLanesTieBreakMatchesScalar pins when the standard core consumes
 // tie-break randomness. Totals rarely depend on which tied sender goes
 // first, so the corpus above passes even if the core draws once per

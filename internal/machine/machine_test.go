@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"loggpsim/internal/blockops"
@@ -336,5 +337,35 @@ func TestEmulatorWithNetworkFabric(t *testing.T) {
 	if math.Abs(contended.Total-contended.TotalNoCache) > 1e-6 {
 		t.Fatalf("fabric state leaked across passes: %g vs %g",
 			contended.Total, contended.TotalNoCache)
+	}
+}
+
+// TestRunAllocationIsStepSized emulates the N=960 b=8 diagonal GE
+// program (1.15 M messages, 358 steps that grow until the middle wave)
+// with the Figure-7 emulator configuration and bounds the bytes one Run
+// allocates: the session's send arena and receive queues grow
+// geometrically, so they reallocate a logarithmic number of times
+// instead of once per growing step.
+func TestRunAllocationIsStepSized(t *testing.T) {
+	g, err := ge.NewGrid(960, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay := layout.Diagonal(8, g.NB)
+	pr := geProgram(t, 960, 8, lay)
+	cfg := Default(meiko, model)
+	cfg.AssignedBlocks = layout.BlockCounts(lay, g.NB)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(pr, cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const limit = 4 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Errorf("machine.Run allocated %.1f MiB, want under %.0f MiB",
+			float64(got)/(1<<20), float64(limit)/(1<<20))
+	} else {
+		t.Logf("machine.Run allocated %.2f MiB", float64(got)/(1<<20))
 	}
 }

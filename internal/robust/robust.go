@@ -240,18 +240,9 @@ func summarize(xs []float64) Quantiles {
 // bound). A sample that loses a message is counted in Envelope.Lost
 // and excluded from the quantiles.
 func Run(cfg Config) ([]Envelope, error) {
-	if cfg.Model == nil {
-		return nil, fmt.Errorf("robust: no cost model")
-	}
-	if err := cfg.Perturb.validate(); err != nil {
+	samples, err := cfg.samples()
+	if err != nil {
 		return nil, err
-	}
-	if err := cfg.Faults.Validate(); err != nil {
-		return nil, err
-	}
-	samples := cfg.Samples
-	if samples < 1 {
-		samples = 64
 	}
 	makeLayout := cfg.Layout
 	var usable []int
@@ -281,11 +272,44 @@ func Run(cfg Config) ([]Envelope, error) {
 	})
 }
 
+// RunProgram returns the envelope Run returns for Sizes []int{b}, on a
+// program the caller has already built for block size b, so a caller
+// that holds the program does not build it twice. It reads cfg's
+// Params, Model, Samples, Seed, Perturb, Faults and Ctx; the sizes,
+// layout, workers and journal are the caller's business.
+func RunProgram(cfg Config, pr *program.Program, b int) (Envelope, error) {
+	samples, err := cfg.samples()
+	if err != nil {
+		return Envelope{}, err
+	}
+	return lockstepEnvelope(cfg, pr, 0, b, samples)
+}
+
+// samples checks the configuration every envelope shares and returns
+// its sample count.
+func (cfg Config) samples() (int, error) {
+	if cfg.Model == nil {
+		return 0, fmt.Errorf("robust: no cost model")
+	}
+	if err := cfg.Perturb.validate(); err != nil {
+		return 0, err
+	}
+	if err := cfg.Faults.Validate(); err != nil {
+		return 0, err
+	}
+	if cfg.Samples < 1 {
+		return 64, nil
+	}
+	return cfg.Samples, nil
+}
+
 // laneSpecs derives the lane configurations for block-size index i:
 // lanes 0..samples-1 are the Monte-Carlo samples, with exactly the seed
 // and parameter derivations of the per-sample oracle in scalar_test.go,
 // and lane samples is the nominal point — the unperturbed parameters
-// and base seed, with no fault plan even when faults are on.
+// and base seed, with no fault plan even when faults are on. The
+// envelope reads only the nominal point's standard prediction, so its
+// lane skips the worst-case slot.
 func laneSpecs(cfg Config, i, samples int) []lanes.Lane {
 	ls := make([]lanes.Lane, samples+1)
 	for s := range samples {
@@ -296,29 +320,38 @@ func laneSpecs(cfg Config, i, samples int) []lanes.Lane {
 			ls[s].Faults.Seed = sweep.Seed(seed, 4)
 		}
 	}
-	ls[samples] = lanes.Lane{Params: cfg.Params, Seed: cfg.Seed}
+	ls[samples] = lanes.Lane{Params: cfg.Params, Seed: cfg.Seed, StandardOnly: true}
 	return ls
 }
 
-// lockstepEnvelope runs one block size's Monte-Carlo samples, plus the
-// nominal point as one more lane, through the lane engine: all lanes
-// advance together through one decode of the program, and the
-// certificate's structure is summarized once and only re-priced per
-// perturbed parameter vector. The envelope is bit-identical to that of
-// the per-sample oracle in scalar_test.go, which replays the nominal
-// point and each sample as its own one-lane prediction and checks it
-// against its own certificate.
+// lockstepEnvelope prices the certificates of one block size's nominal
+// point and every Monte-Carlo sample in one walk over the program, then
+// runs the samples, plus the nominal point as one more lane, through
+// the lane engine: all lanes advance together through one decode of
+// the program. Both passes hold step-sized scratch only, so the
+// envelope's memory is its program's plus the largest step's. The
+// envelope is bit-identical to that of the per-sample oracle in
+// scalar_test.go, which replays the nominal point and each sample as
+// its own one-lane prediction and checks it against its own
+// certificate.
 func lockstepEnvelope(cfg Config, pr *program.Program, i, b, samples int) (Envelope, error) {
 	shape, err := analyze.NewProgramShape(pr, cfg.Model)
 	if err != nil {
 		return Envelope{}, err
 	}
-	pricer := shape.Pricer()
-	nominalBounds, err := pricer.Bound(cfg.Params)
+	ls := laneSpecs(cfg, i, samples)
+	// The nominal vector comes first, so that its rejection is the
+	// envelope's error; certificate s+1 is sample s's.
+	vecs := make([]loggp.Params, samples+1)
+	vecs[0] = cfg.Params
+	for s := range samples {
+		vecs[s+1] = ls[s].Params
+	}
+	certs, err := shape.Pricer().BoundAll(vecs)
 	if err != nil {
 		return Envelope{}, err
 	}
-	ls := laneSpecs(cfg, i, samples)
+	nominalBounds := certs[0]
 	eng := enginePool.Get().(*lanes.Engine)
 	results, err := eng.Run(pr, lanes.Config{Cost: cfg.Model, Ctx: cfg.Ctx}, ls)
 	enginePool.Put(eng)
@@ -349,10 +382,7 @@ func lockstepEnvelope(cfg Config, pr *program.Program, i, b, samples int) (Envel
 		// Certificate sandwich: each sample against the bounds of its own
 		// parameter vector; the pricer's bounds are bit-identical to
 		// analyze.BoundProgram's.
-		bounds, err := pricer.Bound(ls[s].Params)
-		if err != nil {
-			return Envelope{}, fmt.Errorf("robust: b=%d sample %d: %w", b, s, err)
-		}
+		bounds := certs[s+1]
 		const tol = 1e-9
 		if res.Total < bounds.Lower*(1-tol)-tol {
 			return Envelope{}, fmt.Errorf(

@@ -7,10 +7,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"loggpsim/internal/ge"
+	"loggpsim/internal/layout"
 )
 
 // post fires one JSON request at the handler and decodes the body into
@@ -606,5 +610,43 @@ func TestPprofGated(t *testing.T) {
 			t.Fatalf("pprof=%v: /debug/pprof/ status %d, want %d (body %q)",
 				tc.pprof, w.Code, tc.want, w.Body.String())
 		}
+	}
+}
+
+// TestEnvelopeBuildsItsProgramOnce evaluates one n=480 b=8 P=8 envelope
+// and bounds the bytes it allocates by 1.5 times those of its program:
+// evaluate builds the program once and hands it to robust, and the
+// envelope's certificates and lanes hold step-sized scratch only.
+func TestEnvelopeBuildsItsProgramOnce(t *testing.T) {
+	// A race-instrumented run of the envelope takes seconds: the
+	// deadline must not degrade it.
+	s := NewServer(Config{Workers: 1, CacheOff: true, DefaultDeadline: 5 * time.Minute, MaxDeadline: 5 * time.Minute})
+	body := `{"mode":"envelope","workload":{"kind":"ge","procs":8,"n":480,"block":8},"samples":4,"budget":1e12}`
+	r, err := DecodeRequest(strings.NewReader(body), s.cfg.Limits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := ge.NewGrid(480, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1, m2 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if _, err := ge.BuildProgram(g, layout.Diagonal(8, g.NB)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	o := s.evaluate(&r)
+	runtime.ReadMemStats(&m2)
+	if o.status != http.StatusOK || o.degraded {
+		t.Fatalf("envelope answered %d (degraded %v): %s", o.status, o.degraded, o.errMsg)
+	}
+	prog, eval := m1.TotalAlloc-m0.TotalAlloc, m2.TotalAlloc-m1.TotalAlloc
+	if 2*eval >= 3*prog {
+		t.Errorf("envelope evaluation allocated %.1f MiB, %.2f times its program's %.1f MiB; want under 1.5",
+			float64(eval)/(1<<20), float64(eval)/float64(prog), float64(prog)/(1<<20))
+	} else {
+		t.Logf("envelope evaluation allocated %.2f MiB, %.2f times its program's %.2f MiB",
+			float64(eval)/(1<<20), float64(eval)/float64(prog), float64(prog)/(1<<20))
 	}
 }

@@ -692,46 +692,38 @@ func (s *Server) runSimulation(resp *Response, r *Request, pr *program.Program, 
 }
 
 // runEnvelope executes envelope mode: the Monte-Carlo sweep of one
-// block size, its samples and nominal point as lanes of one run.
+// block size, its samples and nominal point as lanes of one run, on the
+// program evaluate already built.
 func (s *Server) runEnvelope(resp *Response, r *Request, pr *program.Program, params loggp.Params, ctx context.Context) *outcome {
 	plan, _ := faults.Parse(r.Faults)
 	rcfg := robust.Config{
-		N:       r.Workload.N,
-		P:       r.Workload.Procs,
-		Sizes:   []int{r.Workload.Block},
 		Params:  params,
 		Model:   s.model,
 		Samples: r.samples(),
 		Seed:    r.Seed,
 		Perturb: r.Perturb,
 		Faults:  plan,
-		Workers: 1, // the request already holds exactly one worker slot
 		Ctx:     ctx,
 	}
-	if lay, err := makeLayout(r.Workload.Layout, r.Workload.Procs); err == nil {
-		rcfg.Layout = lay
-	}
-	var envs []robust.Envelope
+	var env robust.Envelope
 	err, panicked := guard(func() (rerr error) {
 		if s.testHook != nil {
 			s.testHook(ctx)
 		}
-		envs, rerr = robust.Run(rcfg)
+		env, rerr = robust.RunProgram(rcfg, pr, r.Workload.Block)
 		return rerr
 	})
 	switch {
 	case panicked:
 		s.panics.Add(1)
 		return rejectOutcome(http.StatusInternalServerError, "internal error (envelope panicked; contained)")
-	case err == nil && len(envs) == 1:
-		resp.Envelope = &envs[0]
+	case err == nil:
+		resp.Envelope = &env
 		return okOutcome(resp)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return s.degradeOutcome(resp, pr, params, s.degradeReason())
-	case err != nil:
-		return rejectOutcome(http.StatusUnprocessableEntity, "envelope failed: %v", err)
 	default:
-		return rejectOutcome(http.StatusInternalServerError, "envelope produced %d results, want 1", len(envs))
+		return rejectOutcome(http.StatusUnprocessableEntity, "envelope failed: %v", err)
 	}
 }
 

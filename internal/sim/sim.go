@@ -454,7 +454,10 @@ func (s *Session) startStep(r *Result, pt *trace.Pattern) error {
 		off += n
 	}
 	if cap(s.sendArena) < off {
-		s.sendArena = make([]int, off)
+		// Grow geometrically: a session whose steps keep growing (GE's
+		// do until the middle wave) reallocates a logarithmic number of
+		// times.
+		s.sendArena = make([]int, max(off, 2*cap(s.sendArena)))
 	}
 	arena := s.sendArena[:off]
 	for idx, m := range pt.Msgs {

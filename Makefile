@@ -46,8 +46,9 @@
 #                  one lane against the session-replay oracle, the
 #                  fault injector, the checkpoint/resume journal,
 #                  predictd's canonical cache key, its strict request
-#                  decoder, its cache-import verifier and the static
-#                  deadlock verdict and bound certificate (part of ci)
+#                  decoder, its cache-import verifier, the static
+#                  deadlock verdict and bound certificate, and the
+#                  trace pattern decoder (part of ci)
 #   make serve-smoke — boot the real predictd binary on an ephemeral
 #                  port and drive the robustness contract end to end:
 #                  healthy requests, 400/413 rejection, deadline
@@ -209,7 +210,9 @@ bench-envelope:
 # is dropped without touching the cache; an accepted one is stored
 # byte-exact), and the static analyzer (the deadlock verdict predicts
 # the worst-case scheduler's forced releases; Check's certificate
-# equals the walk oracle's and both schedulers finish inside it). `go
+# equals the walk oracle's and both schedulers finish inside it), and
+# the pattern decoder (never panics, an accepted pattern round-trips to
+# equal messages, a src, dst or size outside int32 is refused). `go
 # test -fuzz` takes one fuzz target per invocation, hence one line
 # each. -fuzzminimizetime caps the minimization of a newly interesting
 # input at 1s (the default is 60s), so each run spends its FUZZTIME
@@ -224,6 +227,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve
 	$(GO) test -run NONE -fuzz FuzzCacheImport -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve
 	$(GO) test -run NONE -fuzz FuzzDeadlockVerdict -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/analyze
+	$(GO) test -run NONE -fuzz FuzzPatternDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/trace
 
 # End-to-end smoke of the hardened prediction service: builds the real
 # cmd/predictd binary, boots it on a random port, and asserts the

@@ -167,7 +167,7 @@ type PatternReport struct {
 // usable machine and the structure is sound — the LogGP bound
 // certificate with all processors ready at time zero.
 func Check(pt *trace.Pattern, params loggp.Params) *PatternReport {
-	r := checkPattern(pt)
+	r := checkPattern(pt, new(trace.CycleScratch))
 	if certifiable(r, pt, params) {
 		b := patternBounds(pt, params)
 		r.Bounds = &b
@@ -182,8 +182,9 @@ func certifiable(r *PatternReport, pt *trace.Pattern, params loggp.Params) bool 
 	return len(r.Issues.Errs()) == 0 && pt.P <= params.P && params.Validate() == nil
 }
 
-// checkPattern is Check without the bound certificate.
-func checkPattern(pt *trace.Pattern) *PatternReport {
+// checkPattern is Check without the bound certificate; the deadlock
+// search runs in cs, which a caller checking many patterns reuses.
+func checkPattern(pt *trace.Pattern, cs *trace.CycleScratch) *PatternReport {
 	r := &PatternReport{P: pt.P}
 	r.Issues = append(r.Issues, patternIssues(pt, -1)...)
 	if pt.P <= 0 {
@@ -200,11 +201,11 @@ func checkPattern(pt *trace.Pattern) *PatternReport {
 			continue
 		}
 		r.NetworkMessages++
-		r.NetworkBytes += m.Bytes
-		if m.Src >= 0 && m.Src < pt.P {
+		r.NetworkBytes += int(m.Bytes)
+		if m.Src >= 0 && int(m.Src) < pt.P {
 			out[m.Src]++
 		}
-		if m.Dst >= 0 && m.Dst < pt.P {
+		if m.Dst >= 0 && int(m.Dst) < pt.P {
 			in[m.Dst]++
 		}
 	}
@@ -219,7 +220,7 @@ func checkPattern(pt *trace.Pattern) *PatternReport {
 			return r
 		}
 	}
-	if cyc := pt.FindCycle(); cyc != nil {
+	if cyc := cs.Find(pt); cyc != nil {
 		r.WitnessCycle = cyc
 		r.Issues = append(r.Issues, Issue{
 			Code: "deadlock", Severity: Warning, Step: -1, Msg: -1,
@@ -245,11 +246,11 @@ func patternIssues(pt *trace.Pattern, step int) Issues {
 			Text: fmt.Sprintf("pattern has no processors (P=%d)", pt.P)}}
 	}
 	for i, m := range pt.Msgs {
-		if m.Src < 0 || m.Src >= pt.P {
+		if m.Src < 0 || int(m.Src) >= pt.P {
 			is = append(is, Issue{Code: "src-range", Severity: Error, Step: step, Msg: i,
 				Text: fmt.Sprintf("src %d out of range [0,%d)", m.Src, pt.P)})
 		}
-		if m.Dst < 0 || m.Dst >= pt.P {
+		if m.Dst < 0 || int(m.Dst) >= pt.P {
 			is = append(is, Issue{Code: "dst-range", Severity: Error, Step: step, Msg: i,
 				Text: fmt.Sprintf("dst %d out of range [0,%d)", m.Dst, pt.P)})
 		}
@@ -290,6 +291,7 @@ type ProgramReport struct {
 // — the whole-program bound certificate.
 func CheckProgram(pr *program.Program, params loggp.Params, model costModel) *ProgramReport {
 	r := &ProgramReport{P: pr.P, Steps: len(pr.Steps), DeadlockFree: true}
+	var cs trace.CycleScratch // one deadlock search's storage, reused by every step
 	if pr.P <= 0 {
 		r.Issues = append(r.Issues, Issue{Code: "procs", Severity: Error, Step: -1, Msg: -1,
 			Text: fmt.Sprintf("program has no processors (P=%d)", pr.P)})
@@ -325,7 +327,7 @@ func CheckProgram(pr *program.Program, params loggp.Params, model costModel) *Pr
 			r.Issues = append(r.Issues, Issue{Code: "comm-width", Severity: Error, Step: si, Msg: -1,
 				Text: fmt.Sprintf("communication is over %d processors, program over %d", s.Comm.P, pr.P)})
 		}
-		sr := checkPattern(s.Comm)
+		sr := checkPattern(s.Comm, &cs)
 		for i := range sr.Issues {
 			sr.Issues[i].Step = si
 		}

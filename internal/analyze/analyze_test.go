@@ -2,7 +2,9 @@ package analyze_test
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -10,6 +12,8 @@ import (
 	"loggpsim/internal/analyze"
 	"loggpsim/internal/blockops"
 	"loggpsim/internal/cost"
+	"loggpsim/internal/ge"
+	"loggpsim/internal/layout"
 	"loggpsim/internal/loggp"
 	"loggpsim/internal/program"
 	"loggpsim/internal/trace"
@@ -43,6 +47,11 @@ func TestCheckCleanPattern(t *testing.T) {
 	}
 	if r.Bounds == nil || r.Bounds.Lower <= 0 || r.Bounds.Upper < r.Bounds.Lower {
 		t.Fatalf("bounds: %+v", r.Bounds)
+	}
+	// Message sizes are int32; the byte total is summed in int.
+	big := trace.New(2).Add(0, 1, math.MaxInt32).Add(1, 0, math.MaxInt32).Add(0, 1, math.MaxInt32)
+	if got := analyze.Check(big, testParams).NetworkBytes; got != 3*math.MaxInt32 {
+		t.Fatalf("network bytes %d, want %d", got, 3*math.MaxInt32)
 	}
 }
 
@@ -207,6 +216,36 @@ func TestCheckProgramMatchesWalk(t *testing.T) {
 		if want := analyze.WalkPattern(s.Comm, params); got == nil || !reflect.DeepEqual(*got, want) {
 			t.Fatalf("step %d bounds %+v, want the walk's %+v", i, got, want)
 		}
+	}
+}
+
+// TestCheckProgramMemoryIsStepSized certifies the N=960 b=8 diagonal
+// GE program (358 steps, 1.15 M messages, at most 7,200 in one step)
+// and bounds the bytes allocated: a report per step, the deadlock
+// search's scratch reused across steps and the pricer's sized for the
+// largest step. A fresh search per step allocated 9.3 MiB here.
+func TestCheckProgramMemoryIsStepSized(t *testing.T) {
+	g, err := ge.NewGrid(960, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := ge.BuildProgram(g, layout.Diagonal(8, g.NB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := analyze.CheckProgram(pr, loggp.MeikoCS2(8), cost.DefaultAnalytic())
+	runtime.ReadMemStats(&after)
+	if r.Bounds == nil {
+		t.Fatalf("no certificate: %v", r.Issues)
+	}
+	const limit = 2 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Errorf("CheckProgram allocated %.1f MiB, want under %.0f MiB",
+			float64(got)/(1<<20), float64(limit)/(1<<20))
+	} else {
+		t.Logf("CheckProgram allocated %.2f MiB", float64(got)/(1<<20))
 	}
 }
 

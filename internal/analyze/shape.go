@@ -38,10 +38,10 @@ import (
 // its own Pricer.
 type ProgramShape struct {
 	pr         *program.Program
-	classBytes []int         // class id -> message size in bytes
-	classOf    map[int]int32 // message size -> class id
-	durs       []float64     // [step*P + proc] summed model costs; nil without a model
-	largest    int           // most pattern messages in one step
+	classBytes []int           // class id -> message size in bytes
+	classOf    map[int32]int32 // message size -> class id
+	durs       []float64       // [step*P + proc] summed model costs; nil without a model
+	largest    int             // most pattern messages in one step
 }
 
 // NewProgramShape validates the program once and extracts everything a
@@ -62,11 +62,11 @@ func NewProgramShape(pr *program.Program, model costModel) (*ProgramShape, error
 // the shape carries no computation charges and serves standalone step
 // certificates only.
 func programShape(pr *program.Program, model costModel) *ProgramShape {
-	sh := &ProgramShape{pr: pr, classOf: make(map[int]int32)}
+	sh := &ProgramShape{pr: pr, classOf: make(map[int32]int32)}
 	if model != nil {
 		sh.durs = make([]float64, len(pr.Steps)*pr.P)
 	}
-	lastBytes := -1
+	lastBytes := int32(-1)
 	for i, s := range pr.Steps {
 		if sh.durs != nil {
 			durs := sh.durs[i*pr.P : (i+1)*pr.P]
@@ -86,7 +86,7 @@ func programShape(pr *program.Program, model costModel) *ProgramShape {
 			lastBytes = m.Bytes
 			if _, ok := sh.classOf[m.Bytes]; !ok {
 				sh.classOf[m.Bytes] = int32(len(sh.classBytes))
-				sh.classBytes = append(sh.classBytes, m.Bytes)
+				sh.classBytes = append(sh.classBytes, int(m.Bytes))
 			}
 		}
 	}
@@ -319,7 +319,7 @@ func (pc *Pricer) layout(pt *trace.Pattern) {
 	sh := pc.sh
 	clear(pc.inCnt)
 	n := 0
-	lastBytes, lastCls := -1, int32(0)
+	lastBytes, lastCls := int32(-1), int32(0)
 	for _, m := range pt.Msgs {
 		if m.Src == m.Dst {
 			continue // local transfer: never scheduled, never priced
@@ -327,7 +327,7 @@ func (pc *Pricer) layout(pt *trace.Pattern) {
 		if m.Bytes != lastBytes {
 			lastBytes, lastCls = m.Bytes, sh.classOf[m.Bytes]
 		}
-		pc.msgs[n] = shapeMsg{src: int32(m.Src), dst: int32(m.Dst), class: lastCls}
+		pc.msgs[n] = shapeMsg{src: m.Src, dst: m.Dst, class: lastCls}
 		pc.inCnt[m.Dst]++
 		n++
 	}

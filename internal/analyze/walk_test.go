@@ -101,8 +101,9 @@ func (st *walkState) communicate(pt *trace.Pattern, p loggp.Params) (lo, hi floa
 			continue // local transfer: never scheduled
 		}
 		netMsgs++
-		t := term(m.Bytes)
-		st.arrivals[m.Dst] = append(st.arrivals[m.Dst], st.sendAt[m.Src]+p.ArrivalDelay(m.Bytes))
+		bytes := int(m.Bytes)
+		t := term(bytes)
+		st.arrivals[m.Dst] = append(st.arrivals[m.Dst], st.sendAt[m.Src]+p.ArrivalDelay(bytes))
 		st.sendAt[m.Src] += t
 		st.sumTerm[m.Src] += t
 		st.maxTerm[m.Src] = max(st.maxTerm[m.Src], t)
@@ -110,8 +111,8 @@ func (st *walkState) communicate(pt *trace.Pattern, p loggp.Params) (lo, hi floa
 		st.sumTerm[m.Dst] += t
 		st.maxTerm[m.Dst] = max(st.maxTerm[m.Dst], t)
 		st.ops[m.Dst]++
-		x := ivx(m.Bytes)
-		ubSum += 2*x + p.ArrivalDelay(m.Bytes) + p.O
+		x := ivx(bytes)
+		ubSum += 2*x + p.ArrivalDelay(bytes) + p.O
 		st.stepIvx[m.Src] = max(st.stepIvx[m.Src], x)
 		st.stepIvx[m.Dst] = max(st.stepIvx[m.Dst], x)
 	}

@@ -79,7 +79,7 @@ func Warm(pr *program.Program, capacity int, missFixed, missPerByte float64) *Wa
 		}
 		for _, m := range step.Comm.Msgs {
 			if m.Src != m.Dst {
-				pending[m.Dst] = append(pending[m.Dst], m.Bytes)
+				pending[m.Dst] = append(pending[m.Dst], int(m.Bytes))
 			}
 		}
 	}

@@ -503,7 +503,7 @@ func warmOracle(pr *program.Program, capacity int, missFixed, missPerByte float6
 		}
 		for _, m := range step.Comm.Msgs {
 			if m.Src != m.Dst {
-				pending[m.Dst] = append(pending[m.Dst], m.Bytes)
+				pending[m.Dst] = append(pending[m.Dst], int(m.Bytes))
 			}
 		}
 	}

@@ -165,7 +165,7 @@ func TestTrivialSizes(t *testing.T) {
 func TestOptimalBroadcastCoversAll(t *testing.T) {
 	p := loggp.MeikoCS2(64)
 	pt, _ := OptimalBroadcast(p, 17, 112)
-	informed := map[int]bool{0: true}
+	informed := map[int32]bool{0: true}
 	for _, m := range pt.Msgs {
 		if !informed[m.Src] {
 			t.Fatalf("sender %d transmits before being informed", m.Src)

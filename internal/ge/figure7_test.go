@@ -1,6 +1,7 @@
 package ge_test
 
 import (
+	"runtime"
 	"testing"
 
 	"loggpsim/internal/experiments"
@@ -60,5 +61,31 @@ func TestBuildProgramAllocatesPerWave(t *testing.T) {
 		} else {
 			t.Logf("b=%d: %v allocations for %d steps (%.1f per step)", blk, allocs, len(pr.Steps), allocs/float64(len(pr.Steps)))
 		}
+	}
+}
+
+// TestBuildProgramBytes bounds the bytes BuildProgram allocates for the
+// largest Figure-7 program (N=960, P=8, b=8, diagonal): 1,151,920
+// messages at 12 bytes each, plus operations and step structure, stay
+// under 32 MiB. At 24 bytes a message the build allocated 43.6 MB.
+func TestBuildProgramBytes(t *testing.T) {
+	g, err := ge.NewGrid(960, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay := layout.Diagonal(8, g.NB)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pr, err := ge.BuildProgram(g, lay)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 32 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Errorf("BuildProgram allocated %.1f MiB for %d steps, want under %.0f MiB",
+			float64(got)/(1<<20), len(pr.Steps), float64(limit)/(1<<20))
+	} else {
+		t.Logf("BuildProgram allocated %.1f MiB for %d steps", float64(got)/(1<<20), len(pr.Steps))
 	}
 }

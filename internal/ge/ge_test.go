@@ -172,7 +172,7 @@ func TestBuildProgramShape(t *testing.T) {
 	// Every message carries one block.
 	for _, s := range pr.Steps {
 		for _, m := range s.Comm.Msgs {
-			if m.Bytes != blockops.BlockBytes(b) {
+			if int(m.Bytes) != blockops.BlockBytes(b) {
 				t.Fatalf("message of %d bytes, want %d", m.Bytes, blockops.BlockBytes(b))
 			}
 		}

@@ -613,17 +613,17 @@ func (e *Engine) decode(s *program.Step, si int, model cost.Model, ls []Lane) er
 
 	// Send slots, grouped by sender in pattern order.
 	copy(e.fill, sp.off[:p])
-	lastBytes, lastCls := -1, int32(0)
+	lastBytes, lastCls := int32(-1), int32(0)
 	for idx, m := range msgs {
 		if m.Src == m.Dst {
 			continue
 		}
 		if m.Bytes != lastBytes {
-			lastBytes, lastCls = m.Bytes, e.class(m.Bytes, ls)
+			lastBytes, lastCls = m.Bytes, e.class(int(m.Bytes), ls)
 		}
 		slot := e.fill[m.Src]
 		e.fill[m.Src] = slot + 1
-		sp.sDst[slot] = int32(m.Dst)
+		sp.sDst[slot] = m.Dst
 		sp.sCls[slot] = lastCls
 		sp.sRun[slot] = e.msgRun[idx]
 		sp.sOrig[slot] = int32(idx)

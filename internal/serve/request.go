@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 
 	"loggpsim/internal/analyze"
@@ -101,7 +102,7 @@ type Workload struct {
 	Layout string `json:"layout,omitempty"` // diagonal (default), row, col, 2d
 	// Pattern names a built-in pattern (kind "pattern"): figure3, ring,
 	// alltoall, gather, scatter, random, hypercube. Bytes is the
-	// per-message payload.
+	// per-message payload, in [1, 2^31−1] (see trace.Msg).
 	Pattern string `json:"pattern,omitempty"`
 	Bytes   int    `json:"bytes,omitempty"`
 }
@@ -350,6 +351,9 @@ func (r *Request) Validate(lim Limits) error {
 		}
 		if w.Bytes < 1 {
 			return fmt.Errorf("workload: pattern needs a positive message size, got %d", w.Bytes)
+		}
+		if w.Bytes > math.MaxInt32 {
+			return fmt.Errorf("workload: pattern message size %d exceeds the largest message, %d bytes", w.Bytes, math.MaxInt32)
 		}
 		if r.Mode == ModeEnvelope {
 			return fmt.Errorf("envelope mode needs a ge workload (the Monte-Carlo sweep is defined over block programs)")

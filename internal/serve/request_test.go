@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"testing"
 
 	"loggpsim/internal/loadgen"
@@ -13,7 +14,8 @@ import (
 // and every imported cache line passes. It must never panic, and a body
 // it accepts must mean one thing: re-marshalled and decoded again, the
 // request keeps its canonical key, and the body with one more byte
-// appended is refused unless that byte is JSON whitespace.
+// appended is refused unless that byte is JSON whitespace. An accepted
+// pattern workload's message size fits a trace.Msg.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, body := range loadgen.Corpus(64, 1) {
 		f.Add([]byte(body), byte('x'))
@@ -22,12 +24,17 @@ func FuzzDecodeRequest(f *testing.F) {
 	for _, tail := range []string{`garbage`, `{"mode":"bogus"}`, `]`} {
 		f.Add([]byte(valid+tail), byte(' '))
 	}
+	// A message size past int32, which no trace.Msg can hold.
+	f.Add([]byte(`{"mode":"simulate","workload":{"kind":"pattern","procs":4,"pattern":"ring","bytes":2147483648}}`), byte('x'))
 
 	lim := DefaultLimits()
 	f.Fuzz(func(t *testing.T, body []byte, tail byte) {
 		r, err := DecodeRequest(bytes.NewReader(body), lim)
 		if err != nil {
 			return
+		}
+		if w := r.Workload; w.Kind == KindPattern && w.Bytes > math.MaxInt32 {
+			t.Fatalf("pattern message size %d accepted past int32", w.Bytes)
 		}
 		key, kerr := CanonicalKey(&r)
 

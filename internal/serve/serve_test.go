@@ -117,6 +117,7 @@ func TestMalformedInputRejected(t *testing.T) {
 		{"negative deadline", `{"workload":{"kind":"ge","procs":4,"n":96,"block":8},"deadline_ms":-1}`, http.StatusBadRequest},
 		{"perturb out of range", `{"mode":"envelope","workload":{"kind":"ge","procs":4,"n":96,"block":8},"perturb":{"l":1.5}}`, http.StatusBadRequest},
 		{"envelope needs ge", `{"mode":"envelope","workload":{"kind":"pattern","procs":4,"pattern":"ring","bytes":64}}`, http.StatusBadRequest},
+		{"pattern bytes past int32", `{"workload":{"kind":"pattern","procs":4,"pattern":"ring","bytes":2147483648}}`, http.StatusBadRequest},
 		{"bad fault plan", `{"workload":{"kind":"ge","procs":4,"n":96,"block":8},"faults":"drop=nope"}`, http.StatusBadRequest},
 		{"bad layout", `{"workload":{"kind":"ge","procs":4,"n":96,"block":8,"layout":"spiral"}}`, http.StatusBadRequest},
 		{"preset and explicit machine", `{"workload":{"kind":"ge","procs":4,"n":96,"block":8},"machine":{"preset":"cluster","l":3}}`, http.StatusBadRequest},

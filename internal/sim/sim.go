@@ -533,34 +533,35 @@ func (s *Session) commitSend(pt *trace.Pattern, tl *timeline.Timeline, src int, 
 	idx := st.sendQ[st.sendHead]
 	st.sendHead++
 	m := pt.Msgs[idx]
+	dst, bytes := int(m.Dst), int(m.Bytes)
 	if tl != nil {
 		tl.Record(timeline.Op{
-			Proc: src, Kind: loggp.Send, Peer: m.Dst, Bytes: m.Bytes,
+			Proc: src, Kind: loggp.Send, Peer: dst, Bytes: bytes,
 			Start: start, MsgIndex: idx,
 		})
 	}
-	d := s.deriv(m.Bytes)
+	d := s.deriv(bytes)
 	arrival := start + d.ad
 	if s.cfg.Network != nil {
-		arrival = s.cfg.Network.Arrival(m.Src, m.Dst, m.Bytes, start+s.cfg.Params.O)
+		arrival = s.cfg.Network.Arrival(src, dst, bytes, start+s.cfg.Params.O)
 	}
 	if s.cfg.Jitter != nil {
 		// A NaN must propagate into arrival (to be rejected below) rather
 		// than be silently dropped by the positivity guard.
-		if extra := s.cfg.Jitter(idx, m.Bytes); extra > 0 || math.IsNaN(extra) {
+		if extra := s.cfg.Jitter(idx, bytes); extra > 0 || math.IsNaN(extra) {
 			arrival += extra
 		}
 	}
 	busy := 0.0
 	if s.cfg.Fault != nil {
-		extraBusy, delay, err := s.cfg.Fault(s.step, idx, m.Src, m.Dst, m.Bytes, start)
+		extraBusy, delay, err := s.cfg.Fault(s.step, idx, src, dst, bytes, start)
 		if err != nil {
-			s.hookErr = fmt.Errorf("sim: message %d (%d->%d): %w", idx, m.Src, m.Dst, err)
+			s.hookErr = fmt.Errorf("sim: message %d (%d->%d): %w", idx, src, dst, err)
 			return
 		}
 		if math.IsNaN(extraBusy) || math.IsInf(extraBusy, 0) || extraBusy < 0 {
 			s.hookErr = fmt.Errorf("sim: message %d (%d->%d): fault hook returned bad busy time %g",
-				idx, m.Src, m.Dst, extraBusy)
+				idx, src, dst, extraBusy)
 			return
 		}
 		busy = extraBusy
@@ -571,11 +572,11 @@ func (s *Session) commitSend(pt *trace.Pattern, tl *timeline.Timeline, src int, 
 		// receive heap's ordering; refuse it before it enters the queue.
 		if math.IsNaN(arrival) || math.IsInf(arrival, 0) {
 			s.hookErr = fmt.Errorf("sim: message %d (%d->%d): non-finite arrival time %g from network/jitter/fault hook",
-				idx, m.Src, m.Dst, arrival)
+				idx, src, dst, arrival)
 			return
 		}
 	}
-	s.st[m.Dst].recvQ.Push(arrival, idx)
+	s.st[dst].recvQ.Push(arrival, idx)
 	st.ctime = start + s.cfg.Params.O + busy
 	st.floorSend, st.floorRecv = start+d.like, start+d.unlike
 }
@@ -586,14 +587,15 @@ func (s *Session) commitRecv(pt *trace.Pattern, tl *timeline.Timeline, dst int, 
 	st := &s.st[dst]
 	arrival, idx := st.recvQ.Pop()
 	m := pt.Msgs[idx]
+	bytes := int(m.Bytes)
 	if tl != nil {
 		tl.Record(timeline.Op{
-			Proc: dst, Kind: loggp.Recv, Peer: m.Src, Bytes: m.Bytes,
+			Proc: dst, Kind: loggp.Recv, Peer: int(m.Src), Bytes: bytes,
 			Start: start, Arrival: arrival, MsgIndex: idx,
 		})
 	}
 	st.toRecv--
-	d := s.deriv(m.Bytes)
+	d := s.deriv(bytes)
 	st.ctime = start + s.cfg.Params.O
 	st.floorSend, st.floorRecv = start+d.unlike, start+d.like
 }
@@ -718,7 +720,7 @@ func (s *Session) runGlobalOrder(pt *trace.Pattern, r *Result) {
 		}
 		if s.ttKind[best] == loggp.Send {
 			st := &s.st[best]
-			dst := pt.Msgs[st.sendQ[st.sendHead]].Dst
+			dst := int(pt.Msgs[st.sendQ[st.sendHead]].Dst)
 			s.commitSend(pt, r.Timeline, best, bestStart)
 			s.refreshCandidate(best)
 			s.refreshCandidate(dst)

@@ -103,7 +103,7 @@ func TestBuildProgramShape(t *testing.T) {
 	// Halos are vector-sized.
 	for _, s := range pr.Steps {
 		for _, m := range s.Comm.Msgs {
-			if m.Bytes != blockops.VecBytes(g.B) {
+			if int(m.Bytes) != blockops.VecBytes(g.B) {
 				t.Fatalf("halo of %d bytes, want %d", m.Bytes, blockops.VecBytes(g.B))
 			}
 		}

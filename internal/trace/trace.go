@@ -17,12 +17,21 @@ import (
 )
 
 // Msg is one message of a communication step.
+//
+// Its fields are int32, so a message takes 12 bytes. A program is its
+// messages and operations, and at the paper's scale (blocked GE, N=960,
+// b=8) it holds over a million messages: the field width sets most of
+// a program's memory. Processor indices and sizes therefore range over
+// int32 (sizes up to 2^31−1 bytes); the JSON form is unchanged.
+// Add and AddLocal store a src, dst or size outside int32 as -1, which
+// Validate rejects, so a bad value never wraps into an in-range index
+// or a positive size; Decode refuses such a JSON number outright.
 type Msg struct {
 	// Src and Dst are processor indices in [0, P).
-	Src int `json:"src"`
-	Dst int `json:"dst"`
+	Src int32 `json:"src"`
+	Dst int32 `json:"dst"`
 	// Bytes is the message length; must be at least 1.
-	Bytes int `json:"bytes"`
+	Bytes int32 `json:"bytes"`
 }
 
 // Pattern is one communication step: the set of messages exchanged, with
@@ -56,9 +65,20 @@ func New(p int) *Pattern {
 // AddLocal (or WithLocalTransfers), keeping Add chainable and panic-free
 // while still catching accidental self-sends before they reach the
 // schedulers.
+//
+// A src, dst or bytes outside int32 is stored as -1 (see Msg).
 func (pt *Pattern) Add(src, dst, bytes int) *Pattern {
-	pt.Msgs = append(pt.Msgs, Msg{Src: src, Dst: dst, Bytes: bytes})
+	pt.Msgs = append(pt.Msgs, Msg{Src: narrow(src), Dst: narrow(dst), Bytes: narrow(bytes)})
 	return pt
+}
+
+// narrow converts v to a Msg field: -1, which Validate rejects both as
+// a processor index and as a size, when v lies outside int32.
+func narrow(v int) int32 {
+	if v != int(int32(v)) {
+		return -1
+	}
+	return int32(v)
 }
 
 // AddLocal appends an intentional local transfer (a self message on proc)
@@ -92,10 +112,10 @@ func (pt *Pattern) Validate() error {
 	}
 	var errs []error
 	for i, m := range pt.Msgs {
-		if m.Src < 0 || m.Src >= pt.P {
+		if m.Src < 0 || int(m.Src) >= pt.P {
 			errs = append(errs, fmt.Errorf("trace: msg %d: src %d out of range [0,%d)", i, m.Src, pt.P))
 		}
-		if m.Dst < 0 || m.Dst >= pt.P {
+		if m.Dst < 0 || int(m.Dst) >= pt.P {
 			errs = append(errs, fmt.Errorf("trace: msg %d: dst %d out of range [0,%d)", i, m.Dst, pt.P))
 		}
 		if m.Bytes < 1 {
@@ -165,12 +185,12 @@ func (pt *Pattern) OutDegrees() []int {
 }
 
 // TotalBytes returns the total network volume of the step (self messages
-// excluded).
+// excluded), summed in int so it stays exact past int32.
 func (pt *Pattern) TotalBytes() int {
 	total := 0
 	for _, m := range pt.Msgs {
 		if m.Src != m.Dst {
-			total += m.Bytes
+			total += int(m.Bytes)
 		}
 	}
 	return total
@@ -196,7 +216,7 @@ func (pt *Pattern) HasCycle() bool {
 	adj := make([][]int, pt.P)
 	for _, m := range pt.Msgs {
 		if m.Src != m.Dst {
-			adj[m.Src] = append(adj[m.Src], m.Dst)
+			adj[m.Src] = append(adj[m.Src], int(m.Dst))
 		}
 	}
 	const (
@@ -234,15 +254,36 @@ func (pt *Pattern) HasCycle() bool {
 // if the pattern is acyclic. Minimality makes the witness actionable:
 // the reported processors really are mutually waiting on one another,
 // with no incidental bystanders, which is what the static analyzer
-// prints when it refuses to certify a pattern deadlock-free.
+// prints when it refuses to certify a pattern deadlock-free. It is
+// CycleScratch.Find on fresh scratch.
 func (pt *Pattern) FindCycle() []int {
+	var cs CycleScratch
+	return cs.Find(pt)
+}
+
+// CycleScratch is the working storage of a cycle search. A caller that
+// searches many patterns, as the static analyzer does once per program
+// step, keeps one and reuses it, so each search allocates only its
+// witness. The zero value is ready to use; a CycleScratch must not be
+// used concurrently.
+type CycleScratch struct {
+	work, arena []int
+	adj         [][]int
+}
+
+// Find returns FindCycle's witness for pt, searching in the scratch's
+// storage, which it grows to the largest pattern searched so far. The
+// returned cycle does not share that storage.
+func (cs *CycleScratch) Find(pt *Pattern) []int {
 	p := pt.P
 	// Deduplicated adjacency (multi-edges add nothing to cycle finding)
 	// in first-occurrence order: the network messages' destinations
 	// grouped by source in message order (a counting sort into one
 	// arena), then each source's repeats dropped against a stamp per
 	// destination.
-	work := make([]int, 4*p+1)
+	cs.work = grow(cs.work, 4*p+1)
+	work := cs.work
+	clear(work)
 	off, next, stamp := work[:p+1], work[p+1:2*p+1], work[2*p+1:3*p+1]
 	for _, m := range pt.Msgs {
 		if m.Src != m.Dst {
@@ -253,14 +294,16 @@ func (pt *Pattern) FindCycle() []int {
 		off[s+1] += off[s]
 	}
 	copy(next, off[:p])
-	arena := make([]int, off[p])
+	cs.arena = grow(cs.arena, off[p])
+	arena := cs.arena
 	for _, m := range pt.Msgs {
 		if m.Src != m.Dst {
-			arena[next[m.Src]] = m.Dst
+			arena[next[m.Src]] = int(m.Dst)
 			next[m.Src]++
 		}
 	}
-	adj := make([][]int, p)
+	cs.adj = grow(cs.adj, p)
+	adj := cs.adj
 	for s := 0; s < p; s++ {
 		out := arena[off[s]:off[s]] // compacts in place: writes trail reads
 		for _, v := range arena[off[s]:off[s+1]] {
@@ -315,6 +358,17 @@ func (pt *Pattern) FindCycle() []int {
 		}
 	}
 	return best
+}
+
+// grow returns buf resized to n entries, reusing its backing when it is
+// large enough and otherwise at least doubling it, so patterns that grow
+// step by step reallocate it only logarithmically often; the contents
+// are not cleared.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		buf = make([]T, n, max(n, 2*cap(buf)))
+	}
+	return buf[:n]
 }
 
 // String summarizes the pattern.

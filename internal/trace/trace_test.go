@@ -2,11 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValidate(t *testing.T) {
@@ -25,6 +29,13 @@ func TestValidate(t *testing.T) {
 		{"dst out of range", New(2).Add(0, 5, 8), false},
 		{"zero bytes", New(2).Add(0, 1, 0), false},
 		{"negative bytes", New(2).Add(0, 1, -4), false},
+		// Values outside int32 are stored as -1, never wrapped.
+		{"dst past int32 wraps in range", New(2).Add(0, 1<<32+1, 8), false},
+		{"src past int32 wraps in range", New(2).Add(1<<32, 1, 8), false},
+		{"bytes past int32 wraps negative", New(2).Add(0, 1, 1<<31), false},
+		{"bytes past int32 wraps positive", New(2).Add(0, 1, 1<<32+8), false},
+		{"local proc past int32", New(2).AddLocal(1<<32, 8), false},
+		{"largest size", New(2).Add(0, 1, math.MaxInt32), true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -32,6 +43,14 @@ func TestValidate(t *testing.T) {
 				t.Fatalf("Validate() = %v, want ok=%v", err, tt.ok)
 			}
 		})
+	}
+}
+
+// A message is three int32 fields: a program's memory is mostly its
+// messages.
+func TestMsgIsTwelveBytes(t *testing.T) {
+	if got := unsafe.Sizeof(Msg{}); got != 12 {
+		t.Fatalf("Msg takes %d bytes, want 12", got)
 	}
 }
 
@@ -64,6 +83,18 @@ func TestDegreesAndVolume(t *testing.T) {
 	}
 	if got := pt.NetworkMessages(); got != 3 {
 		t.Errorf("NetworkMessages = %d, want 3", got)
+	}
+}
+
+// Sizes are int32 but their sums are int: three messages of the
+// largest size total past int32 exactly.
+func TestTotalBytesPastInt32(t *testing.T) {
+	pt := New(2).Add(0, 1, math.MaxInt32).Add(1, 0, math.MaxInt32).Add(0, 1, math.MaxInt32)
+	if err := pt.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pt.TotalBytes(), 3*math.MaxInt32; got != want {
+		t.Fatalf("TotalBytes = %d, want %d", got, want)
 	}
 }
 
@@ -100,10 +131,10 @@ func findCycleMap(pt *Pattern) []int {
 		if m.Src == m.Dst {
 			continue
 		}
-		k := [2]int{m.Src, m.Dst}
+		k := [2]int{int(m.Src), int(m.Dst)}
 		if !seen[k] {
 			seen[k] = true
-			adj[m.Src] = append(adj[m.Src], m.Dst)
+			adj[m.Src] = append(adj[m.Src], int(m.Dst))
 		}
 	}
 	var best []int
@@ -168,7 +199,7 @@ func TestFindCycleMatchesMapOracle(t *testing.T) {
 				pt.AddLocal(src, 8)
 			case r == 1 && len(pt.Msgs) > 0:
 				m := pt.Msgs[rng.Intn(len(pt.Msgs))]
-				pt.Add(m.Src, m.Dst, 8)
+				pt.Add(int(m.Src), int(m.Dst), 8)
 			case r < 9 && src > dst:
 				pt.Add(dst, src, 8)
 			default:
@@ -188,6 +219,25 @@ func TestFindCycleMatchesMapOracle(t *testing.T) {
 	}
 }
 
+// One CycleScratch reused across patterns of mixed sizes finds exactly
+// the witnesses fresh scratch finds.
+func TestCycleScratchReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var cs CycleScratch
+	for i := 0; i < 500; i++ {
+		p := 1 + rng.Intn(48)
+		pt := New(p)
+		for n := rng.Intn(6 * p); n > 0; n-- {
+			pt.Add(rng.Intn(p), rng.Intn(p), 8)
+		}
+		pt.AllowLocal = true
+		got, want := cs.Find(pt), pt.FindCycle()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("pattern %d (P=%d, %d msgs): reused scratch %v, fresh %v", i, p, len(pt.Msgs), got, want)
+		}
+	}
+}
+
 func TestFigure3Shape(t *testing.T) {
 	pt := Figure3()
 	if err := pt.Validate(); err != nil {
@@ -202,7 +252,7 @@ func TestFigure3Shape(t *testing.T) {
 	// Prose constraints (0-based): P4 (=3) receives from P1 (=0) and P2
 	// (=1); P8 (=7) receives from P4 (=3) and P6 (=5); P4's second send
 	// goes to P7 (=6).
-	in := map[int][]int{}
+	in := map[int32][]int32{}
 	for _, m := range pt.Msgs {
 		in[m.Dst] = append(in[m.Dst], m.Src)
 	}
@@ -359,6 +409,25 @@ func TestDecodeRejectsInvalid(t *testing.T) {
 		if _, err := Decode(strings.NewReader(bad)); err == nil {
 			t.Errorf("Decode(%q) accepted invalid input", bad)
 		}
+	}
+}
+
+// A JSON number outside int32 is refused with encoding/json's range
+// error, wrapped, rather than narrowed into the message.
+func TestDecodeRejectsOutOfRange(t *testing.T) {
+	for _, bad := range []string{
+		`{"p":2,"msgs":[{"src":0,"dst":4294967297,"bytes":8}]}`,
+		`{"p":2,"msgs":[{"src":-2147483649,"dst":1,"bytes":8}]}`,
+		`{"p":2,"msgs":[{"src":0,"dst":1,"bytes":2147483648}]}`,
+	} {
+		_, err := Decode(strings.NewReader(bad))
+		var rangeErr *json.UnmarshalTypeError
+		if !errors.As(err, &rangeErr) || !strings.HasPrefix(err.Error(), "trace: decoding pattern: ") {
+			t.Errorf("Decode(%q) = %v, want a wrapped *json.UnmarshalTypeError", bad, err)
+		}
+	}
+	if _, err := Decode(strings.NewReader(`{"p":2,"msgs":[{"src":0,"dst":1,"bytes":2147483647}]}`)); err != nil {
+		t.Errorf("largest size refused: %v", err)
 	}
 }
 

@@ -114,7 +114,7 @@ func TestBuildProgramShape(t *testing.T) {
 	// Messages are vector segments.
 	for _, s := range pr.Steps {
 		for _, m := range s.Comm.Msgs {
-			if m.Bytes != blockops.VecBytes(g.B) {
+			if int(m.Bytes) != blockops.VecBytes(g.B) {
 				t.Fatalf("message of %d bytes, want %d", m.Bytes, blockops.VecBytes(g.B))
 			}
 		}

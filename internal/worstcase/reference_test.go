@@ -238,31 +238,32 @@ func (s *refSession) commitSend(pt *trace.Pattern, r *Result, src int, start flo
 	idx := st.sendQ[st.sendHead]
 	st.sendHead++
 	m := pt.Msgs[idx]
+	dst, bytes := int(m.Dst), int(m.Bytes)
 	if r.Timeline != nil {
 		r.Timeline.Record(timeline.Op{
-			Proc: src, Kind: loggp.Send, Peer: m.Dst, Bytes: m.Bytes,
+			Proc: src, Kind: loggp.Send, Peer: dst, Bytes: bytes,
 			Start: start, MsgIndex: idx,
 		})
 	}
-	arrival := start + p.ArrivalDelay(m.Bytes)
+	arrival := start + p.ArrivalDelay(bytes)
 	busy := 0.0
 	if s.cfg.Fault != nil {
-		extraBusy, delay, err := s.cfg.Fault(s.step, idx, m.Src, m.Dst, m.Bytes, start)
+		extraBusy, delay, err := s.cfg.Fault(s.step, idx, src, dst, bytes, start)
 		if err != nil {
-			s.hookErr = fmt.Errorf("reference: message %d (%d->%d): %w", idx, m.Src, m.Dst, err)
+			s.hookErr = fmt.Errorf("reference: message %d (%d->%d): %w", idx, src, dst, err)
 			return
 		}
 		arrival += delay
 		busy = extraBusy
 		if math.IsNaN(arrival) || math.IsInf(arrival, 0) || math.IsNaN(busy) || math.IsInf(busy, 0) || busy < 0 {
 			s.hookErr = fmt.Errorf("reference: message %d (%d->%d): bad fault charge (busy %g, arrival %g)",
-				idx, m.Src, m.Dst, busy, arrival)
+				idx, src, dst, busy, arrival)
 			return
 		}
 	}
-	s.st[m.Dst].recvQ.Push(arrival, idx)
+	s.st[dst].recvQ.Push(arrival, idx)
 	st.ctime = start + p.O + busy
-	st.hasLast, st.lastKind, st.lastStart, st.lastBytes = true, loggp.Send, start, m.Bytes
+	st.hasLast, st.lastKind, st.lastStart, st.lastBytes = true, loggp.Send, start, bytes
 }
 
 // commitRecv performs the earliest pending receive of processor dst at
@@ -272,15 +273,16 @@ func (s *refSession) commitRecv(pt *trace.Pattern, r *Result, dst int, start flo
 	st := &s.st[dst]
 	arrival, idx := st.recvQ.Pop()
 	m := pt.Msgs[idx]
+	bytes := int(m.Bytes)
 	if r.Timeline != nil {
 		r.Timeline.Record(timeline.Op{
-			Proc: dst, Kind: loggp.Recv, Peer: m.Src, Bytes: m.Bytes,
+			Proc: dst, Kind: loggp.Recv, Peer: int(m.Src), Bytes: bytes,
 			Start: start, Arrival: arrival, MsgIndex: idx,
 		})
 	}
 	st.toRecv--
 	st.ctime = start + p.O
-	st.hasLast, st.lastKind, st.lastStart, st.lastBytes = true, loggp.Recv, start, m.Bytes
+	st.hasLast, st.lastKind, st.lastStart, st.lastBytes = true, loggp.Recv, start, bytes
 }
 
 // run commits, in global time order, the earliest available action: a
